@@ -37,6 +37,8 @@ from .core import (
     pair_symbol,
 )
 from .inequalities import (
+    V3_PAIRS,
+    V4_PAIRS,
     eval_v3,
     eval_v4,
     feasible_quad,
@@ -107,6 +109,15 @@ class ScenarioConfig:
             raise ConfigError(f"pairs must be >= 1, got {self.n_pairs}")
         if not 0 <= self.seed < 2**64:
             raise ConfigError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
+        named = {f"angles.{k}": v for k, v in self.angles.items()}
+        named.update({f"events.{k}": v for k, v in self.events.items()})
+        for key, value in named.items():
+            if not math.isfinite(value):
+                raise ConfigError(f"{key} must be finite, got {value}")
+        if self.grid_step is not None and not 0 < self.grid_step < math.inf:
+            raise ConfigError(f"grid-step must be positive and finite, got {self.grid_step}")
+        if self.tolerance is not None and not 0 <= self.tolerance < math.inf:
+            raise ConfigError(f"tol must be non-negative and finite, got {self.tolerance}")
 
     @property
     def pairs(self) -> int:
@@ -130,24 +141,35 @@ class ScenarioResult:
     wall_clock_s: float = 0.0
 
 
-def _status_row(status, source: str = "analytic") -> dict:
-    d = status.to_dict()
-    d["n"] = None
-    d["source"] = source
-    return d
+def _row(
+    symbol: str,
+    status: str,
+    value=None,
+    lo=None,
+    hi=None,
+    n=None,
+    source: str = "analytic",
+    justification: str = "",
+) -> dict:
+    """One output row; every scenario builds its rows here."""
+    return {
+        "symbol": symbol,
+        "status": status,
+        "value": value,
+        "lo": lo,
+        "hi": hi,
+        "n": n,
+        "source": source,
+        "justification": justification,
+    }
 
 
 def _mc_row(symbol: str, estimate, tolerance: float) -> dict:
-    return {
-        "symbol": symbol,
-        "status": "estimated",
-        "value": estimate.mean,
-        "lo": estimate.running_min_mean,
-        "hi": estimate.running_max_mean,
-        "n": estimate.n,
-        "justification": f"monte-carlo (tolerance {tolerance:.6g})",
-        "source": "monte-carlo",
-    }
+    return _row(
+        symbol, "estimated", estimate.mean, estimate.running_min_mean,
+        estimate.running_max_mean, estimate.n, "monte-carlo",
+        f"monte-carlo (tolerance {tolerance:.6g})",
+    )
 
 
 def _mc_tolerance(n: int) -> float:
@@ -169,19 +191,10 @@ V4_DEFAULT_ANGLES = {
 
 def _v3_rows_and_report(engine: DefinabilityEngine, angles: dict):
     pairs = [(SYM_E, SYM_P), (SYM_EP, SYM_P), (SYM_E, SYM_EP)]
-    statuses = engine.statuses(angles, pairs)
-    for st in statuses:
-        if not st.definite:
-            raise UndefinedCorrelationError(
-                f"{st.symbol} has no definite value under "
-                f"{engine.hypotheses.label()} ({st.kind.value})"
-            )
-    by_symbol = {st.symbol: st for st in statuses}
-    c_ep = by_symbol[pair_symbol(SYM_E, SYM_P)].value
-    c_eep = by_symbol[pair_symbol(SYM_E, SYM_EP)].value
-    c_pep = by_symbol[pair_symbol(SYM_EP, SYM_P)].value
-    report = eval_v3(c_ep, c_eep, c_pep)
-    return statuses, report
+    statuses = engine.definite_statuses(angles, pairs)
+    value = {st.symbol: st.value for st in statuses}
+    report = eval_v3(*(value[pair_symbol(*p)] for p in V3_PAIRS))
+    return [_row(**st.to_dict()) for st in statuses], report
 
 
 def _v3_verdict(report, anchor: str) -> str:
@@ -198,8 +211,7 @@ def _scenario_v3_eacp(cfg: ScenarioConfig) -> ScenarioResult:
     hypotheses = cfg.hypotheses or HypothesisSet.parse("WR,EACP,FWP")
     angles = _angles_with_defaults(cfg, V3_DEFAULT_ANGLES)
     engine = DefinabilityEngine(hypotheses)
-    statuses, report = _v3_rows_and_report(engine, angles)
-    rows = [_status_row(st) for st in statuses]
+    rows, report = _v3_rows_and_report(engine, angles)
 
     model = model_from_spec(cfg.model or "collapse-sequential", cfg.model_path)
     block = Block.from_angles(
@@ -233,8 +245,7 @@ def _scenario_v3_local(cfg: ScenarioConfig) -> ScenarioResult:
     hypotheses = cfg.hypotheses or HypothesisSet.parse("WR,Locality")
     angles = _angles_with_defaults(cfg, V3_DEFAULT_ANGLES)
     engine = DefinabilityEngine(hypotheses)
-    statuses, report = _v3_rows_and_report(engine, angles)
-    rows = [_status_row(st) for st in statuses]
+    rows, report = _v3_rows_and_report(engine, angles)
 
     # The two cross correlations are measurable: sample each in its own block.
     source = SingletSource(cfg.seed)
@@ -267,22 +278,14 @@ def _scenario_v4_chsh(cfg: ScenarioConfig) -> ScenarioResult:
     hypotheses = cfg.hypotheses or HypothesisSet.parse("WR,Locality")
     angles = _angles_with_defaults(cfg, V4_DEFAULT_ANGLES)
     engine = DefinabilityEngine(hypotheses)
-    pairs = [(SYM_E, SYM_P), (SYM_E, SYM_PP), (SYM_EP, SYM_P), (SYM_EP, SYM_PP)]
-    statuses = engine.statuses(angles, pairs)
-    for st in statuses:
-        if not st.definite:
-            raise UndefinedCorrelationError(
-                f"{st.symbol} has no definite value under "
-                f"{hypotheses.label()} ({st.kind.value})"
-            )
-    values = [st.value for st in statuses]
-    report = eval_v4(*values)
-    rows = [_status_row(st) for st in statuses]
+    statuses = engine.definite_statuses(angles, V4_PAIRS)
+    report = eval_v4(*(st.value for st in statuses))
+    rows = [_row(**st.to_dict()) for st in statuses]
 
     source = SingletSource(cfg.seed)
     tol = _mc_tolerance(cfg.pairs)
     mc_values = []
-    for (alice_sym, bob_sym), st in zip(pairs, statuses):
+    for alice_sym, bob_sym in V4_PAIRS:
         block = Block.from_angles(
             {alice_sym: angles[alice_sym], bob_sym: angles[bob_sym]},
             count=cfg.pairs,
@@ -373,12 +376,9 @@ def _scenario_observer_order(cfg: ScenarioConfig) -> ScenarioResult:
     order_ep = boosted_order(e_event, p_event, boost_ep)
     order_pe = boosted_order(e_event, p_event, boost_pe)
     rows = [
-        {"symbol": "boost:E-P", "status": "defined", "value": boost_ep.beta,
-         "lo": None, "hi": None, "n": None, "source": "analytic",
-         "justification": "frame-dependent-ordering"},
-        {"symbol": "boost:P-E", "status": "defined", "value": boost_pe.beta,
-         "lo": None, "hi": None, "n": None, "source": "analytic",
-         "justification": "frame-dependent-ordering"},
+        _row(f"boost:{order}", "defined", boost.beta,
+             justification="frame-dependent-ordering")
+        for order, boost in (("E-P", boost_ep), ("P-E", boost_pe))
     ]
     ok = order_ep == 1 and order_pe == -1
     verdict = (
@@ -416,9 +416,8 @@ def _scenario_polytope(cfg: ScenarioConfig) -> ScenarioResult:
             f"target must have 3 or 4 correlations, got {len(target)}"
         )
     rows = [
-        {"symbol": f"target:{name}", "status": "target", "value": value,
-         "lo": None, "hi": None, "n": None, "source": "input",
-         "justification": "local-polytope-membership"}
+        _row(f"target:{name}", "target", value, source="input",
+             justification="local-polytope-membership")
         for name, value in zip(names, target)
     ]
     if result.feasible:
@@ -482,12 +481,10 @@ def _scenario_lhv_sweep(cfg: ScenarioConfig) -> ScenarioResult:
         min_v4_margin = min(min_v4_margin, exact4)
         violations += exact4 < 0
     rows = [
-        {"symbol": "min:V3.slack", "status": "exact", "value": min_v3_slack,
-         "lo": None, "hi": None, "n": n, "source": "sweep",
-         "justification": "finite-run-identities"},
-        {"symbol": "min:V4.margin", "status": "exact", "value": min_v4_margin,
-         "lo": None, "hi": None, "n": n, "source": "sweep",
-         "justification": "finite-run-identities"},
+        _row(symbol, "exact", value, n=n, source="sweep",
+             justification="finite-run-identities")
+        for symbol, value in (("min:V3.slack", min_v3_slack),
+                              ("min:V4.margin", min_v4_margin))
     ]
     verdict = (
         f"{violations} violations across {len(phis)} configurations "

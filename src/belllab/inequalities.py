@@ -320,52 +320,70 @@ class SearchOutcome:
         return out
 
 
-def _v3_objective(values: Mapping[str, np.ndarray]) -> np.ndarray:
-    c_xy = values[pair_symbol(SYM_E, SYM_P)]
-    c_xz = values[pair_symbol(SYM_E, SYM_EP)]
-    c_yz = values[pair_symbol(SYM_P, SYM_EP)]
+def _v3_objective(c_xy, c_xz, c_yz):
     return np.abs(c_xy - c_xz) - (1.0 - c_yz)
 
 
-def _v4_objective(values: Mapping[str, np.ndarray]) -> np.ndarray:
-    c1 = values[pair_symbol(SYM_E, SYM_P)]
-    c2 = values[pair_symbol(SYM_E, SYM_PP)]
-    c3 = values[pair_symbol(SYM_EP, SYM_P)]
-    c4 = values[pair_symbol(SYM_EP, SYM_PP)]
+def _v4_objective(c1, c2, c3, c4):
     return np.abs(c1 + c2) + np.abs(c3 - c4) - 2.0
 
 
-def _scan_v3(
-    value_source: ValueSource, e_grid: np.ndarray, ep_grid: np.ndarray, theta_p: float
-) -> tuple[float, tuple[float, float]] | None:
-    te, tep = np.meshgrid(e_grid, ep_grid, indexing="ij")
-    values = value_source(
-        {SYM_E: te, SYM_EP: tep, SYM_P: np.full_like(te, theta_p)}
-    )
-    objective = _v3_objective(values)
-    flat = objective.ravel()
-    if np.all(np.isnan(flat)):
-        return None
-    best = int(np.nanargmax(flat))
-    i, j = np.unravel_index(best, objective.shape)
-    return float(objective[i, j]), (float(e_grid[i]), float(ep_grid[j]))
+@dataclass(frozen=True)
+class _SearchSpec:
+    """One inequality as ``falsification_search`` sees it.
+
+    ``free`` are the scanned axes; ``pinned`` is the reference axis held at
+    zero.  ``objective`` and ``evaluate`` take the correlations of ``pairs``
+    in order; the objective is positive exactly where the inequality fails.
+    """
+
+    free: tuple[str, ...]
+    pinned: str
+    pairs: tuple[tuple[str, str], ...]
+    objective: Callable[..., np.ndarray]
+    evaluate: Callable[..., "V3Report | V4Report"]
+    reason: str
 
 
-def _scan_v4(
-    value_source: ValueSource,
-    e_grid: np.ndarray,
-    ep_grid: np.ndarray,
-    p_grid: np.ndarray,
-    theta_pp: float,
-) -> tuple[float, tuple[float, float, float]] | None:
+_SEARCH_SPECS = {
+    "V3": _SearchSpec(
+        free=(SYM_E, SYM_EP),
+        pinned=SYM_P,
+        pairs=V3_PAIRS,
+        objective=_v3_objective,
+        evaluate=eval_v3,
+        reason="no configuration defines all of "
+        f"{', '.join(pair_symbol(*p) for p in V3_PAIRS)} under these hypotheses",
+    ),
+    "V4": _SearchSpec(
+        free=(SYM_E, SYM_EP, SYM_P),
+        pinned=SYM_PP,
+        pairs=V4_PAIRS,
+        objective=_v4_objective,
+        evaluate=eval_v4,
+        reason=f"{pair_symbol(SYM_EP, SYM_PP)} undefined under these hypotheses",
+    ),
+}
+
+
+def _scan(
+    spec: _SearchSpec, value_source: ValueSource, grids: Sequence[np.ndarray]
+) -> tuple[float, tuple[float, ...]] | None:
+    """Best objective over the product of ``grids`` (one per free axis).
+
+    The last two axes form one meshgrid per value-source call; the loop runs
+    over every combination of the earlier axes.  None when no point has all
+    required correlations defined.
+    """
+    inner, outer = spec.free[-2:], spec.free[:-2]
+    t1, t2 = np.meshgrid(grids[-2], grids[-1], indexing="ij")
+    fixed = {inner[0]: t1, inner[1]: t2, spec.pinned: np.full_like(t1, 0.0)}
     best_val = -np.inf
-    best_cfg: tuple[float, float, float] | None = None
-    tep, tp = np.meshgrid(ep_grid, p_grid, indexing="ij")
-    tpp = np.full_like(tep, theta_pp)
-    for te_value in e_grid:
-        te = np.full_like(tep, te_value)
-        values = value_source({SYM_E: te, SYM_EP: tep, SYM_P: tp, SYM_PP: tpp})
-        objective = _v4_objective(values)
+    best_cfg: tuple[float, ...] | None = None
+    for head in itertools.product(*grids[:-2]):
+        angles = {**fixed, **{ax: np.full_like(t1, v) for ax, v in zip(outer, head)}}
+        values = value_source(angles)
+        objective = spec.objective(*(values[pair_symbol(*p)] for p in spec.pairs))
         flat = objective.ravel()
         if np.all(np.isnan(flat)):
             continue
@@ -373,7 +391,7 @@ def _scan_v4(
         if flat[k] > best_val:
             i, j = np.unravel_index(k, objective.shape)
             best_val = float(flat[k])
-            best_cfg = (float(te_value), float(ep_grid[i]), float(p_grid[j]))
+            best_cfg = (*map(float, head), float(grids[-2][i]), float(grids[-1][j]))
     if best_cfg is None:
         return None
     return best_val, best_cfg
@@ -403,68 +421,22 @@ def falsification_search(
     required correlations defined.
     """
     version = version.upper()
-    if version not in ("V3", "V4"):
+    if version not in _SEARCH_SPECS:
         raise ValueError(f"version must be 'V3' or 'V4', got {version!r}")
+    spec = _SEARCH_SPECS[version]
     full = np.arange(-math.pi + grid_step, math.pi + grid_step / 2, grid_step)
-
-    if version == "V3":
-        coarse = _scan_v3(value_source, full, full, 0.0)
-        if coarse is None:
-            return SearchOutcome(
-                version=version,
-                found=False,
-                reason="no configuration defines all of "
-                f"{pair_symbol(SYM_E, SYM_P)}, {pair_symbol(SYM_E, SYM_EP)}, "
-                f"{pair_symbol(SYM_P, SYM_EP)} under these hypotheses",
-            )
-        _, (te, tep) = coarse
-        fine_step = grid_step / refinement
-        refined = _scan_v3(
-            value_source,
-            _grid(te, grid_step, fine_step),
-            _grid(tep, grid_step, fine_step),
-            0.0,
-        )
-        value, (te, tep) = refined if refined is not None else coarse
-        angles = {SYM_E: te, SYM_EP: tep, SYM_P: 0.0}
-        values = value_source({k: np.array([v]) for k, v in angles.items()})
-        corr = {k: float(v[0]) for k, v in values.items()}
-        report = eval_v3(
-            corr[pair_symbol(SYM_E, SYM_P)],
-            corr[pair_symbol(SYM_E, SYM_EP)],
-            corr[pair_symbol(SYM_P, SYM_EP)],
-        )
-        return SearchOutcome(
-            version=version, found=True, angles=angles,
-            correlations=corr, violation=value, report=report,
-        )
-
-    coarse = _scan_v4(value_source, full, full, full, 0.0)
+    coarse = _scan(spec, value_source, [full] * len(spec.free))
     if coarse is None:
-        return SearchOutcome(
-            version=version,
-            found=False,
-            reason=f"{pair_symbol(SYM_EP, SYM_PP)} undefined under these hypotheses",
-        )
-    _, (te, tep, tp) = coarse
+        return SearchOutcome(version=version, found=False, reason=spec.reason)
     fine_step = grid_step / refinement
-    refined = _scan_v4(
-        value_source,
-        _grid(te, grid_step, fine_step),
-        _grid(tep, grid_step, fine_step),
-        _grid(tp, grid_step, fine_step),
-        0.0,
+    refined = _scan(
+        spec, value_source, [_grid(t, grid_step, fine_step) for t in coarse[1]]
     )
-    value, (te, tep, tp) = refined if refined is not None else coarse
-    angles = {SYM_E: te, SYM_EP: tep, SYM_P: tp, SYM_PP: 0.0}
+    value, best = refined if refined is not None else coarse
+    angles = {**dict(zip(spec.free, best)), spec.pinned: 0.0}
     values = value_source({k: np.array([v]) for k, v in angles.items()})
     corr = {k: float(v[0]) for k, v in values.items()}
-    report = eval_v4(
-        corr[pair_symbol(SYM_E, SYM_P)],
-        corr[pair_symbol(SYM_E, SYM_PP)],
-        corr[pair_symbol(SYM_EP, SYM_P)],
-        corr[pair_symbol(SYM_EP, SYM_PP)],
-    )
+    report = spec.evaluate(*(corr[pair_symbol(*p)] for p in spec.pairs))
     return SearchOutcome(
         version=version, found=True, angles=angles,
         correlations=corr, violation=value, report=report,

@@ -311,9 +311,43 @@ class CorrelationStatus:
         }
 
 
-def _pair_kind(a: str, b: str) -> str:
-    sides = {side_of_symbol(a), side_of_symbol(b)}
-    return "cross" if len(sides) == 2 else "same"
+_PRIMED = (SYM_EP, SYM_PP)
+
+
+def _orthogonal(cos_delta):
+    """The no-correlation lemma's test; takes a float or an array."""
+    return abs(cos_delta) <= ORTHOGONALITY_TOL
+
+
+def _rule(h: HypothesisSet, a: str, b: str) -> tuple[StatusKind, int, str]:
+    """The decision table: (kind, sign of cos(delta) in the value, principle).
+
+    A ZERO_BY_NO_CORRELATION verdict holds only at orthogonal axes; at any
+    other angle the pair is BOUNDED by the parity straddle instead.
+    """
+    needs_realism = a in _PRIMED or b in _PRIMED
+    if needs_realism and not h.weak_realism:
+        return StatusKind.UNDEFINED, 0, "requires-weak-realism"
+    if side_of_symbol(a) is not side_of_symbol(b):
+        if not needs_realism:
+            return StatusKind.DEFINED, -1, "twisted-malus"
+        if a in _PRIMED and b in _PRIMED:
+            if h.locality:
+                return StatusKind.DEFINED, -1, "locality-mirror"
+            return StatusKind.UNDEFINED, 0, "undefined-without-locality"
+        if h.locality:
+            return StatusKind.DEFINED, -1, "locality-twisted-malus"
+        if h.eacp:
+            return StatusKind.DEFINED, -1, "eacp-transfer"
+        return StatusKind.UNDEFINED, 0, "no-value-transfer-principle"
+    # same-side pair: one measured axis, one counterfactual
+    if h.locality:
+        return StatusKind.DEFINED, 1, "locality-mirror"
+    if h.eacp:
+        if h.fwp:
+            return StatusKind.ZERO_BY_NO_CORRELATION, 0, "no-correlation-lemma"
+        return StatusKind.BOUNDED, 0, "parity-straddle"
+    return StatusKind.UNDEFINED, 0, "no-value-transfer-principle"
 
 
 class DefinabilityEngine:
@@ -328,65 +362,19 @@ class DefinabilityEngine:
         for symbol in (a, b):
             if symbol not in angles:
                 raise KeyError(f"no angle supplied for axis {symbol!r}")
-        h = self.hypotheses
         pair = (a, b)
-        theta_a = as_angle(angles[a])
-        theta_b = as_angle(angles[b])
-        delta = (theta_a - theta_b).radians
-        needs_realism = a in (SYM_EP, SYM_PP) or b in (SYM_EP, SYM_PP)
-        if needs_realism and not h.weak_realism:
-            return CorrelationStatus(
-                pair, StatusKind.UNDEFINED, justification="requires-weak-realism"
-            )
-        if _pair_kind(a, b) == "cross":
-            both_primed = a in (SYM_EP, SYM_PP) and b in (SYM_EP, SYM_PP)
-            if not needs_realism:
-                return CorrelationStatus(
-                    pair, StatusKind.DEFINED, value=-math.cos(delta),
-                    justification="twisted-malus",
-                )
-            if both_primed:
-                if h.locality:
-                    return CorrelationStatus(
-                        pair, StatusKind.DEFINED, value=-math.cos(delta),
-                        justification="locality-mirror",
-                    )
-                return CorrelationStatus(
-                    pair, StatusKind.UNDEFINED,
-                    justification="undefined-without-locality",
-                )
-            if h.locality:
-                return CorrelationStatus(
-                    pair, StatusKind.DEFINED, value=-math.cos(delta),
-                    justification="locality-twisted-malus",
-                )
-            if h.eacp:
-                return CorrelationStatus(
-                    pair, StatusKind.DEFINED, value=-math.cos(delta),
-                    justification="eacp-transfer",
-                )
-            return CorrelationStatus(
-                pair, StatusKind.UNDEFINED, justification="no-value-transfer-principle"
-            )
-        # same-side pair: one measured axis, one counterfactual
-        if h.locality:
-            return CorrelationStatus(
-                pair, StatusKind.DEFINED, value=math.cos(delta),
-                justification="locality-mirror",
-            )
-        if h.eacp:
-            if h.fwp and abs(math.cos(delta)) <= ORTHOGONALITY_TOL:
-                return CorrelationStatus(
-                    pair, StatusKind.ZERO_BY_NO_CORRELATION, value=0.0,
-                    justification="no-correlation-lemma",
-                )
-            return CorrelationStatus(
-                pair, StatusKind.BOUNDED, bound_lo=0.0, bound_hi=0.0,
-                justification="parity-straddle",
-            )
-        return CorrelationStatus(
-            pair, StatusKind.UNDEFINED, justification="no-value-transfer-principle"
-        )
+        cos_d = math.cos((as_angle(angles[a]) - as_angle(angles[b])).radians)
+        kind, sign, why = _rule(self.hypotheses, a, b)
+        if kind is StatusKind.ZERO_BY_NO_CORRELATION and not _orthogonal(cos_d):
+            kind, why = StatusKind.BOUNDED, "parity-straddle"
+        value = bound = None
+        if kind is StatusKind.DEFINED:
+            value = cos_d if sign > 0 else -cos_d
+        elif kind is StatusKind.ZERO_BY_NO_CORRELATION:
+            value = 0.0
+        elif kind is StatusKind.BOUNDED:
+            bound = 0.0
+        return CorrelationStatus(pair, kind, value, bound, bound, why)
 
     def statuses(
         self,
@@ -395,16 +383,23 @@ class DefinabilityEngine:
     ) -> list[CorrelationStatus]:
         return [self.status(a, b, angles) for a, b in pairs]
 
+    def definite_statuses(
+        self, angles: Mapping[str, "Angle | float"], pairs: Iterable[tuple[str, str]]
+    ) -> list[CorrelationStatus]:
+        """``statuses``, raising UndefinedCorrelationError unless all are definite."""
+        statuses = self.statuses(angles, pairs)
+        for st in statuses:
+            if not st.definite:
+                raise UndefinedCorrelationError(
+                    f"{st.symbol} has no definite value under "
+                    f"{self.hypotheses.label()} ({st.kind.value})"
+                )
+        return statuses
+
     def value_or_raise(
         self, a: str, b: str, angles: Mapping[str, "Angle | float"]
     ) -> float:
-        st = self.status(a, b, angles)
-        if st.value is None:
-            raise UndefinedCorrelationError(
-                f"{st.symbol} has no definite value under "
-                f"{self.hypotheses.label()} ({st.kind.value})"
-            )
-        return st.value
+        return self.definite_statuses(angles, [(a, b)])[0].value
 
     def values(self, angles: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:
         """Vectorized definite values for every pair of supplied axes.
@@ -412,36 +407,19 @@ class DefinabilityEngine:
         Entries are NaN where no definite value exists; suitable as the
         value source of ``falsification_search``.
         """
-        h = self.hypotheses
         symbols = [s for s in (SYM_E, SYM_EP, SYM_P, SYM_PP) if s in angles]
         arrays = {s: np.asarray(angles[s], dtype=np.float64) for s in symbols}
         out: dict[str, np.ndarray] = {}
         for i, a in enumerate(symbols):
             for b in symbols[i + 1:]:
-                delta = arrays[a] - arrays[b]
-                cos_d = np.cos(delta)
-                needs_realism = a in (SYM_EP, SYM_PP) or b in (SYM_EP, SYM_PP)
-                if _pair_kind(a, b) == "cross":
-                    both_primed = a in (SYM_EP, SYM_PP) and b in (SYM_EP, SYM_PP)
-                    if not needs_realism:
-                        value = -cos_d
-                    elif not h.weak_realism or (both_primed and not h.locality):
-                        value = np.full_like(cos_d, np.nan)
-                    elif h.locality or h.eacp:
-                        value = -cos_d
-                    else:
-                        value = np.full_like(cos_d, np.nan)
+                cos_d = np.cos(arrays[a] - arrays[b])
+                kind, sign, _ = _rule(self.hypotheses, a, b)
+                if kind is StatusKind.DEFINED:
+                    value = cos_d if sign > 0 else -cos_d
+                elif kind is StatusKind.ZERO_BY_NO_CORRELATION:
+                    value = np.where(_orthogonal(cos_d), 0.0, np.nan)
                 else:
-                    if not h.weak_realism:
-                        value = np.full_like(cos_d, np.nan)
-                    elif h.locality:
-                        value = cos_d
-                    elif h.eacp and h.fwp:
-                        value = np.where(
-                            np.abs(cos_d) <= ORTHOGONALITY_TOL, 0.0, np.nan
-                        )
-                    else:
-                        value = np.full_like(cos_d, np.nan)
+                    value = np.full_like(cos_d, np.nan)
                 out[pair_symbol(a, b)] = value
         return out
 
@@ -526,7 +504,7 @@ def no_correlation_check(
         theta_e=theta_e.radians,
         theta_ep=theta_ep.radians,
         theta_p=theta_p.radians,
-        orthogonal=abs(math.cos((theta_e - theta_ep).radians)) <= ORTHOGONALITY_TOL,
+        orthogonal=_orthogonal(math.cos((theta_e - theta_ep).radians)),
         estimate=est,
         tolerance=tolerance,
         verdict=(

@@ -104,6 +104,39 @@ class TestMain:
         assert main(["--config", str(cfg)]) == 3
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "flags, lines, field",
+        [
+            pytest.param(["--grid-step", "0"], "scenario = lhv-sweep\n", "grid-step",
+                         id="grid-step-0"),
+            pytest.param(["--grid-step", "-1"], "scenario = lhv-sweep\n", "grid-step",
+                         id="grid-step-negative"),
+            pytest.param(["--grid-step", "nan"], "scenario = lhv-sweep\n", "grid-step",
+                         id="grid-step-nan"),
+            pytest.param([], "scenario = lhv-sweep\ngrid-step = inf\n", "grid-step",
+                         id="grid-step-inf"),
+            pytest.param([], "scenario = v3-eacp\nangles.E = nan\n", "angles.E",
+                         id="angle-nan"),
+            pytest.param([], "scenario = v3-eacp\nangles.E = inf\n", "angles.E",
+                         id="angle-inf"),
+            pytest.param([], "scenario = observer-order\nevents.E.t = nan\n", "events.E.t",
+                         id="event-nan"),
+            pytest.param([], "scenario = no-correlation\ntol = nan\n", "tol",
+                         id="tol-nan"),
+            pytest.param([], "scenario = no-correlation\ntol = -1\n", "tol",
+                         id="tol-negative"),
+        ],
+    )
+    def test_non_finite_or_out_of_range_inputs_exit_2(
+        self, flags, lines, field, tmp_path, capsys
+    ):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(lines + "pairs = 1000\n")
+        assert main(["--config", str(cfg), *flags]) == 2
+        err = capsys.readouterr().err
+        assert f"configuration error: {field} " in err
+        assert "Traceback" not in err
+
     def test_config_file_with_overrides(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(

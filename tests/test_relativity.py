@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from belllab.core import SYM_E, SYM_EP, SYM_P, SYM_PP, Side, pair_symbol
 from belllab.realism import CollapseSequential, LHVSign, lhv_outcomes
 from belllab.relativity import (
+    SIX_PAIRS,
     Boost,
     DefinabilityEngine,
     Hypothesis,
@@ -142,6 +144,55 @@ def statuses_by_symbol(hyp, angles=ANGLES):
     }
 
 
+HYPOTHESIS_SUBSETS = [
+    ",".join(subset)
+    for r in range(5)
+    for subset in itertools.combinations(("WR", "Locality", "EACP", "FWP"), r)
+]
+
+# The decision table at ANGLES (E, E' orthogonal; P, P' not), one
+# (kind, justification) per pair of SIX_PAIRS:
+# <E,P>, <E,P'>, <E',P>, <E',P'>, <E,E'>, <P,P'>.
+MALUS = (StatusKind.DEFINED, "twisted-malus")
+NEEDS_WR = (StatusKind.UNDEFINED, "requires-weak-realism")
+NO_TRANSFER = (StatusKind.UNDEFINED, "no-value-transfer-principle")
+NO_LOCALITY = (StatusKind.UNDEFINED, "undefined-without-locality")
+LOCAL_MALUS = (StatusKind.DEFINED, "locality-twisted-malus")
+MIRROR = (StatusKind.DEFINED, "locality-mirror")
+TRANSFER = (StatusKind.DEFINED, "eacp-transfer")
+STRADDLE = (StatusKind.BOUNDED, "parity-straddle")
+LEMMA = (StatusKind.ZERO_BY_NO_CORRELATION, "no-correlation-lemma")
+
+WITHOUT_WR = (MALUS, NEEDS_WR, NEEDS_WR, NEEDS_WR, NEEDS_WR, NEEDS_WR)
+WR_ONLY = (MALUS, NO_TRANSFER, NO_TRANSFER, NO_LOCALITY, NO_TRANSFER, NO_TRANSFER)
+WR_LOCALITY = (MALUS, LOCAL_MALUS, LOCAL_MALUS, MIRROR, MIRROR, MIRROR)
+DECISION_TABLE = {
+    "": WITHOUT_WR,
+    "Locality": WITHOUT_WR,
+    "EACP": WITHOUT_WR,
+    "FWP": WITHOUT_WR,
+    "Locality,EACP": WITHOUT_WR,
+    "Locality,FWP": WITHOUT_WR,
+    "EACP,FWP": WITHOUT_WR,
+    "Locality,EACP,FWP": WITHOUT_WR,
+    "WR": WR_ONLY,
+    "WR,FWP": WR_ONLY,
+    "WR,Locality": WR_LOCALITY,
+    "WR,Locality,EACP": WR_LOCALITY,
+    "WR,Locality,FWP": WR_LOCALITY,
+    "WR,Locality,EACP,FWP": WR_LOCALITY,
+    "WR,EACP": (MALUS, TRANSFER, TRANSFER, NO_LOCALITY, STRADDLE, STRADDLE),
+    "WR,EACP,FWP": (MALUS, TRANSFER, TRANSFER, NO_LOCALITY, LEMMA, STRADDLE),
+}
+
+
+@pytest.mark.parametrize("hyp", HYPOTHESIS_SUBSETS)
+def test_decision_table(hyp):
+    engine = DefinabilityEngine(HypothesisSet.parse(hyp))
+    got = tuple((st.kind, st.justification) for st in engine.statuses(ANGLES))
+    assert got == DECISION_TABLE[hyp]
+
+
 class TestDefinableCorrelations:
     def test_qm_only_defines_the_measured_pair(self):
         sts = statuses_by_symbol("")
@@ -208,23 +259,30 @@ class TestDefinableCorrelations:
                 assert defined_weak <= defined_strong
 
     def test_vectorized_values_match_scalar_statuses(self):
+        # Steps of pi/4: E and E' sit two steps apart (orthogonal) at many
+        # grid points, and P, P' are pinned orthogonal, so every status kind,
+        # the no-correlation lemma included, is compared.
         grid = np.linspace(-math.pi, math.pi, 9)
-        for hyp in ("", "WR", "WR,EACP", "WR,EACP,FWP", "WR,Locality"):
+        theta_p, theta_pp = -math.pi / 2, 0.0
+        te, tep = np.meshgrid(grid, grid, indexing="ij")
+        seen = set()
+        for hyp in HYPOTHESIS_SUBSETS:
             engine = DefinabilityEngine(HypothesisSet.parse(hyp))
-            te, tep = np.meshgrid(grid, grid, indexing="ij")
-            arrays = engine.values(
-                {SYM_E: te, SYM_EP: tep, SYM_P: np.zeros_like(te), SYM_PP: np.ones_like(te)}
-            )
-            for i in (0, 4, 8):
-                for j in (1, 5, 7):
-                    angles = {SYM_E: grid[i], SYM_EP: grid[j], SYM_P: 0.0, SYM_PP: 1.0}
-                    for (a, b) in ((SYM_E, SYM_P), (SYM_E, SYM_EP), (SYM_EP, SYM_PP)):
-                        st = engine.status(a, b, angles)
-                        vec = arrays[pair_symbol(a, b)][i, j]
-                        if st.value is None:
-                            assert math.isnan(vec)
-                        else:
-                            assert vec == pytest.approx(st.value, abs=1e-12)
+            arrays = engine.values({
+                SYM_E: te, SYM_EP: tep,
+                SYM_P: np.full_like(te, theta_p), SYM_PP: np.full_like(te, theta_pp),
+            })
+            for i, j in itertools.product(range(len(grid)), repeat=2):
+                angles = {SYM_E: grid[i], SYM_EP: grid[j], SYM_P: theta_p, SYM_PP: theta_pp}
+                for a, b in SIX_PAIRS:
+                    st = engine.status(a, b, angles)
+                    seen.add(st.kind)
+                    vec = arrays[pair_symbol(a, b)][i, j]
+                    if st.value is None:
+                        assert math.isnan(vec), (hyp, a, b, i, j)
+                    else:
+                        assert vec == pytest.approx(st.value, abs=1e-12), (hyp, a, b, i, j)
+        assert seen == set(StatusKind)
 
     def test_value_or_raise(self):
         engine = DefinabilityEngine(HypothesisSet.parse("WR,EACP"))
