@@ -360,11 +360,11 @@ def _scenario_no_correlation(cfg: ScenarioConfig) -> ScenarioResult:
     )
 
 
+_DEFAULT_EVENTS = {"E.x": -1.0, "E.t": 0.0, "P.x": 1.0, "P.t": 0.0}
+
+
 def _scenario_observer_order(cfg: ScenarioConfig) -> ScenarioResult:
-    ev = {
-        "E.x": -1.0, "E.t": 0.0, "P.x": 1.0, "P.t": 0.0,
-        **cfg.events,
-    }
+    ev = {**_DEFAULT_EVENTS, **cfg.events}
     e_event = SpacetimeEvent(ev["E.x"], ev["E.t"])
     p_event = SpacetimeEvent(ev["P.x"], ev["P.t"])
     kind = interval_type(e_event, p_event)
@@ -658,21 +658,45 @@ def _parse_int(raw: str, label: str) -> int:
         raise ConfigError(f"{label} must be an integer, got {raw!r}") from exc
 
 
+# Config-file keys each scenario reads; every scenario also reads these.
+_COMMON_KEYS = ("scenario", "seed", "pairs")
+_V3_ANGLE_KEYS = tuple(f"angles.{s}" for s in (SYM_E, SYM_EP, SYM_P))
+_MODEL_KEYS = ("model", "model.path")
+_SCENARIO_KEYS = {
+    "v3-local": (*_V3_ANGLE_KEYS, "hypotheses"),
+    "v4-chsh": (*_V3_ANGLE_KEYS, f"angles.{SYM_PP}", "hypotheses"),
+    "v3-eacp": (*_V3_ANGLE_KEYS, "hypotheses", *_MODEL_KEYS),
+    "no-correlation": (*_V3_ANGLE_KEYS, *_MODEL_KEYS, "tol"),
+    "observer-order": tuple(f"events.{name}" for name in _DEFAULT_EVENTS),
+    "polytope": ("target",),
+    "lhv-sweep": ("grid-step", *_MODEL_KEYS),
+}
+
+
+def _check_keys(raw: dict[str, str], scenario: str) -> None:
+    """Reject a key no scenario knows, or one this scenario never reads."""
+    for key in raw:
+        if key in _COMMON_KEYS or key in _SCENARIO_KEYS[scenario]:
+            continue
+        if any(key in keys for keys in _SCENARIO_KEYS.values()):
+            raise ConfigError(f"config key {key!r} is not used by scenario {scenario!r}")
+        raise ConfigError(f"unknown config key {key!r}")
+
+
 def build_config(args: argparse.Namespace) -> ScenarioConfig:
     raw = parse_config_file(args.config) if args.config else {}
 
     scenario = args.scenario or raw.get("scenario")
     if not scenario:
         raise ConfigError("no scenario given (use --scenario or a config file)")
+    if scenario in _SCENARIO_KEYS:  # an unknown scenario fails in ScenarioConfig
+        _check_keys(raw, scenario)
 
     angles = {}
     events = {}
     for key, value in raw.items():
         if key.startswith("angles."):
-            symbol = key[len("angles."):]
-            if symbol not in (SYM_E, SYM_EP, SYM_P, SYM_PP):
-                raise ConfigError(f"unknown axis symbol in config: {symbol!r}")
-            angles[symbol] = _parse_float(value, key)
+            angles[key[len("angles."):]] = _parse_float(value, key)
         elif key.startswith("events."):
             events[key[len("events."):]] = _parse_float(value, key)
 

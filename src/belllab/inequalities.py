@@ -293,6 +293,9 @@ def feasible_quad(
 
 # A value source maps {symbol: angle array} to {pair key: value array},
 # with NaN wherever no definite value exists under the source's hypotheses.
+# Each pair's value must depend only on that pair's two angles, as in
+# ``DefinabilityEngine.values``; ``falsification_search`` relies on it to
+# maximize each term of an objective over its own axis.
 ValueSource = Callable[[Mapping[str, np.ndarray]], Mapping[str, np.ndarray]]
 
 
@@ -320,46 +323,45 @@ class SearchOutcome:
         return out
 
 
-def _v3_objective(c_xy, c_xz, c_yz):
-    return np.abs(c_xy - c_xz) - (1.0 - c_yz)
-
-
-def _v4_objective(c1, c2, c3, c4):
-    return np.abs(c1 + c2) + np.abs(c3 - c4) - 2.0
-
-
 @dataclass(frozen=True)
 class _SearchSpec:
     """One inequality as ``falsification_search`` sees it.
 
-    ``free`` are the scanned axes; ``pinned`` is the reference axis held at
-    zero.  ``objective`` and ``evaluate`` take the correlations of ``pairs``
-    in order; the objective is positive exactly where the inequality fails.
+    The objective, positive exactly where the inequality fails, is the sum
+    of ``terms`` minus ``offset``.  A term ``(row, pairs, fn)`` is ``fn`` of
+    the correlations of ``pairs``, which vary only with axis ``row`` and the
+    ``shared`` axis; ``pinned`` is the reference axis held at zero.
+    ``evaluate`` takes the correlations of all terms' pairs in order.
     """
 
-    free: tuple[str, ...]
+    terms: tuple[tuple[str, tuple[tuple[str, str], ...], Callable], ...]
+    shared: str
     pinned: str
-    pairs: tuple[tuple[str, str], ...]
-    objective: Callable[..., np.ndarray]
+    offset: float
     evaluate: Callable[..., "V3Report | V4Report"]
     reason: str
+
+    @property
+    def free(self) -> tuple[str, ...]:  # each term's row axis, then the shared one
+        return (*(row for row, _, _ in self.terms), self.shared)
 
 
 _SEARCH_SPECS = {
     "V3": _SearchSpec(
-        free=(SYM_E, SYM_EP),
+        terms=((SYM_E, V3_PAIRS, lambda xy, xz, yz: np.abs(xy - xz) - (1.0 - yz)),),
+        shared=SYM_EP,
         pinned=SYM_P,
-        pairs=V3_PAIRS,
-        objective=_v3_objective,
+        offset=0.0,
         evaluate=eval_v3,
         reason="no configuration defines all of "
         f"{', '.join(pair_symbol(*p) for p in V3_PAIRS)} under these hypotheses",
     ),
     "V4": _SearchSpec(
-        free=(SYM_E, SYM_EP, SYM_P),
+        terms=((SYM_E, V4_PAIRS[:2], lambda c1, c2: np.abs(c1 + c2)),
+               (SYM_EP, V4_PAIRS[2:], lambda c3, c4: np.abs(c3 - c4))),
+        shared=SYM_P,
         pinned=SYM_PP,
-        pairs=V4_PAIRS,
-        objective=_v4_objective,
+        offset=2.0,
         evaluate=eval_v4,
         reason=f"{pair_symbol(SYM_EP, SYM_PP)} undefined under these hypotheses",
     ),
@@ -369,32 +371,29 @@ _SEARCH_SPECS = {
 def _scan(
     spec: _SearchSpec, value_source: ValueSource, grids: Sequence[np.ndarray]
 ) -> tuple[float, tuple[float, ...]] | None:
-    """Best objective over the product of ``grids`` (one per free axis).
+    """Best objective over the product of ``grids``, one per ``spec.free`` axis.
 
-    The last two axes form one meshgrid per value-source call; the loop runs
-    over every combination of the earlier axes.  None when no point has all
-    required correlations defined.
+    One value-source call covers a rows x shared mesh, with every row axis
+    (all of equal length) down the rows.  No term reads another's row axis,
+    so each is maximized over its rows alone.  None when nothing is defined.
     """
-    inner, outer = spec.free[-2:], spec.free[:-2]
-    t1, t2 = np.meshgrid(grids[-2], grids[-1], indexing="ij")
-    fixed = {inner[0]: t1, inner[1]: t2, spec.pinned: np.full_like(t1, 0.0)}
-    best_val = -np.inf
-    best_cfg: tuple[float, ...] | None = None
-    for head in itertools.product(*grids[:-2]):
-        angles = {**fixed, **{ax: np.full_like(t1, v) for ax, v in zip(outer, head)}}
-        values = value_source(angles)
-        objective = spec.objective(*(values[pair_symbol(*p)] for p in spec.pairs))
-        flat = objective.ravel()
-        if np.all(np.isnan(flat)):
-            continue
-        k = int(np.nanargmax(flat))
-        if flat[k] > best_val:
-            i, j = np.unravel_index(k, objective.shape)
-            best_val = float(flat[k])
-            best_cfg = (*map(float, head), float(grids[-2][i]), float(grids[-1][j]))
-    if best_cfg is None:
+    *row_grids, shared = grids
+    shape = (len(row_grids[0]), len(shared))
+    angles = {spec.pinned: np.zeros(shape),
+              spec.shared: np.broadcast_to(shared, shape)}
+    for (row, _, _), grid in zip(spec.terms, row_grids):
+        angles[row] = np.broadcast_to(grid[:, None], shape)
+    values = value_source(angles)
+    terms = [fn(*(values[pair_symbol(*p)] for p in pairs))
+             for _, pairs, fn in spec.terms]
+    # fmax skips NaN without nanmax's all-NaN warning.  Float addition is
+    # monotone: the sum of maxima rounds as the objective at its maximizer.
+    total = np.sum([np.fmax.reduce(t, axis=0) for t in terms], axis=0) - spec.offset
+    if np.all(np.isnan(total)):
         return None
-    return best_val, best_cfg
+    j = int(np.nanargmax(total))
+    rows = (float(g[int(np.nanargmax(t[:, j]))]) for t, g in zip(terms, row_grids))
+    return float(total[j]), (*rows, float(shared[j]))
 
 
 def _grid(center: float, half_width: float, step: float) -> np.ndarray:
@@ -413,9 +412,11 @@ def falsification_search(
     Correlation values are taken only where the value source defines them;
     configurations with any required value undefined are skipped.  Because
     the values depend only on angle differences, one reference angle is
-    pinned to zero (theta_P for V3, theta_P' for V4) without loss.  A coarse
-    full-circle scan at ``grid_step`` is followed by one local refinement at
-    ``grid_step / refinement``.
+    pinned to zero (theta_P for V3, theta_P' for V4) without loss.  As each
+    pair's value depends only on its own two angles, a scan of G angles per
+    axis is one value-source call of G x G points, for V4 as for V3.  A
+    coarse full-circle scan at ``grid_step`` is followed by one local
+    refinement at ``grid_step / refinement``.
 
     Returns a non-found outcome with a reason when no configuration has all
     required correlations defined.
@@ -428,15 +429,14 @@ def falsification_search(
     coarse = _scan(spec, value_source, [full] * len(spec.free))
     if coarse is None:
         return SearchOutcome(version=version, found=False, reason=spec.reason)
-    fine_step = grid_step / refinement
-    refined = _scan(
-        spec, value_source, [_grid(t, grid_step, fine_step) for t in coarse[1]]
-    )
+    fine = [_grid(t, grid_step, grid_step / refinement) for t in coarse[1]]
+    refined = _scan(spec, value_source, fine)
     value, best = refined if refined is not None else coarse
     angles = {**dict(zip(spec.free, best)), spec.pinned: 0.0}
     values = value_source({k: np.array([v]) for k, v in angles.items()})
     corr = {k: float(v[0]) for k, v in values.items()}
-    report = spec.evaluate(*(corr[pair_symbol(*p)] for p in spec.pairs))
+    pairs = [p for _, term_pairs, _ in spec.terms for p in term_pairs]
+    report = spec.evaluate(*(corr[pair_symbol(*p)] for p in pairs))
     return SearchOutcome(
         version=version, found=True, angles=angles,
         correlations=corr, violation=value, report=report,

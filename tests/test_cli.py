@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from belllab import cli
 from belllab.cli import (
     CSV_COLUMNS,
     ConfigError,
@@ -136,6 +137,57 @@ class TestMain:
         err = capsys.readouterr().err
         assert f"configuration error: {field} " in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "lines, key",
+        [
+            pytest.param("scenario = polytope\nfoo = 1\n", "foo", id="unknown-key"),
+            pytest.param("scenario = observer-order\nevents.Q.x = 5\n", "events.Q.x",
+                         id="unknown-event"),
+            pytest.param("scenario = v3-eacp\nangles.X = 1\n", "angles.X",
+                         id="unknown-axis"),
+            pytest.param("scenario = polytope\nangles.E = 1\n", "angles.E",
+                         id="angle-unused-by-polytope"),
+            pytest.param("scenario = v3-eacp\nangles.P' = 7\n", "angles.P'",
+                         id="p-prime-unused-by-v3-eacp"),
+            pytest.param("scenario = v4-chsh\ntol = 0.1\n", "tol",
+                         id="tol-unused-by-v4-chsh"),
+            pytest.param("scenario = lhv-sweep\nhypotheses = WR\n", "hypotheses",
+                         id="hypotheses-unused-by-lhv-sweep"),
+        ],
+    )
+    def test_unknown_or_unused_config_keys_exit_2(self, lines, key, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(lines + "pairs = 1000\n")
+        assert main(["--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error: " in err
+        assert repr(key) in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "lines",
+        [
+            pytest.param("scenario = v4-chsh\nangles.P' = 0.1\nhypotheses = WR,Locality\n",
+                         id="v4-chsh"),
+            pytest.param("scenario = observer-order\nevents.P.t = 0.5\n",
+                         id="observer-order"),
+            pytest.param("scenario = no-correlation\ntol = 0.5\nmodel = lhv-sign\n",
+                         id="no-correlation"),
+            pytest.param("scenario = lhv-sweep\ngrid-step = 0.5\nmodel = lhv-sign\n",
+                         id="lhv-sweep"),
+            pytest.param("scenario = polytope\ntarget = 0.5 0.5 0\nseed = 3\n",
+                         id="polytope"),
+        ],
+    )
+    def test_keys_a_scenario_reads_are_accepted(self, lines, tmp_path, capsys):
+        cfg = tmp_path / "ok.cfg"
+        cfg.write_text(lines + "pairs = 1000\n")
+        assert main(["--config", str(cfg)]) == 0
+        capsys.readouterr()
+
+    def test_every_scenario_declares_its_config_keys(self):
+        assert set(cli._SCENARIO_KEYS) == set(cli.SCENARIOS)
 
     def test_config_file_with_overrides(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

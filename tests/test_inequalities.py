@@ -6,8 +6,20 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from belllab.core import Angle, OrientedAxis, OutcomeSequence, Side
+from belllab.core import (
+    SYM_E,
+    SYM_EP,
+    SYM_P,
+    SYM_PP,
+    Angle,
+    OrientedAxis,
+    OutcomeSequence,
+    Side,
+    pair_symbol,
+)
 from belllab.inequalities import (
+    V3_PAIRS,
+    V4_PAIRS,
     eval_v3,
     eval_v4,
     falsification_search,
@@ -249,15 +261,90 @@ class TestFalsificationSearch:
         assert out.found
         assert out.violation == pytest.approx(2 * SQRT2 - 2, abs=1e-9)
 
-    @pytest.mark.slow
     def test_v4_under_locality_fine_grid(self):
         engine = DefinabilityEngine(HypothesisSet.parse("WR,Locality"))
         out = falsification_search("V4", engine.values, math.pi / 180)
         assert out.found
-        assert out.violation == pytest.approx(2 * SQRT2 - 2, abs=1e-6)
-        assert out.report.s == pytest.approx(2 * SQRT2, abs=1e-6)
+        assert out.violation == pytest.approx(2 * SQRT2 - 2, abs=1e-9)
+        assert out.report.s == pytest.approx(2 * SQRT2, abs=1e-9)
+
+    def test_v4_empty_without_locality_fine_grid(self):
+        engine = DefinabilityEngine(HypothesisSet.parse("WR,EACP,FWP"))
+        out = falsification_search("V4", engine.values, math.pi / 180)
+        assert not out.found
+        assert "<E',P'>" in out.reason
 
     def test_bad_version(self):
         engine = DefinabilityEngine(HypothesisSet.parse("WR,Locality"))
         with pytest.raises(ValueError, match="version"):
             falsification_search("V5", engine.values)
+
+
+# Reference search by brute force: the whole objective at every
+# configuration of the free axes, the last two meshed per value-source call
+# and the earlier ones in a Python loop.  The separable scan must agree
+# exactly, since it reorders no floating-point operation at the maximum.
+BRUTE_FORCE = {
+    "V3": ((SYM_E, SYM_EP), SYM_P, V3_PAIRS,
+           lambda xy, xz, yz: np.abs(xy - xz) - (1.0 - yz)),
+    "V4": ((SYM_E, SYM_EP, SYM_P), SYM_PP, V4_PAIRS,
+           lambda c1, c2, c3, c4: np.abs(c1 + c2) + np.abs(c3 - c4) - 2.0),
+}
+NOT_FOUND_REASONS = {
+    "V3": "no configuration defines all of <E,P>, <E,E'>, <E',P> under these hypotheses",
+    "V4": "<E',P'> undefined under these hypotheses",
+}
+HYPOTHESIS_SUBSETS = [
+    ",".join(subset)
+    for r in range(5)
+    for subset in itertools.combinations(("WR", "Locality", "EACP", "FWP"), r)
+]
+
+
+def brute_force_scan(version, value_source, grids):
+    free, pinned, pairs, objective = BRUTE_FORCE[version]
+    t1, t2 = np.meshgrid(grids[-2], grids[-1], indexing="ij")
+    best = None
+    for head in itertools.product(*grids[:-2]):
+        angles = {free[-2]: t1, free[-1]: t2, pinned: np.zeros_like(t1)}
+        angles.update({ax: np.full_like(t1, v) for ax, v in zip(free, head)})
+        values = value_source(angles)
+        flat = objective(*(values[pair_symbol(*p)] for p in pairs)).ravel()
+        if np.all(np.isnan(flat)):
+            continue
+        k = int(np.nanargmax(flat))
+        if best is None or flat[k] > best[0]:
+            i, j = np.unravel_index(k, t1.shape)
+            best = (float(flat[k]),
+                    (*map(float, head), float(grids[-2][i]), float(grids[-1][j])))
+    return best
+
+
+def brute_force_violation(version, value_source, step, refinement=10):
+    """Coarse full-circle scan, then one refinement around its best point;
+    None when no configuration is defined."""
+    n_axes = len(BRUTE_FORCE[version][0])
+    full = np.arange(-math.pi + step, math.pi + step / 2, step)
+    coarse = brute_force_scan(version, value_source, [full] * n_axes)
+    if coarse is None:
+        return None
+    fine_step = step / refinement
+    k = int(math.ceil(step / fine_step))
+    fine = [c + fine_step * np.arange(-k, k + 1) for c in coarse[1]]
+    return brute_force_scan(version, value_source, fine)[0]
+
+
+@pytest.mark.parametrize("step", [math.pi / 12, math.pi / 18, math.pi / 36],
+                         ids=["pi/12", "pi/18", "pi/36"])
+@pytest.mark.parametrize("version", ["V3", "V4"])
+@pytest.mark.parametrize("hypotheses", HYPOTHESIS_SUBSETS, ids=lambda h: h or "none")
+def test_search_matches_brute_force_exactly(hypotheses, version, step):
+    engine = DefinabilityEngine(HypothesisSet.parse(hypotheses))
+    out = falsification_search(version, engine.values, step)
+    want = brute_force_violation(version, engine.values, step)
+    assert out.found == (want is not None)
+    assert out.reason == (None if out.found else NOT_FOUND_REASONS[version])
+    if out.found:
+        assert out.violation == want
+        excess = out.report.s - 2.0 if version == "V4" else -out.report.slack
+        assert excess == out.violation
