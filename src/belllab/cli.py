@@ -81,6 +81,10 @@ class ConfigError(ValueError):
 
 DEFAULT_PAIRS = 1_000_000
 SWEEP_DEFAULT_PAIRS = 20_000  # identities are exact at any N; keep the sweep quick
+# lhv-sweep runs round(pi / grid-step) + 1 configurations of two blocks each;
+# the cap keeps a tiny step from running unbounded (at the default pairs,
+# 1,000 configurations take about 8 s on a 2-vCPU machine).
+_SWEEP_MAX_CONFIGURATIONS = 10_000
 
 
 @dataclass
@@ -114,8 +118,18 @@ class ScenarioConfig:
         for key, value in named.items():
             if not math.isfinite(value):
                 raise ConfigError(f"{key} must be finite, got {value}")
-        if self.grid_step is not None and not 0 < self.grid_step < math.inf:
-            raise ConfigError(f"grid-step must be positive and finite, got {self.grid_step}")
+        if self.grid_step is not None:
+            if not 0 < self.grid_step < math.inf:
+                raise ConfigError(
+                    f"grid-step must be positive and finite, got {self.grid_step}"
+                )
+            # round(pi / step) + 1 > limit, without overflowing on a tiny step
+            if math.pi / self.grid_step >= _SWEEP_MAX_CONFIGURATIONS - 0.5:
+                raise ConfigError(
+                    f"grid-step {self.grid_step} gives more than the limit of "
+                    f"{_SWEEP_MAX_CONFIGURATIONS} configurations over [0, pi]; "
+                    f"use a step above {math.pi / (_SWEEP_MAX_CONFIGURATIONS - 0.5):.6g}"
+                )
         if self.tolerance is not None and not 0 <= self.tolerance < math.inf:
             raise ConfigError(f"tol must be non-negative and finite, got {self.tolerance}")
 
@@ -685,8 +699,17 @@ def _check_keys(raw: dict[str, str], scenario: str) -> None:
 
 def build_config(args: argparse.Namespace) -> ScenarioConfig:
     raw = parse_config_file(args.config) if args.config else {}
+    # A flag given on the command line overrides its config key and is
+    # checked like one; str() of an int or float parses back exactly.
+    flags = {
+        "scenario": args.scenario,
+        "seed": args.seed,
+        "pairs": args.pairs,
+        "grid-step": args.grid_step,
+    }
+    raw.update({key: str(value) for key, value in flags.items() if value is not None})
 
-    scenario = args.scenario or raw.get("scenario")
+    scenario = raw.get("scenario")
     if not scenario:
         raise ConfigError("no scenario given (use --scenario or a config file)")
     if scenario in _SCENARIO_KEYS:  # an unknown scenario fails in ScenarioConfig
@@ -712,13 +735,9 @@ def build_config(args: argparse.Namespace) -> ScenarioConfig:
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
-    seed = args.seed if args.seed is not None else _parse_int(raw.get("seed", "0"), "seed")
-    pairs = args.pairs
-    if pairs is None and "pairs" in raw:
-        pairs = _parse_int(raw["pairs"], "pairs")
-    grid_step = args.grid_step
-    if grid_step is None and "grid-step" in raw:
-        grid_step = _parse_float(raw["grid-step"], "grid-step")
+    seed = _parse_int(raw.get("seed", "0"), "seed")
+    pairs = _parse_int(raw["pairs"], "pairs") if "pairs" in raw else None
+    grid_step = _parse_float(raw["grid-step"], "grid-step") if "grid-step" in raw else None
     tolerance = _parse_float(raw["tol"], "tol") if "tol" in raw else None
 
     try:

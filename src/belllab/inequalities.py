@@ -34,7 +34,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .core import SYM_E, SYM_EP, SYM_P, SYM_PP, OutcomeSequence, pair_symbol
 
@@ -221,6 +220,18 @@ class FeasibilityResult:
             "atoms": [list(a) for a in self.atoms],
             "witness_correlations": list(self.correlations),
         }
+
+
+def linprog(*args, **kwargs):
+    """``scipy.optimize.linprog``, imported on the first call.
+
+    Importing scipy takes most of the package's start-up time and only the
+    feasibility LP needs it.  ``_feasibility`` looks the name up in this
+    module at each call, so a caller may replace the attribute to wrap it.
+    """
+    from scipy.optimize import linprog as scipy_linprog
+
+    return scipy_linprog(*args, **kwargs)
 
 
 def _feasibility(

@@ -2,6 +2,12 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
+import time
+from pathlib import Path
 
 import pytest
 
@@ -87,6 +93,15 @@ class TestRun:
     def test_unknown_scenario(self):
         with pytest.raises(ConfigError, match="unknown scenario"):
             ScenarioConfig(scenario="v5-magic")
+
+    def test_sweep_grid_limit(self):
+        limit = cli._SWEEP_MAX_CONFIGURATIONS
+        # round(pi / step) + 1 configurations: the default, the benchmark's
+        # pi/720 and exactly the limit are accepted; one more is not.
+        for step in (None, math.pi / 720, math.pi / (limit - 1)):
+            ScenarioConfig(scenario="lhv-sweep", grid_step=step)
+        with pytest.raises(ConfigError, match=f"limit of {limit} configurations"):
+            ScenarioConfig(scenario="lhv-sweep", grid_step=math.pi / limit)
 
     def test_undefined_hypotheses_raise(self):
         from belllab.relativity import HypothesisSet, UndefinedCorrelationError
@@ -185,6 +200,29 @@ class TestMain:
         cfg.write_text(lines + "pairs = 1000\n")
         assert main(["--config", str(cfg)]) == 0
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "scenario, step, rc",
+        [("polytope", "5", 2), ("observer-order", "7", 2), ("v4-chsh", "3", 2),
+         ("lhv-sweep", "0.5", 0)],
+    )
+    def test_grid_step_flag_is_checked_as_its_config_key(self, scenario, step, rc, capsys):
+        argv = ["--scenario", scenario, "--grid-step", step, "--pairs", "1000"]
+        assert main(argv) == rc
+        err = capsys.readouterr().err
+        if rc:
+            assert f"'grid-step' is not used by scenario {scenario!r}" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("step", ["1e-7", "5e-324"])
+    def test_sweep_grid_over_the_limit_exits_2_at_once(self, step, capsys):
+        start = time.perf_counter()
+        assert main(["--scenario", "lhv-sweep", "--grid-step", step]) == 2
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert "configuration error: grid-step " in err
+        assert f"limit of {cli._SWEEP_MAX_CONFIGURATIONS} configurations" in err
+        assert "Traceback" not in err
 
     def test_every_scenario_declares_its_config_keys(self):
         assert set(cli._SCENARIO_KEYS) == set(cli.SCENARIOS)
@@ -309,3 +347,28 @@ class TestConfigParsing:
         cfg.write_text("scenario = polytope\nseed = abc\n")
         assert main(["--config", str(cfg)]) == 2
         capsys.readouterr()
+
+
+def test_scipy_loads_with_the_first_lp_only():
+    """scipy is most of the start-up time; only the LP scenario may load it."""
+    probe = textwrap.dedent("""
+        import contextlib, io, json, sys
+        import belllab, belllab.cli
+        loaded = {"import": "scipy" in sys.modules}
+        for argv in (["observer-order"], ["v3-local", "--pairs", "1000"], ["polytope"]):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert belllab.cli.main(["--scenario", *argv]) == 0
+            loaded[argv[0]] = "scipy" in sys.modules
+        print(json.dumps(loaded))
+    """)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {
+        "import": False, "observer-order": False, "v3-local": False, "polytope": True,
+    }

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from belllab import inequalities
 from belllab.core import (
     SYM_E,
     SYM_EP,
@@ -226,6 +227,28 @@ class TestFeasibleQuad:
             assert feasible_quad(*target).feasible == hull_membership_oracle(
                 vertices, target
             )
+
+
+def test_feasibility_lps_call_the_module_linprog(monkeypatch):
+    """Tracing replaces ``inequalities.linprog``; every LP must go through it."""
+    assert "linprog" in vars(inequalities)
+    expected = [
+        feasible_triple(SQRT2 / 2, SQRT2 / 2, 0.0),
+        feasible_quad(-SQRT2 / 2, -SQRT2 / 2, -SQRT2 / 2, SQRT2 / 2),
+    ]
+    methods = []
+    original = inequalities.linprog
+
+    def recording(*args, **kwargs):
+        methods.append(kwargs["method"])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(inequalities, "linprog", recording)
+    triple = feasible_triple(SQRT2 / 2, SQRT2 / 2, 0.0)
+    assert methods == ["highs"]
+    quad = feasible_quad(-SQRT2 / 2, -SQRT2 / 2, -SQRT2 / 2, SQRT2 / 2)
+    assert methods == ["highs", "highs"]
+    assert [triple, quad] == expected
 
 
 class TestFalsificationSearch:
