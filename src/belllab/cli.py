@@ -83,7 +83,8 @@ DEFAULT_PAIRS = 1_000_000
 SWEEP_DEFAULT_PAIRS = 20_000  # identities are exact at any N; keep the sweep quick
 # lhv-sweep runs round(pi / grid-step) + 1 configurations of two blocks each;
 # the cap keeps a tiny step from running unbounded (at the default pairs,
-# 1,000 configurations take about 8 s on a 2-vCPU machine).
+# 1,000 configurations take about 3 s on a 2-vCPU machine, so the cap is
+# about 30 s).
 _SWEEP_MAX_CONFIGURATIONS = 10_000
 
 
@@ -789,7 +790,10 @@ def main(argv: "list[str] | None" = None) -> int:
         "--format", choices=sorted(FORMATTERS), default="table", help="output format"
     )
     parser.add_argument(
-        "--grid-step", type=float, default=None, help="search grid step in radians"
+        "--grid-step",
+        type=float,
+        default=None,
+        help="lhv-sweep angle step in radians (default pi/90)",
     )
     args = parser.parse_args(argv)
 

@@ -65,16 +65,19 @@ V3_PAIRS = ((SYM_E, SYM_P), (SYM_E, SYM_EP), (SYM_P, SYM_EP))
 V4_PAIRS = ((SYM_E, SYM_P), (SYM_E, SYM_PP), (SYM_EP, SYM_P), (SYM_EP, SYM_PP))
 
 
-def _product_sums(*seqs: OutcomeSequence) -> tuple[int, list[np.ndarray]]:
+def _values(*seqs: OutcomeSequence) -> tuple[int, list[np.ndarray]]:
     n = len(seqs[0])
     if n == 0:
         raise ValueError("sequences must be non-empty")
-    arrays = []
     for s in seqs:
         if len(s) != n:
             raise ValueError(f"length mismatch: {n} vs {len(s)}")
-        arrays.append(s.values.astype(np.int64))
-    return n, arrays
+    return n, [s.values for s in seqs]
+
+
+def _product_sum(n: int, u: np.ndarray, v: np.ndarray) -> int:
+    """Exact sum of u*v over +/-1 arrays: agreements minus disagreements."""
+    return n - 2 * int(np.count_nonzero(u != v))
 
 
 def sica_v3_check(
@@ -84,10 +87,10 @@ def sica_v3_check(
 
     Computed from exact integer sums; non-negative for every actual triple.
     """
-    n, (xa, ya, za) = _product_sums(x, y, z)
-    s_xy = int(np.dot(xa, ya))
-    s_xz = int(np.dot(xa, za))
-    s_yz = int(np.dot(ya, za))
+    n, (xa, ya, za) = _values(x, y, z)
+    s_xy = _product_sum(n, xa, ya)
+    s_xz = _product_sum(n, xa, za)
+    s_yz = _product_sum(n, ya, za)
     return ((n - s_yz) - abs(s_xy - s_xz)) / n
 
 
@@ -98,11 +101,11 @@ def sica_v4_check(
 
     Computed from exact integer sums; non-negative for every actual quadruple.
     """
-    n, (wa, xa, ya, za) = _product_sums(w, x, y, z)
-    s_xy = int(np.dot(xa, ya))
-    s_xz = int(np.dot(xa, za))
-    s_wy = int(np.dot(wa, ya))
-    s_wz = int(np.dot(wa, za))
+    n, (wa, xa, ya, za) = _values(w, x, y, z)
+    s_xy = _product_sum(n, xa, ya)
+    s_xz = _product_sum(n, xa, za)
+    s_wy = _product_sum(n, wa, ya)
+    s_wz = _product_sum(n, wa, za)
     return (2 * n - abs(s_xy + s_xz) - abs(s_wy - s_wz)) / n
 
 

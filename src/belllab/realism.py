@@ -18,8 +18,12 @@ same value it would have gotten counterfactually).  Three models ship:
 * ``FileReplay`` -- verbatim +/-1 tuples from a text file, for adversarial
   and regression vectors.
 
-Assignments are pure functions of (seed, pair index), so block generation
-is order-independent and safely parallel.
+The seeded models draw a block's pairs from Philox counter
+``block.index * block.count`` on, so an assignment is a pure function of
+(seed, block index, block count) and blocks can be generated in any order.
+Blocks of equal count never share pairs; blocks of different counts can:
+(index 0, count 20) and (index 1, count 10) both use pairs 10-19.
+ROADMAP item 2 replaces this offset with one explicit stream address.
 """
 
 from __future__ import annotations
@@ -101,17 +105,36 @@ class AssignmentBlock:
         return self.sequences[symbol]
 
 
+# No double is a zero of cos, so over |x| <= 7*pi/2 its sign flips between
+# neighbouring doubles: _Z1, _Z5 and _Z7 are the last doubles below pi/2,
+# 5*pi/2 and 7*pi/2, _Z3 the first above 3*pi/2.  np.cos flips there too,
+# bit for bit (tests/test_realism.py checks 2**16 ulps around each zero).
+_Z1 = float.fromhex("0x1.921fb54442d18p+0")  # math.pi / 2
+_Z3 = float.fromhex("0x1.2d97c7f3321d3p+2")
+_Z5 = float.fromhex("0x1.f6a7a2955385ep+2")
+_Z7 = float.fromhex("0x1.5fdbbe9bba775p+3")
+
+
 def lhv_outcomes(
     lambdas: np.ndarray, theta: "Angle | float", side: Side
 ) -> np.ndarray:
     """Vectorized hidden-variable outcomes along one axis.
 
     sign(cos(lam - t)) with ties resolved to +1; Bob's side is negated so
-    equal-angle opposite-side values cancel exactly on every pair.
+    equal-angle opposite-side values cancel exactly on every pair.  For
+    |lam - t| <= 7*pi/2 (always so for LHVSign) the sign is decided by
+    comparing |lam - t| with the zeros of cos, bit for bit what np.cos
+    gives; anything else (empty, NaN, inf, far out) takes np.cos itself.
     """
-    c = np.cos(np.asarray(lambdas, dtype=np.float64) - float(as_angle(theta).radians))
-    out = np.where(c >= 0.0, 1, -1).astype(np.int8)
-    return out if side is Side.ALICE else (-out).astype(np.int8)
+    x = np.asarray(lambdas, dtype=np.float64) - float(as_angle(theta).radians)
+    d = np.abs(x)
+    if d.size and d.max() <= _Z7:
+        plus = (d >= _Z3) & (d <= _Z5)
+        plus |= d <= _Z1
+        out = plus.view(np.int8) * 2 - 1
+    else:
+        out = np.where(np.cos(x) >= 0.0, 1, -1).astype(np.int8)
+    return out if side is Side.ALICE else -out
 
 
 def lhv_outcome(

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -10,6 +11,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from belllab import cli
 from belllab.cli import (
@@ -20,6 +23,7 @@ from belllab.cli import (
     parse_config_file,
     run,
 )
+from belllab.core import SYMBOLS
 
 SQRT2 = math.sqrt(2.0)
 
@@ -372,3 +376,39 @@ def test_scipy_loads_with_the_first_lp_only():
     assert json.loads(proc.stdout) == {
         "import": False, "observer-order": False, "v3-local": False, "polytope": True,
     }
+
+
+_FUZZ_KEYS = [f"angles.{s}" for s in SYMBOLS] + [
+    f"events.{name}" for name in cli._DEFAULT_EVENTS
+]
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    scenario=st.sampled_from(sorted(cli.SCENARIOS)),
+    pairs=st.integers(-1, 500),
+    step=st.none() | st.floats(min_value=math.pi / 90),
+    seed=st.none() | st.integers(0, 2**64 - 1),
+    keys=st.dictionaries(
+        st.sampled_from(_FUZZ_KEYS),
+        st.floats() | st.sampled_from([math.pi, -math.pi, 1e308, 5e-324]),
+        max_size=4,
+    ),
+)
+def test_main_keeps_the_exit_code_contract(tmp_path, scenario, pairs, step, seed, keys):
+    """Any scenario, pair count, grid step and angle or event keys: 0, 2, 3 or 4."""
+    argv = ["--scenario", scenario, "--pairs", str(pairs)]
+    if step is not None:
+        argv += ["--grid-step", repr(step)]
+    if seed is not None:
+        argv += ["--seed", str(seed)]
+    if keys:
+        config = tmp_path / "fuzz.cfg"
+        config.write_text("".join(f"{k} = {v!r}\n" for k, v in keys.items()))
+        argv += ["--config", str(config)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    assert rc in (0, 2, 3, 4), err.getvalue()
+    assert "Traceback" not in err.getvalue()

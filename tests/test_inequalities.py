@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from belllab import inequalities
@@ -84,6 +84,25 @@ class TestSicaChecks:
             st.sampled_from([-1, 1]), min_size=n, max_size=n)))
         assert sica_v3_check(draw(), draw(), draw()) >= 0.0
         assert sica_v4_check(draw(), draw(), draw(), draw()) >= 0.0
+
+    @given(
+        st.integers(1, 200).flatmap(
+            lambda n: st.lists(
+                st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n),
+                min_size=4, max_size=4,
+            )
+        )
+    )
+    @example([[1], [-1], [-1], [1]])
+    def test_count_based_sums_equal_int64_dot(self, quad):
+        # reference: the integer sums as int64 dot products
+        w, x, y, z = quad
+        n = len(w)
+        s = lambda u, v: int(np.dot(np.array(u, np.int64), np.array(v, np.int64)))
+        v3 = ((n - s(y, z)) - abs(s(x, y) - s(x, z))) / n
+        v4 = (2 * n - abs(s(x, y) + s(x, z)) - abs(s(w, y) - s(w, z))) / n
+        assert sica_v3_check(seq(x), seq(y), seq(z)) == v3
+        assert sica_v4_check(seq(w), seq(x), seq(y), seq(z)) == v4
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="length mismatch"):

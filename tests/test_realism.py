@@ -1,8 +1,11 @@
 import math
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from belllab import realism
 from belllab.core import (
     SYM_E,
     SYM_EP,
@@ -50,6 +53,100 @@ class TestLhvOutcome:
         lambdas = np.linspace(0, math.tau, 37)
         outs = lhv_outcomes(lambdas, 1.1, Side.BOB)
         assert [lhv_outcome(l, 1.1, Side.BOB) for l in lambdas] == list(outs)
+
+
+# pi to 60 digits; its error is far below the spacing of doubles near k*pi/2
+PI_60 = Fraction("3.14159265358979323846264338327950288419716939937510582097494")
+ZEROS = {  # threshold -> (k, is the threshold the double just above k*pi/2)
+    realism._Z1: (1, False),
+    realism._Z3: (3, True),
+    realism._Z5: (5, False),
+    realism._Z7: (7, False),
+}
+
+
+def cos_reference(lambdas, theta, side):
+    """The np.cos expression the threshold kernel must reproduce bit for bit."""
+    c = np.cos(np.asarray(lambdas, dtype=np.float64) - float(theta))
+    out = np.where(c >= 0.0, 1, -1).astype(np.int8)
+    return out if side is Side.ALICE else (-out).astype(np.int8)
+
+
+def assert_same_as_cos(lambdas, theta):
+    for side in Side:
+        got = lhv_outcomes(lambdas, theta, side)
+        want = cos_reference(lambdas, theta, side)
+        assert got.dtype == np.int8
+        assert np.array_equal(got, want)
+
+
+def ulp_window(x, half_width):
+    """Every double within half_width ulps of x, in order."""
+    bits = np.array([x]).view(np.int64)[0]
+    return (bits + np.arange(-half_width, half_width + 1)).view(np.float64)
+
+
+class TestLhvThresholdKernel:
+    @pytest.mark.parametrize("z", sorted(ZEROS))
+    def test_thresholds_are_the_doubles_next_to_the_zeros_of_cos(self, z):
+        k, above = ZEROS[z]
+        zero = k * PI_60 / 2
+        below_z, above_z = math.nextafter(z, -math.inf), math.nextafter(z, math.inf)
+        if above:
+            assert Fraction(below_z) < zero < Fraction(z)
+        else:
+            assert Fraction(z) < zero < Fraction(above_z)
+
+    def test_first_threshold_is_math_pi_over_2(self):
+        assert realism._Z1 == math.pi / 2
+
+    def test_matches_cos_within_2_16_ulps_of_each_zero(self, monkeypatch):
+        windows = np.concatenate(
+            [ulp_window(s * k * math.pi / 2, 2**16) for k in (1, 3, 5, 7) for s in (1, -1)]
+        )
+        inner = windows[np.abs(windows) <= realism._Z7]
+        outer = windows[np.abs(windows) > realism._Z7]
+        want = {side: cos_reference(inner, 0.0, side) for side in Side}
+        with monkeypatch.context() as m:  # the inner window never calls np.cos
+            m.setattr(np, "cos", None)
+            got = {side: lhv_outcomes(inner, 0.0, side) for side in Side}
+        for side in Side:
+            assert got[side].dtype == np.int8
+            assert np.array_equal(got[side], want[side])
+        assert_same_as_cos(outer, 0.0)
+
+    def test_matches_cos_on_model_draws_at_100_angles(self):
+        lambdas = LHVSign().lambdas(Block.from_angles({SYM_E: 0.0}, count=20_000), 31)
+        for theta in np.linspace(math.pi, -math.pi, 100, endpoint=False):
+            assert_same_as_cos(lambdas, float(theta))
+
+    @pytest.mark.parametrize(
+        "lambdas",
+        [
+            [],
+            [math.nan],
+            [math.inf],
+            [-math.inf],
+            [0.5, math.nan, -math.inf, 2.0],
+            [0.5, 7 * math.pi / 2 + 1e-9],
+            [40.0, -1e300, 3.0],
+        ],
+        ids=["empty", "nan", "inf", "-inf", "mixed", "past-7pi/2", "far"],
+    )
+    def test_edge_inputs_give_the_same_values_and_warnings(self, lambdas):
+        lam = np.array(lambdas, dtype=np.float64)
+        for side in Side:
+            with warnings.catch_warnings(record=True) as seen_got:
+                warnings.simplefilter("always")
+                got = lhv_outcomes(lam, 0.25, side)
+            with warnings.catch_warnings(record=True) as seen_want:
+                warnings.simplefilter("always")
+                want = cos_reference(lam, 0.25, side)
+            assert got.dtype == np.int8
+            assert np.array_equal(got, want)
+            assert [(w.category, str(w.message)) for w in seen_got] == [
+                (w.category, str(w.message)) for w in seen_want
+            ]
 
 
 class TestLhvTwoPointFunction:
