@@ -13,20 +13,14 @@ from .core import (
     CorrelationEstimate,
     OrientedAxis,
     OutcomeSequence,
-    Probability,
     Provenance,
     Side,
     SYM_E,
     SYM_EP,
     SYM_P,
     SYM_PP,
-    angle_between,
-    corr_to_prob,
     correlate,
-    merge,
-    mirror,
     pair_symbol,
-    prob_to_corr,
 )
 from .inequalities import (
     FeasibilityResult,
@@ -41,25 +35,15 @@ from .inequalities import (
     sica_v3_check,
     sica_v4_check,
 )
-from .quantum import (
-    PreparedState,
-    SingletSource,
-    collapse,
-    sample_pair,
-    sample_prepared,
-    twisted_malus,
-)
+from .quantum import SingletSource, twisted_malus
 from .realism import (
     AssignmentBlock,
     CollapseSequential,
     FileReplay,
-    HiddenVariable,
     LHVSign,
     ReplayFormatError,
     UnsupportedAxisError,
-    collapse_sequential_assign,
     generate_block,
-    lhv_outcome,
     lhv_outcomes,
     model_from_spec,
 )
@@ -76,7 +60,6 @@ from .relativity import (
     UndefinedCorrelationError,
     boosted_order,
     boosted_time,
-    definable_correlations,
     find_observer,
     interval_type,
     no_correlation_check,

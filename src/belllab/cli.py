@@ -133,6 +133,14 @@ class ScenarioConfig:
                 )
         if self.tolerance is not None and not 0 <= self.tolerance < math.inf:
             raise ConfigError(f"tol must be non-negative and finite, got {self.tolerance}")
+        for i, value in enumerate(self.target or ()):
+            if not -1.0 <= value <= 1.0:
+                raise ConfigError(f"target[{i}] out of range [-1, 1]: {value}")
+        if self.model:  # empty falls back to the scenario's default model
+            try:
+                model_from_spec(self.model, self.model_path)
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from exc
 
     @property
     def pairs(self) -> int:
@@ -263,13 +271,14 @@ def _scenario_v3_local(cfg: ScenarioConfig) -> ScenarioResult:
     rows, report = _v3_rows_and_report(engine, angles)
 
     # The two cross correlations are measurable: sample each in its own block.
-    source = SingletSource(cfg.seed)
     tol = _mc_tolerance(cfg.pairs)
-    for alice_sym in (SYM_E, SYM_EP):
-        a, b = source.sample_pairs(angles[alice_sym], angles[SYM_P], cfg.pairs)
+    for k, alice_sym in enumerate((SYM_E, SYM_EP)):
         block = Block.from_angles(
-            {alice_sym: angles[alice_sym], SYM_P: angles[SYM_P]}, count=cfg.pairs
+            {alice_sym: angles[alice_sym], SYM_P: angles[SYM_P]},
+            count=cfg.pairs,
+            index=k,
         )
+        a, b = SingletSource().sample_pairs(block, cfg.seed)
         est = correlate(_seq(block, alice_sym, a), _seq(block, SYM_P, b))
         rows.append(_mc_row(pair_symbol(alice_sym, SYM_P), est, tol))
 
@@ -297,15 +306,15 @@ def _scenario_v4_chsh(cfg: ScenarioConfig) -> ScenarioResult:
     report = eval_v4(*(st.value for st in statuses))
     rows = [_row(**st.to_dict()) for st in statuses]
 
-    source = SingletSource(cfg.seed)
     tol = _mc_tolerance(cfg.pairs)
     mc_values = []
-    for alice_sym, bob_sym in V4_PAIRS:
+    for k, (alice_sym, bob_sym) in enumerate(V4_PAIRS):
         block = Block.from_angles(
             {alice_sym: angles[alice_sym], bob_sym: angles[bob_sym]},
             count=cfg.pairs,
+            index=k,
         )
-        a, b = source.sample_pairs(angles[alice_sym], angles[bob_sym], cfg.pairs)
+        a, b = SingletSource().sample_pairs(block, cfg.seed)
         est = correlate(_seq(block, alice_sym, a), _seq(block, bob_sym, b))
         mc_values.append(est.mean)
         rows.append(_mc_row(pair_symbol(alice_sym, bob_sym), est, tol))
@@ -741,24 +750,19 @@ def build_config(args: argparse.Namespace) -> ScenarioConfig:
     grid_step = _parse_float(raw["grid-step"], "grid-step") if "grid-step" in raw else None
     tolerance = _parse_float(raw["tol"], "tol") if "tol" in raw else None
 
-    try:
-        return ScenarioConfig(
-            scenario=scenario,
-            seed=seed,
-            n_pairs=pairs,
-            angles=angles,
-            hypotheses=hypotheses,
-            model=raw.get("model"),
-            model_path=raw.get("model.path"),
-            target=target,
-            events=events,
-            grid_step=grid_step,
-            tolerance=tolerance,
-        )
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return ScenarioConfig(
+        scenario=scenario,
+        seed=seed,
+        n_pairs=pairs,
+        angles=angles,
+        hypotheses=hypotheses,
+        model=raw.get("model"),
+        model_path=raw.get("model.path"),
+        target=target,
+        events=events,
+        grid_step=grid_step,
+        tolerance=tolerance,
+    )
 
 
 def _resolve_out(path: str) -> Path:
@@ -798,20 +802,11 @@ def main(argv: "list[str] | None" = None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        config = build_config(args)
-    except ConfigError as exc:
-        print(f"belllab: configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    try:
-        result = run(config)
+        result = run(build_config(args))
     except UndefinedCorrelationError as exc:
         print(f"belllab: undefined correlation: {exc}", file=sys.stderr)
         return EXIT_UNDEFINED
-    except ConfigError as exc:
-        print(f"belllab: configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (UnsupportedAxisError, ReplayFormatError, ValueError) as exc:
+    except (ConfigError, UnsupportedAxisError, ReplayFormatError) as exc:
         print(f"belllab: configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -35,17 +35,11 @@ __all__ = [
     "CorrelationEstimate",
     "OrientedAxis",
     "OutcomeSequence",
-    "Probability",
     "Provenance",
     "Side",
-    "angle_between",
-    "corr_to_prob",
     "correlate",
     "default_burn_in",
-    "merge",
-    "mirror",
     "pair_symbol",
-    "prob_to_corr",
     "side_of_symbol",
 ]
 
@@ -62,10 +56,6 @@ BOB_SYMBOLS = frozenset({SYM_P, SYM_PP})
 class Side(enum.Enum):
     ALICE = "alice"
     BOB = "bob"
-
-    @property
-    def opposite(self) -> "Side":
-        return Side.BOB if self is Side.ALICE else Side.ALICE
 
 
 class Provenance(enum.Enum):
@@ -135,44 +125,6 @@ class OrientedAxis:
     angle: Angle
     side: Side
 
-    @property
-    def opposite(self) -> "OrientedAxis":
-        return OrientedAxis(self.angle, self.side.opposite)
-
-
-def angle_between(a1: OrientedAxis, a2: OrientedAxis) -> Angle:
-    """Signed, normalized angle from axis a1 to axis a2."""
-    return a2.angle - a1.angle
-
-
-@dataclass(frozen=True)
-class Probability:
-    """A probability, validated to lie in [0, 1]."""
-
-    p: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"probability out of range [0, 1]: {self.p}")
-
-    def __float__(self) -> float:
-        return self.p
-
-
-def corr_to_prob(c: float) -> Probability:
-    """Probability of equality for a given correlation: p = (1 + c) / 2."""
-    if not -1.0 <= c <= 1.0:
-        raise ValueError(f"correlation out of range [-1, 1]: {c}")
-    return Probability((1.0 + c) / 2.0)
-
-
-def prob_to_corr(p: "Probability | float") -> float:
-    """Correlation for a given probability of equality: c = 2p - 1."""
-    value = float(p)
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"probability out of range [0, 1]: {value}")
-    return 2.0 * value - 1.0
-
 
 class OutcomeSequence:
     """A finite run of +/-1 outcomes observed (or inferred) along one axis.
@@ -219,19 +171,6 @@ class OutcomeSequence:
             f"provenance={self.provenance.value})"
         )
 
-    def negate(self) -> "OutcomeSequence":
-        return OutcomeSequence(self.axis, -self.values, self.provenance)
-
-
-def mirror(q: OutcomeSequence) -> OutcomeSequence:
-    """The same run as seen from the opposite side of the source.
-
-    Perfect anti-correlation at equal axes means the opposite side's value
-    is the negation: every value flips sign, the axis keeps its angle but
-    moves to the other side.  mirror is an involution.
-    """
-    return OutcomeSequence(q.axis.opposite, -q.values, q.provenance)
-
 
 @dataclass(frozen=True)
 class Block:
@@ -258,6 +197,17 @@ class Block:
                 )
         object.__setattr__(self, "axes", axes)
 
+    @property
+    def first_pair(self) -> int:
+        """Philox counter of the block's first pair: ``index * count``.
+
+        This is the one stream address; every seeded draw reads the block's
+        pairs from here on.  Blocks of equal count never share pairs, but
+        (index 0, count 20) and (index 1, count 10) both use pairs 10-19
+        (ROADMAP item 2).
+        """
+        return self.index * self.count
+
     @classmethod
     def from_angles(
         cls, angles: Mapping[str, "Angle | float"], count: int, index: int = 0
@@ -277,14 +227,14 @@ def default_burn_in(n: int) -> int:
 
 @dataclass(frozen=True)
 class CorrelationEstimate:
-    """Mergeable running estimate of a correlation.
+    """Running estimate of a correlation over one sequence pair.
 
-    ``sum_products`` is the exact integer sum of pairwise products, so means
-    merge exactly.  ``running_min_mean``/``running_max_mean`` are the extrema
-    of the partial means at indices past ``burn_in``; they act as finite-N
-    stand-ins for liminf/limsup when convergence is not guaranteed.  For an
-    estimate with no tracked partials (n <= burn_in) both extrema collapse
-    to the mean.
+    ``sum_products`` is the exact integer sum of pairwise products, so the
+    mean is one exact division.  ``running_min_mean``/``running_max_mean``
+    are the extrema of the partial means at indices past ``burn_in``; they
+    act as finite-N stand-ins for liminf/limsup when convergence is not
+    guaranteed.  For an estimate with no tracked partials (n <= burn_in)
+    both extrema collapse to the mean.
     """
 
     n: int
@@ -302,10 +252,6 @@ class CorrelationEstimate:
     @property
     def straddles_zero(self) -> bool:
         return self.running_min_mean <= 0.0 <= self.running_max_mean
-
-    @classmethod
-    def empty(cls) -> "CorrelationEstimate":
-        return cls(n=0, sum_products=0, burn_in=0)
 
 
 def correlate(
@@ -342,28 +288,4 @@ def correlate(
         burn_in=burn_in,
         running_min_mean=rmin,
         running_max_mean=rmax,
-    )
-
-
-def merge(e1: CorrelationEstimate, e2: CorrelationEstimate) -> CorrelationEstimate:
-    """Combine two estimates as if their sequences had been concatenated.
-
-    Counts and product sums are exact.  The extrema are conservative: the
-    merged interval contains the interval that recomputing on the actual
-    concatenation would give (the sqrt-N burn-in discards early partials of
-    the concatenation that neither input tracked).
-    """
-    if e1.n == 0:
-        return e2
-    if e2.n == 0:
-        return e1
-    n = e1.n + e2.n
-    total = e1.sum_products + e2.sum_products
-    mean = total / n
-    return CorrelationEstimate(
-        n=n,
-        sum_products=total,
-        burn_in=default_burn_in(n),
-        running_min_mean=min(e1.running_min_mean, e2.running_min_mean, mean),
-        running_max_mean=max(e1.running_max_mean, e2.running_max_mean, mean),
     )

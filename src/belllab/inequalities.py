@@ -42,8 +42,6 @@ __all__ = [
     "SearchOutcome",
     "V3Report",
     "V4Report",
-    "V3_ROLES",
-    "V4_ROLES",
     "eval_v3",
     "eval_v4",
     "falsification_search",
@@ -53,14 +51,9 @@ __all__ = [
     "sica_v4_check",
 ]
 
-# Fixed role assignments from abstract sequence slots to axis symbols.
-# V3 uses two axes on Alice's side:  x = E, z = E', y = P.
-# V4 pairs each side's measured and counterfactual axes:
-#   x = E, y = P, w = E', z = P'.
-V3_ROLES = {"x": SYM_E, "y": SYM_P, "z": SYM_EP}
-V4_ROLES = {"x": SYM_E, "y": SYM_P, "w": SYM_EP, "z": SYM_PP}
-
-# Correlation pairs appearing in each inequality, in report order.
+# Correlation pairs appearing in each inequality, in report order.  The
+# sequence slots map to axes as x = E, y = P, z = E' (V3, two axes on
+# Alice's side) and x = E, y = P, w = E', z = P' (V4).
 V3_PAIRS = ((SYM_E, SYM_P), (SYM_E, SYM_EP), (SYM_P, SYM_EP))
 V4_PAIRS = ((SYM_E, SYM_P), (SYM_E, SYM_PP), (SYM_EP, SYM_P), (SYM_EP, SYM_PP))
 

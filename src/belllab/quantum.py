@@ -13,32 +13,20 @@ After one side is measured, the far particle is left in the pure state
 with the opposite sign along the measured axis; measuring that prepared
 state |s> along an axis at angle t has outcome expectation s*cos(t - a).
 
-Randomness is counter-based: pair i consumes only the Philox block indexed
-by (seed, i), so streams reproduce exactly across runs, chunk sizes, and
-thread counts.
+Randomness is counter-based: pair i of a seed's stream is Philox counter
+block i under key seed, whatever the batching.  A block's pairs start at
+``Block.first_pair``, the one stream address every seeded draw reads.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Angle, as_angle
+from .core import Angle, Block, Side, as_angle
 
-__all__ = [
-    "PreparedState",
-    "SingletSource",
-    "collapse",
-    "pair_uniforms",
-    "sample_pair",
-    "sample_prepared",
-    "twisted_malus",
-]
-
-# Uniform draws available per pair: one Philox counter block of 4 words.
-DRAWS_PER_PAIR = 4
+__all__ = ["SingletSource", "pair_uniforms", "twisted_malus"]
 
 
 def twisted_malus(theta1: "Angle | float", theta2: "Angle | float") -> float:
@@ -60,30 +48,7 @@ def pair_uniforms(seed: int, start: int, count: int) -> np.ndarray:
     bg = np.random.Philox(key=seed)
     if start:
         bg.advance(start)
-    return np.random.Generator(bg).random((count, DRAWS_PER_PAIR))
-
-
-@dataclass(frozen=True)
-class PreparedState:
-    """Pure one-particle spin state |sign> along ``axis_angle``."""
-
-    axis_angle: Angle
-    sign: int
-
-    def __post_init__(self) -> None:
-        if self.sign not in (-1, 1):
-            raise ValueError(f"state sign must be +1 or -1, got {self.sign}")
-
-
-def collapse(p_outcome: int, p_axis: "Angle | float") -> PreparedState:
-    """State of the far particle after a measurement gave ``p_outcome``.
-
-    The partner of a singlet pair is left prepared with the opposite sign
-    along the same axis.
-    """
-    if p_outcome not in (-1, 1):
-        raise ValueError(f"outcome must be +1 or -1, got {p_outcome}")
-    return PreparedState(axis_angle=as_angle(p_axis), sign=-p_outcome)
+    return np.random.Generator(bg).random((count, 4))
 
 
 def born_outcomes(
@@ -99,72 +64,26 @@ def born_outcomes(
     return np.where(uniforms < p_plus, 1, -1).astype(np.int8)
 
 
-@dataclass
 class SingletSource:
-    """Deterministic stream of singlet-pair measurement outcomes.
+    """Singlet pairs measured along a block's one Alice and one Bob axis.
 
-    Identical seeds reproduce identical outcome streams; ``pair_counter``
-    tracks how many pairs have been emitted so far.
+    Stateless: a block's outcomes depend only on (seed, block), and its
+    pairs are the ones at ``block.first_pair`` on.
     """
 
-    rng_seed: int
-    pair_counter: int = field(default=0)
-
-    def sample_pairs(
-        self,
-        theta_a: "Angle | float",
-        theta_b: "Angle | float",
-        count: int,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Measure ``count`` fresh pairs along (theta_a, theta_b).
+    def sample_pairs(self, block: Block, seed: int) -> tuple[np.ndarray, np.ndarray]:
+        """Measure the block's pairs along its Alice and Bob axes.
 
         Returns int8 arrays (a, b).  Alice's outcome is a fair coin; Bob's
         is anti-correlated with probability (1 + cos(delta)) / 2, which
         reproduces corr = -cos(delta) with unbiased marginals.
         """
-        u = pair_uniforms(self.rng_seed, self.pair_counter, count)
-        self.pair_counter += count
-        delta = float(as_angle(theta_a).radians) - float(as_angle(theta_b).radians)
+        sides = {axis.side: axis.angle.radians for axis in block.axes.values()}
+        if len(block.axes) != 2 or len(sides) != 2:
+            raise ValueError("a singlet block needs one Alice axis and one Bob axis")
+        u = pair_uniforms(seed, block.first_pair, block.count)
+        delta = sides[Side.ALICE] - sides[Side.BOB]
         a = np.where(u[:, 0] < 0.5, 1, -1).astype(np.int8)
         p_anti = (1.0 + math.cos(delta)) / 2.0
         b = np.where(u[:, 1] < p_anti, -a, a).astype(np.int8)
         return a, b
-
-    def sample_prepared_many(
-        self,
-        signs: np.ndarray,
-        axis_angle: "Angle | float",
-        theta: "Angle | float",
-        column: int = 1,
-    ) -> np.ndarray:
-        """Measure per-pair prepared states (all along ``axis_angle``) at ``theta``.
-
-        ``column`` selects which of the 4 per-pair draws to consume, so a
-        caller can take several conditionally independent measurements of
-        the same emitted pairs.
-        """
-        signs = np.asarray(signs)
-        if not 0 <= column < DRAWS_PER_PAIR:
-            raise ValueError(f"column must be in [0, {DRAWS_PER_PAIR})")
-        u = pair_uniforms(self.rng_seed, self.pair_counter, signs.size)
-        self.pair_counter += signs.size
-        delta = float(as_angle(theta).radians) - float(as_angle(axis_angle).radians)
-        return born_outcomes(signs, delta, u[:, column])
-
-
-def sample_pair(
-    source: SingletSource, theta_a: "Angle | float", theta_b: "Angle | float"
-) -> tuple[int, int]:
-    """Measure one singlet pair; equal axes always give opposite outcomes."""
-    a, b = source.sample_pairs(theta_a, theta_b, 1)
-    return int(a[0]), int(b[0])
-
-
-def sample_prepared(
-    state: PreparedState, theta: "Angle | float", source: SingletSource
-) -> int:
-    """Measure a prepared one-particle state along the axis at ``theta``."""
-    out = source.sample_prepared_many(
-        np.array([state.sign]), state.axis_angle, theta
-    )
-    return int(out[0])

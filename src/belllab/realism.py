@@ -19,11 +19,10 @@ same value it would have gotten counterfactually).  Three models ship:
   and regression vectors.
 
 The seeded models draw a block's pairs from Philox counter
-``block.index * block.count`` on, so an assignment is a pure function of
-(seed, block index, block count) and blocks can be generated in any order.
-Blocks of equal count never share pairs; blocks of different counts can:
-(index 0, count 20) and (index 1, count 10) both use pairs 10-19.
-ROADMAP item 2 replaces this offset with one explicit stream address.
+``block.first_pair`` on, the same address ``SingletSource`` reads, so an
+assignment is a pure function of (seed, block) and blocks can be generated
+in any order.  That address only keeps blocks of equal count apart (see
+``Block.first_pair``).
 """
 
 from __future__ import annotations
@@ -47,19 +46,16 @@ from .core import (
     Side,
     as_angle,
 )
-from .quantum import SingletSource, born_outcomes, pair_uniforms
+from .quantum import born_outcomes, pair_uniforms
 
 __all__ = [
     "AssignmentBlock",
     "CollapseSequential",
     "FileReplay",
-    "HiddenVariable",
     "LHVSign",
     "ReplayFormatError",
     "UnsupportedAxisError",
-    "collapse_sequential_assign",
     "generate_block",
-    "lhv_outcome",
     "lhv_outcomes",
     "model_from_spec",
 ]
@@ -71,13 +67,6 @@ class UnsupportedAxisError(ValueError):
 
 class ReplayFormatError(ValueError):
     """A replay file does not match the expected layout."""
-
-
-@dataclass(frozen=True)
-class HiddenVariable:
-    """Per-pair hidden planar direction, drawn uniformly on the circle."""
-
-    angle: Angle
 
 
 @dataclass(frozen=True)
@@ -137,14 +126,6 @@ def lhv_outcomes(
     return out if side is Side.ALICE else -out
 
 
-def lhv_outcome(
-    lam: "HiddenVariable | Angle | float", theta: "Angle | float", side: Side
-) -> int:
-    """Single hidden-variable outcome (see ``lhv_outcomes``)."""
-    value = lam.angle.radians if isinstance(lam, HiddenVariable) else float(as_angle(lam).radians)
-    return int(lhv_outcomes(np.array([value]), theta, side)[0])
-
-
 class LHVSign:
     """Local hidden-variable model; defines every axis on both sides."""
 
@@ -152,7 +133,7 @@ class LHVSign:
 
     def lambdas(self, block: Block, seed: int) -> np.ndarray:
         """Hidden angles for the block's pairs, uniform on [0, 2*pi)."""
-        u = pair_uniforms(seed, block.index * block.count, block.count)
+        u = pair_uniforms(seed, block.first_pair, block.count)
         return u[:, 0] * math.tau
 
     def assign(self, block: Block, seed: int) -> dict[str, np.ndarray]:
@@ -180,7 +161,7 @@ class CollapseSequential:
         if SYM_P not in block.axes:
             raise UnsupportedAxisError("collapse-sequential requires a P axis")
         theta_p = block.axes[SYM_P].angle.radians
-        u = pair_uniforms(seed, block.index * block.count, block.count)
+        u = pair_uniforms(seed, block.first_pair, block.count)
         p = np.where(u[:, 0] < 0.5, 1, -1).astype(np.int8)
         out: dict[str, np.ndarray] = {SYM_P: p}
         prepared = -p  # far particle collapses to the opposite sign along theta_p
@@ -189,26 +170,6 @@ class CollapseSequential:
                 delta = block.axes[symbol].angle.radians - theta_p
                 out[symbol] = born_outcomes(prepared, delta, u[:, column])
         return out
-
-
-def collapse_sequential_assign(
-    pair: int,
-    theta_p: "Angle | float",
-    theta_e: "Angle | float",
-    theta_ep: "Angle | float",
-    source: SingletSource,
-) -> tuple[int, int, int]:
-    """One pair's (P, E, E') tuple under the measure-P-first rule.
-
-    Pure in (source seed, pair index): P is a fair coin; E and E' are
-    independent measurements of the state |-P> prepared along theta_p.
-    """
-    u = pair_uniforms(source.rng_seed, pair, 1)[0]
-    p = 1 if u[0] < 0.5 else -1
-    tp = float(as_angle(theta_p).radians)
-    e = int(born_outcomes(-p, float(as_angle(theta_e).radians) - tp, u[1]))
-    ep = int(born_outcomes(-p, float(as_angle(theta_ep).radians) - tp, u[2]))
-    return p, e, ep
 
 
 class FileReplay:
@@ -238,10 +199,10 @@ class FileReplay:
                 raise ReplayFormatError(f"{self.path}: duplicate axis {sym!r}")
             try:
                 header[sym] = float(val)
-            except ValueError as exc:
-                raise ReplayFormatError(
-                    f"{self.path}: bad angle for {sym!r}: {val!r}"
-                ) from exc
+            except ValueError:
+                header[sym] = math.nan
+            if not math.isfinite(header[sym]):
+                raise ReplayFormatError(f"{self.path}: bad angle for {sym!r}: {val!r}")
         if not header:
             raise ReplayFormatError(f"{self.path}: empty header")
         return header
@@ -249,7 +210,7 @@ class FileReplay:
     def assign(self, block: Block, seed: int) -> dict[str, np.ndarray]:
         try:
             lines = self.path.read_text().splitlines()
-        except OSError as exc:
+        except (OSError, ValueError) as exc:  # ValueError: NUL in path, not UTF-8
             raise ReplayFormatError(f"cannot read replay file {self.path}: {exc}") from exc
         lines = [ln.strip() for ln in lines if ln.strip() and not ln.lstrip().startswith("#")]
         if not lines:

@@ -4,10 +4,9 @@ Events live in 1+1 dimensions with c = 1.  A pair of spacelike-separated
 measurement events has no invariant time order: for any such pair there
 are boosts realizing either order, and ``find_observer`` constructs them.
 
-``definable_correlations`` is the decision engine for which of the six
-correlations among the axes E, E' (Alice) and P, P' (Bob) have definite
-values under a hypothesis set drawn from {QM, WeakRealism, Locality,
-EACP, FWP}:
+``DefinabilityEngine`` decides which of the six correlations among the
+axes E, E' (Alice) and P, P' (Bob) have definite values under a
+hypothesis set drawn from {QM, WeakRealism, Locality, EACP, FWP}:
 
 * QM alone fixes only the measured cross correlation <E,P> = -cos(dEP).
 * Weak realism makes the primed sequences exist at all.
@@ -61,10 +60,8 @@ __all__ = [
     "SpacetimeEvent",
     "StatusKind",
     "UndefinedCorrelationError",
-    "boosted_event",
     "boosted_order",
     "boosted_time",
-    "definable_correlations",
     "find_observer",
     "interval_type",
     "no_correlation_check",
@@ -134,14 +131,6 @@ class Boost:
 def boosted_time(e: SpacetimeEvent, b: Boost) -> float:
     """Time coordinate of the event for the boosted observer."""
     return b.gamma * (e.t - b.beta * e.x)
-
-
-def boosted_event(e: SpacetimeEvent, b: Boost) -> SpacetimeEvent:
-    """Full coordinates of the event for the boosted observer."""
-    return SpacetimeEvent(
-        x=b.gamma * (e.x - b.beta * e.t),
-        t=b.gamma * (e.t - b.beta * e.x),
-    )
 
 
 def boosted_order(e1: SpacetimeEvent, e2: SpacetimeEvent, b: Boost) -> int:
@@ -422,20 +411,6 @@ class DefinabilityEngine:
                     value = np.full_like(cos_d, np.nan)
                 out[pair_symbol(a, b)] = value
         return out
-
-
-def definable_correlations(
-    h: HypothesisSet,
-    angles: Mapping[str, "Angle | float"],
-    pairs: Iterable[tuple[str, str]] | None = None,
-) -> list[CorrelationStatus]:
-    """Status of each queried correlation under the hypothesis set.
-
-    By default all six pairs among {E, E', P, P'} are queried, which
-    requires an angle for each axis; pass ``pairs`` to restrict the query.
-    """
-    engine = DefinabilityEngine(h)
-    return engine.statuses(angles, SIX_PAIRS if pairs is None else pairs)
 
 
 class NoCorrelationVerdict(enum.Enum):

@@ -100,18 +100,18 @@ def test_criterion_1_v3_falsification_under_eacp_fwp():
 
 def test_criterion_2_v4_chsh_falsification_under_locality():
     engine = DefinabilityEngine(HypothesisSet.parse("WR,Locality"))
-    values = [
-        engine.value_or_raise(a, b, V4_ANGLES)
-        for a, b in ((SYM_E, SYM_P), (SYM_E, SYM_PP), (SYM_EP, SYM_P), (SYM_EP, SYM_PP))
-    ]
+    pairs = ((SYM_E, SYM_P), (SYM_E, SYM_PP), (SYM_EP, SYM_P), (SYM_EP, SYM_PP))
+    values = [engine.value_or_raise(a, b, V4_ANGLES) for a, b in pairs]
     report = eval_v4(*values)
     assert report.violated
     assert abs(report.s - 2 * SQRT2) <= ANALYTIC_TOL
 
-    source = SingletSource(0)
     mc = []
-    for alice, bob in ((SYM_E, SYM_P), (SYM_E, SYM_PP), (SYM_EP, SYM_P), (SYM_EP, SYM_PP)):
-        a, b = source.sample_pairs(V4_ANGLES[alice], V4_ANGLES[bob], N_MC)
+    for k, (alice, bob) in enumerate(pairs):
+        block = Block.from_angles(
+            {alice: V4_ANGLES[alice], bob: V4_ANGLES[bob]}, count=N_MC, index=k
+        )
+        a, b = SingletSource().sample_pairs(block, 0)
         mc.append(float(np.mean(a.astype(np.int64) * b)))
     s_mc = abs(mc[0] + mc[1]) + abs(mc[2] - mc[3])
     assert abs(s_mc - 2 * SQRT2) <= MC_TOL

@@ -145,6 +145,12 @@ class TestMain:
                          id="tol-nan"),
             pytest.param([], "scenario = no-correlation\ntol = -1\n", "tol",
                          id="tol-negative"),
+            pytest.param([], "scenario = polytope\ntarget = 2, 0, 0\n", "target[0]",
+                         id="target-out-of-range"),
+            pytest.param([], "scenario = polytope\ntarget = 0, nan, 0\n", "target[1]",
+                         id="target-nan"),
+            pytest.param([], "scenario = polytope\ntarget = 0, 0, 0, inf\n", "target[3]",
+                         id="target-inf"),
         ],
     )
     def test_non_finite_or_out_of_range_inputs_exit_2(
@@ -155,6 +161,25 @@ class TestMain:
         assert main(["--config", str(cfg), *flags]) == 2
         err = capsys.readouterr().err
         assert f"configuration error: {field} " in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "lines, key",
+        [
+            pytest.param("scenario = no-correlation\nmodel = bogus\n", "model",
+                         id="model-unknown"),
+            pytest.param("scenario = v3-eacp\nmodel = file-replay\n", "model.path",
+                         id="replay-without-path"),
+        ],
+    )
+    def test_bad_model_is_a_config_error(self, lines, key, tmp_path, capsys):
+        # main maps only ConfigError and the model errors to 2; a bare
+        # ValueError from these inputs would escape it
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(lines + "pairs = 1000\n")
+        assert main(["--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error: " in err and key in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(
@@ -319,6 +344,27 @@ class TestMain:
         assert main(["--config", str(cfg)]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "content",
+        [
+            pytest.param(b"E=inf E'=0.0 P=0.0\n1 1 1\n", id="infinite-angle"),
+            pytest.param(b"\xff\xfe\n", id="not-utf-8"),
+        ],
+    )
+    def test_unreadable_replay_is_config_error(self, content, tmp_path, capsys):
+        vectors = tmp_path / "v.txt"
+        vectors.write_bytes(content)
+        cfg = tmp_path / "replay.cfg"
+        cfg.write_text(
+            "scenario = no-correlation\n"
+            "model = file-replay\n"
+            f"model.path = {vectors}\n"
+            "pairs = 1\n"
+        )
+        assert main(["--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error: " in err and str(vectors) in err
+
 
 class TestConfigParsing:
     def test_comments_and_blanks(self, tmp_path):
@@ -378,9 +424,32 @@ def test_scipy_loads_with_the_first_lp_only():
     }
 
 
-_FUZZ_KEYS = [f"angles.{s}" for s in SYMBOLS] + [
-    f"events.{name}" for name in cli._DEFAULT_EVENTS
-]
+_FUZZ_NUMBER = st.floats() | st.sampled_from([math.pi, -math.pi, 1e308, 5e-324])
+# Replay files under the test's tmp_path, by name; "." is the directory itself.
+_FUZZ_REPLAYS = {
+    "valid.txt": "E=2.356194490192345 E'=-2.356194490192345 P=0.0\n"
+                 + "1 -1 -1\n-1 1 1\n" * 250,
+    "malformed.txt": "E=0.0 P=0.0\n1 2\n",
+    "infinite-angle.txt": "E=inf E'=0.0 P=0.0\n1 1 1\n",
+    "empty.txt": "",
+}
+# A strategy for the text of each config key the fuzz test sets.
+_FUZZ_VALUES = {
+    **{f"angles.{s}": _FUZZ_NUMBER.map(repr) for s in SYMBOLS},
+    **{f"events.{name}": _FUZZ_NUMBER.map(repr) for name in cli._DEFAULT_EVENTS},
+    "model": st.sampled_from(
+        ["lhv-sign", "collapse-sequential", "file-replay", "replay", "bogus", ""]
+    ),
+    "model.path": st.sampled_from([*_FUZZ_REPLAYS, "missing.txt", ".", "nul\x00byte"]),
+    "target": st.lists(
+        _FUZZ_NUMBER | st.sampled_from([2.0, -1.5, math.nan, math.inf, -math.inf]),
+        min_size=2, max_size=5,
+    ).map(lambda values: ", ".join(map(repr, values))),
+    "tol": _FUZZ_NUMBER.map(repr),
+    "hypotheses": st.lists(
+        st.sampled_from(["WR", "Locality", "EACP", "FWP", "QM", "bogus"]), max_size=4
+    ).map(",".join),
+}
 
 
 @settings(max_examples=300, deadline=None,
@@ -390,22 +459,31 @@ _FUZZ_KEYS = [f"angles.{s}" for s in SYMBOLS] + [
     pairs=st.integers(-1, 500),
     step=st.none() | st.floats(min_value=math.pi / 90),
     seed=st.none() | st.integers(0, 2**64 - 1),
-    keys=st.dictionaries(
-        st.sampled_from(_FUZZ_KEYS),
-        st.floats() | st.sampled_from([math.pi, -math.pi, 1e308, 5e-324]),
-        max_size=4,
-    ),
+    data=st.data(),
 )
-def test_main_keeps_the_exit_code_contract(tmp_path, scenario, pairs, step, seed, keys):
-    """Any scenario, pair count, grid step and angle or event keys: 0, 2, 3 or 4."""
+def test_main_keeps_the_exit_code_contract(tmp_path, scenario, pairs, step, seed, data):
+    """Any scenario, pair count, grid step and config keys: 0, 2, 3 or 4.
+
+    The grid step and most keys are ones the scenario reads, so most runs
+    get past the unused-key check; any known key may still turn up.
+    """
     argv = ["--scenario", scenario, "--pairs", str(pairs)]
-    if step is not None:
+    if step is not None and scenario == "lhv-sweep":
         argv += ["--grid-step", repr(step)]
     if seed is not None:
         argv += ["--seed", str(seed)]
+    own = [k for k in cli._SCENARIO_KEYS[scenario] if k in _FUZZ_VALUES]
+    keys = data.draw(st.sets(st.sampled_from(own), max_size=4))
+    keys |= data.draw(st.sets(st.sampled_from(sorted(_FUZZ_VALUES)), max_size=1))
     if keys:
+        for name, text in _FUZZ_REPLAYS.items():
+            (tmp_path / name).write_text(text)
+        lines = []
+        for key in sorted(keys):
+            value = data.draw(_FUZZ_VALUES[key], label=key)
+            lines.append(f"{key} = {tmp_path / value if key == 'model.path' else value}\n")
         config = tmp_path / "fuzz.cfg"
-        config.write_text("".join(f"{k} = {v!r}\n" for k, v in keys.items()))
+        config.write_text("".join(lines))
         argv += ["--config", str(config)]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

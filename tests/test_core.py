@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -8,23 +7,14 @@ from hypothesis import strategies as st
 from belllab.core import (
     Angle,
     Block,
-    CorrelationEstimate,
     OrientedAxis,
     OutcomeSequence,
-    Probability,
     Provenance,
     Side,
-    angle_between,
-    corr_to_prob,
     correlate,
     default_burn_in,
-    merge,
-    mirror,
     pair_symbol,
-    prob_to_corr,
 )
-
-SQRT2 = math.sqrt(2.0)
 
 
 def axis(angle, side=Side.ALICE):
@@ -56,23 +46,25 @@ class TestAngle:
 
 
 class TestAngleBetween:
+    """The signed angle from one axis to another is ``a2.angle - a1.angle``."""
+
     def test_quarter_turn(self):
-        assert angle_between(axis(0.0), axis(math.pi / 2)).radians == pytest.approx(
+        assert (axis(math.pi / 2).angle - axis(0.0).angle).radians == pytest.approx(
             math.pi / 2
         )
 
     def test_wrap_around(self):
         # 3pi/4 to -3pi/4 crosses the branch cut; magnitude is a right angle
-        d = angle_between(axis(3 * math.pi / 4), axis(-3 * math.pi / 4))
+        d = axis(-3 * math.pi / 4).angle - axis(3 * math.pi / 4).angle
         assert abs(d.radians) == pytest.approx(math.pi / 2)
 
     def test_identical_axes(self):
-        assert angle_between(axis(1.234), axis(1.234)).radians == 0.0
+        assert (axis(1.234).angle - axis(1.234).angle).radians == 0.0
 
     @given(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0))
     def test_antisymmetric_up_to_normalization(self, a, b):
-        fwd = angle_between(axis(a), axis(b)).radians
-        rev = angle_between(axis(b), axis(a)).radians
+        fwd = (axis(b).angle - axis(a).angle).radians
+        rev = (axis(a).angle - axis(b).angle).radians
         assert abs(fwd) <= math.pi
         assert Angle(fwd + rev).radians == pytest.approx(0.0, abs=1e-12)
 
@@ -100,7 +92,7 @@ class TestCorrelate:
     def test_self_and_negated(self, values):
         u = seq(values)
         assert correlate(u, u).mean == 1.0
-        assert correlate(u, u.negate()).mean == -1.0
+        assert correlate(u, OutcomeSequence(u.axis, -u.values)).mean == -1.0
 
     @given(
         st.lists(st.sampled_from([-1, 1]), min_size=1, max_size=128),
@@ -111,86 +103,6 @@ class TestCorrelate:
         est = correlate(seq(values), seq(v))
         assert est.running_min_mean <= est.mean <= est.running_max_mean
         assert -1.0 <= est.mean <= 1.0
-
-
-class TestMerge:
-    def test_arithmetic(self):
-        e1 = CorrelationEstimate(n=2, sum_products=2, burn_in=2,
-                                 running_min_mean=1.0, running_max_mean=1.0)
-        e2 = CorrelationEstimate(n=2, sum_products=-2, burn_in=2,
-                                 running_min_mean=-1.0, running_max_mean=-1.0)
-        merged = merge(e1, e2)
-        assert (merged.n, merged.sum_products, merged.mean) == (4, 0, 0.0)
-
-    def test_identity_element(self):
-        e = correlate(seq([1, -1, 1, 1]), seq([1, 1, -1, 1]))
-        assert merge(e, CorrelationEstimate.empty()) == e
-        assert merge(CorrelationEstimate.empty(), e) == e
-
-    def test_matches_concatenation_oracle(self):
-        # direct recomputation oracle: merge must reproduce the concatenated
-        # mean exactly and bracket the concatenated extrema
-        rng = np.random.default_rng(2024)
-        for _ in range(100):
-            n1 = int(rng.integers(1, 300))
-            n2 = int(rng.integers(1, 300))
-            u1 = rng.choice([-1, 1], n1)
-            v1 = rng.choice([-1, 1], n1)
-            u2 = rng.choice([-1, 1], n2)
-            v2 = rng.choice([-1, 1], n2)
-            e1 = correlate(seq(u1), seq(v1))
-            e2 = correlate(seq(u2), seq(v2))
-            merged = merge(e1, e2)
-            whole = correlate(
-                seq(np.concatenate([u1, u2])), seq(np.concatenate([v1, v2]))
-            )
-            assert merged.n == whole.n
-            assert merged.sum_products == whole.sum_products
-            assert merged.mean == whole.mean
-            assert merged.running_min_mean <= whole.running_min_mean + 1e-15
-            assert merged.running_max_mean >= whole.running_max_mean - 1e-15
-
-
-class TestProbabilityConversion:
-    def test_uncorrelated_is_even_odds(self):
-        assert float(corr_to_prob(0.0)) == 0.5
-
-    def test_perfect_anti_correlation(self):
-        assert float(corr_to_prob(-1.0)) == 0.0
-
-    def test_strong_positive(self):
-        assert float(corr_to_prob(SQRT2 / 2)) == pytest.approx(
-            (1 + SQRT2 / 2) / 2, abs=1e-15
-        )
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            corr_to_prob(1.5)
-        with pytest.raises(ValueError):
-            prob_to_corr(-0.1)
-        with pytest.raises(ValueError):
-            Probability(1.01)
-
-    @given(st.floats(-1.0, 1.0))
-    def test_round_trip(self, c):
-        assert prob_to_corr(corr_to_prob(c)) == pytest.approx(c, abs=1e-12)
-
-
-class TestMirror:
-    def test_definition(self):
-        q = seq([1, -1], angle=0.7, side=Side.ALICE)
-        m = mirror(q)
-        assert list(m.values) == [-1, 1]
-        assert m.axis.side is Side.BOB
-        assert m.axis.angle == q.axis.angle
-
-    def test_involution(self):
-        q = seq([1, -1, -1, 1], angle=-2.0)
-        assert mirror(mirror(q)) == q
-
-    def test_perfect_anti_correlation(self):
-        q = seq([1, 1, -1, 1, -1])
-        assert correlate(q, mirror(q)).mean == -1.0
 
 
 class TestOutcomeSequence:
@@ -220,6 +132,10 @@ class TestBlock:
     def test_wrong_side_rejected(self):
         with pytest.raises(ValueError, match="side"):
             Block(axes={"E": axis(0.0, Side.BOB)}, count=1)
+
+    def test_first_pair_is_index_times_count(self):
+        assert Block.from_angles({"E": 0.0}, count=250).first_pair == 0
+        assert Block.from_angles({"E": 0.0}, count=250, index=3).first_pair == 750
 
 
 def test_pair_symbol_is_canonical():

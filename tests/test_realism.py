@@ -16,16 +16,14 @@ from belllab.core import (
     Side,
     correlate,
 )
-from belllab.quantum import SingletSource
+from belllab.quantum import born_outcomes, pair_uniforms
 from belllab.realism import (
     CollapseSequential,
     FileReplay,
     LHVSign,
     ReplayFormatError,
     UnsupportedAxisError,
-    collapse_sequential_assign,
     generate_block,
-    lhv_outcome,
     lhv_outcomes,
     model_from_spec,
 )
@@ -36,6 +34,25 @@ V3_ANGLES = {SYM_P: 0.0, SYM_E: 3 * math.pi / 4, SYM_EP: -3 * math.pi / 4}
 
 def lhv_block(angles, n, seed=0):
     return generate_block(LHVSign(), Block.from_angles(angles, count=n), seed)
+
+
+def lhv_outcome(lam, theta, side):
+    """One pair's hidden-variable outcome, through ``lhv_outcomes``."""
+    return int(lhv_outcomes(np.array([lam]), theta, side)[0])
+
+
+def collapse_sequential_assign(pair, theta_p, theta_e, theta_ep, seed):
+    """One pair's (P, E, E') tuple under the measure-P-first rule.
+
+    The scalar reference for ``CollapseSequential``: P is a fair coin; E
+    and E' are independent measurements of the state |-P> prepared along
+    theta_p, from Philox counter ``pair`` under ``seed``.
+    """
+    u = pair_uniforms(seed, pair, 1)[0]
+    p = 1 if u[0] < 0.5 else -1
+    e = int(born_outcomes(-p, theta_e - theta_p, u[1]))
+    ep = int(born_outcomes(-p, theta_ep - theta_p, u[2]))
+    return p, e, ep
 
 
 class TestLhvOutcome:
@@ -237,10 +254,9 @@ class TestCollapseSequential:
     def test_scalar_assign_matches_model(self):
         block = Block.from_angles(V3_ANGLES, count=50)
         asg = generate_block(CollapseSequential(), block, seed=8)
-        src = SingletSource(8)
         for i in (0, 7, 49):
             p, e, ep = collapse_sequential_assign(
-                i, V3_ANGLES[SYM_P], V3_ANGLES[SYM_E], V3_ANGLES[SYM_EP], src
+                i, V3_ANGLES[SYM_P], V3_ANGLES[SYM_E], V3_ANGLES[SYM_EP], 8
             )
             assert (p, e, ep) == (
                 asg[SYM_P].values[i],
