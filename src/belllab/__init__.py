@@ -11,9 +11,7 @@ from .core import (
     Angle,
     Block,
     CorrelationEstimate,
-    OrientedAxis,
     OutcomeSequence,
-    Provenance,
     Side,
     SYM_E,
     SYM_EP,
@@ -37,7 +35,6 @@ from .inequalities import (
 )
 from .quantum import SingletSource, twisted_malus
 from .realism import (
-    AssignmentBlock,
     CollapseSequential,
     FileReplay,
     LHVSign,

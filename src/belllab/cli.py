@@ -151,16 +151,19 @@ class ScenarioConfig:
 
 @dataclass
 class ScenarioResult:
-    """Outputs of one scenario run; wall clock never enters output files."""
+    """Outputs of one scenario run; wall clock never enters output files.
 
-    scenario: str
-    seed: int
-    n_pairs: int
+    ``run`` copies ``scenario``, ``seed`` and ``n_pairs`` from the config.
+    """
+
     inputs: dict
     correlations: list[dict]
     inequalities: list[dict]
     extras: dict
     verdict: str
+    scenario: str = ""
+    seed: int = 0
+    n_pairs: int = 0
     wall_clock_s: float = 0.0
 
 
@@ -237,7 +240,7 @@ def _scenario_v3_eacp(cfg: ScenarioConfig) -> ScenarioResult:
     rows, report = _v3_rows_and_report(engine, angles)
 
     model = model_from_spec(cfg.model or "collapse-sequential", cfg.model_path)
-    block = Block.from_angles(
+    block = Block(
         {SYM_E: angles[SYM_E], SYM_EP: angles[SYM_EP], SYM_P: angles[SYM_P]},
         count=cfg.pairs,
     )
@@ -249,9 +252,6 @@ def _scenario_v3_eacp(cfg: ScenarioConfig) -> ScenarioResult:
 
     triple = [report.c_xy, report.c_yz, report.c_xz]  # <P,E>, <E',P>, <E,E'>
     return ScenarioResult(
-        scenario=cfg.scenario,
-        seed=cfg.seed,
-        n_pairs=cfg.pairs,
         inputs={
             "angles": dict(angles),
             "hypotheses": hypotheses.label(),
@@ -264,6 +264,23 @@ def _scenario_v3_eacp(cfg: ScenarioConfig) -> ScenarioResult:
     )
 
 
+def _singlet_rows(cfg: ScenarioConfig, angles: dict, pairs) -> tuple[list, list]:
+    """Monte Carlo rows and means of singlet pairs, the k-th pair in block k."""
+    tol = _mc_tolerance(cfg.pairs)
+    rows, means = [], []
+    for k, (alice_sym, bob_sym) in enumerate(pairs):
+        block = Block(
+            {alice_sym: angles[alice_sym], bob_sym: angles[bob_sym]},
+            count=cfg.pairs,
+            index=k,
+        )
+        a, b = SingletSource().sample_pairs(block, cfg.seed)
+        est = correlate(OutcomeSequence(a), OutcomeSequence(b))
+        means.append(est.mean)
+        rows.append(_mc_row(pair_symbol(alice_sym, bob_sym), est, tol))
+    return rows, means
+
+
 def _scenario_v3_local(cfg: ScenarioConfig) -> ScenarioResult:
     hypotheses = cfg.hypotheses or HypothesisSet.parse("WR,Locality")
     angles = _angles_with_defaults(cfg, V3_DEFAULT_ANGLES)
@@ -271,21 +288,10 @@ def _scenario_v3_local(cfg: ScenarioConfig) -> ScenarioResult:
     rows, report = _v3_rows_and_report(engine, angles)
 
     # The two cross correlations are measurable: sample each in its own block.
-    tol = _mc_tolerance(cfg.pairs)
-    for k, alice_sym in enumerate((SYM_E, SYM_EP)):
-        block = Block.from_angles(
-            {alice_sym: angles[alice_sym], SYM_P: angles[SYM_P]},
-            count=cfg.pairs,
-            index=k,
-        )
-        a, b = SingletSource().sample_pairs(block, cfg.seed)
-        est = correlate(_seq(block, alice_sym, a), _seq(block, SYM_P, b))
-        rows.append(_mc_row(pair_symbol(alice_sym, SYM_P), est, tol))
+    mc_rows, _ = _singlet_rows(cfg, angles, ((SYM_E, SYM_P), (SYM_EP, SYM_P)))
+    rows += mc_rows
 
     return ScenarioResult(
-        scenario=cfg.scenario,
-        seed=cfg.seed,
-        n_pairs=cfg.pairs,
         inputs={"angles": dict(angles), "hypotheses": hypotheses.label()},
         correlations=rows,
         inequalities=[report.to_dict()],
@@ -294,31 +300,15 @@ def _scenario_v3_local(cfg: ScenarioConfig) -> ScenarioResult:
     )
 
 
-def _seq(block: Block, symbol: str, values) -> OutcomeSequence:
-    return OutcomeSequence(block.axes[symbol], values)
-
-
 def _scenario_v4_chsh(cfg: ScenarioConfig) -> ScenarioResult:
     hypotheses = cfg.hypotheses or HypothesisSet.parse("WR,Locality")
     angles = _angles_with_defaults(cfg, V4_DEFAULT_ANGLES)
     engine = DefinabilityEngine(hypotheses)
     statuses = engine.definite_statuses(angles, V4_PAIRS)
     report = eval_v4(*(st.value for st in statuses))
-    rows = [_row(**st.to_dict()) for st in statuses]
-
-    tol = _mc_tolerance(cfg.pairs)
-    mc_values = []
-    for k, (alice_sym, bob_sym) in enumerate(V4_PAIRS):
-        block = Block.from_angles(
-            {alice_sym: angles[alice_sym], bob_sym: angles[bob_sym]},
-            count=cfg.pairs,
-            index=k,
-        )
-        a, b = SingletSource().sample_pairs(block, cfg.seed)
-        est = correlate(_seq(block, alice_sym, a), _seq(block, bob_sym, b))
-        mc_values.append(est.mean)
-        rows.append(_mc_row(pair_symbol(alice_sym, bob_sym), est, tol))
-    s_mc = abs(mc_values[0] + mc_values[1]) + abs(mc_values[2] - mc_values[3])
+    mc_rows, means = _singlet_rows(cfg, angles, V4_PAIRS)
+    rows = [_row(**st.to_dict()) for st in statuses] + mc_rows
+    s_mc = eval_v4(*means).s
 
     if report.violated:
         verdict = (
@@ -328,9 +318,6 @@ def _scenario_v4_chsh(cfg: ScenarioConfig) -> ScenarioResult:
     else:
         verdict = f"satisfied: S = {report.s:.6f} <= 2 [chsh-under-locality]"
     return ScenarioResult(
-        scenario=cfg.scenario,
-        seed=cfg.seed,
-        n_pairs=cfg.pairs,
         inputs={"angles": dict(angles), "hypotheses": hypotheses.label()},
         correlations=rows,
         inequalities=[report.to_dict()],
@@ -373,9 +360,6 @@ def _scenario_no_correlation(cfg: ScenarioConfig) -> ScenarioResult:
             f"flagged as EACP-violation witness [no-correlation-lemma]"
         )
     return ScenarioResult(
-        scenario=cfg.scenario,
-        seed=cfg.seed,
-        n_pairs=cfg.pairs,
         inputs={"angles": dict(angles), "model": report.model},
         correlations=rows,
         inequalities=[],
@@ -411,9 +395,6 @@ def _scenario_observer_order(cfg: ScenarioConfig) -> ScenarioResult:
         f"P first ({kind.value} separation) [frame-dependent-ordering]"
     )
     return ScenarioResult(
-        scenario=cfg.scenario,
-        seed=cfg.seed,
-        n_pairs=cfg.pairs,
         inputs={"events": ev},
         correlations=rows,
         inequalities=[],
@@ -428,7 +409,8 @@ def _scenario_observer_order(cfg: ScenarioConfig) -> ScenarioResult:
 
 
 def _scenario_polytope(cfg: ScenarioConfig) -> ScenarioResult:
-    target = cfg.target or [math.sqrt(2) / 2, math.sqrt(2) / 2, 0.0]
+    default = [math.sqrt(2) / 2, math.sqrt(2) / 2, 0.0]
+    target = default if cfg.target is None else cfg.target  # [] is an error below
     if len(target) == 3:
         result = feasible_triple(*target)
         names = ["xy", "xz", "yz"]
@@ -456,9 +438,6 @@ def _scenario_polytope(cfg: ScenarioConfig) -> ScenarioResult:
             f"[local-polytope-membership]"
         )
     return ScenarioResult(
-        scenario=cfg.scenario,
-        seed=cfg.seed,
-        n_pairs=cfg.pairs,
         inputs={"target": list(target)},
         correlations=rows,
         inequalities=[],
@@ -478,9 +457,7 @@ def _scenario_lhv_sweep(cfg: ScenarioConfig) -> ScenarioResult:
     violations = 0
     for k, phi in enumerate(phis):
         phi = float(phi)
-        block3 = Block.from_angles(
-            {SYM_P: 0.0, SYM_E: phi, SYM_EP: 2 * phi}, count=n, index=2 * k
-        )
+        block3 = Block({SYM_P: 0.0, SYM_E: phi, SYM_EP: 2 * phi}, count=n, index=2 * k)
         asg3 = generate_block(model, block3, cfg.seed)
         # the finite-run inequality on the linked sequences, exact integers
         exact3 = sica_v3_check(asg3[SYM_E], asg3[SYM_P], asg3[SYM_EP])
@@ -493,7 +470,7 @@ def _scenario_lhv_sweep(cfg: ScenarioConfig) -> ScenarioResult:
             max_dev, abs(correlate(asg3[SYM_E], asg3[SYM_P]).mean - analytic)
         )
 
-        block4 = Block.from_angles(
+        block4 = Block(
             {SYM_E: phi, SYM_EP: 3 * phi, SYM_P: 2 * phi, SYM_PP: 0.0},
             count=n,
             index=2 * k + 1,
@@ -516,9 +493,6 @@ def _scenario_lhv_sweep(cfg: ScenarioConfig) -> ScenarioResult:
         f"[finite-run-identities]"
     )
     return ScenarioResult(
-        scenario=cfg.scenario,
-        seed=cfg.seed,
-        n_pairs=n,
         inputs={"model": model.name, "grid_step": step},
         correlations=rows,
         inequalities=[],
@@ -546,6 +520,9 @@ def run(config: ScenarioConfig) -> ScenarioResult:
     """Execute a registered scenario and time it."""
     start = time.perf_counter()
     result = SCENARIOS[config.scenario](config)
+    result.scenario, result.seed, result.n_pairs = (
+        config.scenario, config.seed, config.pairs
+    )
     result.wall_clock_s = time.perf_counter() - start
     return result
 

@@ -2,6 +2,8 @@
 
 Everything downstream works with sequences of normalized spin projections,
 i.e. values in {-1, +1}, grouped into blocks of constant axis settings.
+A block maps axis symbols to angles; the symbol alone fixes the side
+(E, E' are Alice's, P, P' Bob's), so no axis carries a side of its own.
 The correlation of two equal-length sequences is
 
     corr(u, v) = (1/N) * sum_i u_i * v_i          in [-1, 1]
@@ -33,9 +35,7 @@ __all__ = [
     "Angle",
     "Block",
     "CorrelationEstimate",
-    "OrientedAxis",
     "OutcomeSequence",
-    "Provenance",
     "Side",
     "correlate",
     "default_burn_in",
@@ -56,11 +56,6 @@ BOB_SYMBOLS = frozenset({SYM_P, SYM_PP})
 class Side(enum.Enum):
     ALICE = "alice"
     BOB = "bob"
-
-
-class Provenance(enum.Enum):
-    MEASURED = "measured"
-    COUNTERFACTUAL = "counterfactual"
 
 
 def side_of_symbol(symbol: str) -> Side:
@@ -104,44 +99,20 @@ class Angle:
     def __sub__(self, other: "Angle") -> "Angle":
         return Angle(self.radians - other.radians)
 
-    def __add__(self, other: "Angle") -> "Angle":
-        return Angle(self.radians + other.radians)
-
-    def __neg__(self) -> "Angle":
-        return Angle(-self.radians)
-
-    def __float__(self) -> float:
-        return self.radians
-
 
 def as_angle(value: "Angle | float") -> Angle:
     return value if isinstance(value, Angle) else Angle(float(value))
 
 
-@dataclass(frozen=True)
-class OrientedAxis:
-    """An oriented measurement axis: one planar angle plus the side using it."""
-
-    angle: Angle
-    side: Side
-
-
 class OutcomeSequence:
     """A finite run of +/-1 outcomes observed (or inferred) along one axis.
 
-    Values are stored as an immutable int8 array.  ``provenance`` records
-    whether the run was actually measured or only assigned by a
-    counterfactual model.
+    Values are stored as an immutable int8 array.
     """
 
-    __slots__ = ("axis", "values", "provenance")
+    __slots__ = ("values",)
 
-    def __init__(
-        self,
-        axis: OrientedAxis,
-        values: Iterable[int] | np.ndarray,
-        provenance: Provenance = Provenance.MEASURED,
-    ) -> None:
+    def __init__(self, values: Iterable[int] | np.ndarray) -> None:
         arr = np.asarray(values, dtype=np.int8)
         if arr.ndim != 1:
             raise ValueError("outcome values must be one-dimensional")
@@ -149,9 +120,7 @@ class OutcomeSequence:
             raise ValueError("outcome values must all be +1 or -1")
         arr = arr.copy()
         arr.flags.writeable = False
-        self.axis = axis
         self.values = arr
-        self.provenance = provenance
 
     def __len__(self) -> int:
         return int(self.values.size)
@@ -159,42 +128,30 @@ class OutcomeSequence:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, OutcomeSequence):
             return NotImplemented
-        return (
-            self.axis == other.axis
-            and self.provenance == other.provenance
-            and np.array_equal(self.values, other.values)
-        )
+        return np.array_equal(self.values, other.values)
 
     def __repr__(self) -> str:
-        return (
-            f"OutcomeSequence(axis={self.axis!r}, n={len(self)}, "
-            f"provenance={self.provenance.value})"
-        )
+        return f"OutcomeSequence(n={len(self)})"
 
 
 @dataclass(frozen=True)
 class Block:
     """A stretch of pairs measured with constant axis settings.
 
-    ``axes`` maps axis symbols (E, E', P, P') to their oriented axes; the
-    symbols must sit on their conventional sides.
+    ``axes`` maps axis symbols (E, E', P, P') to their angles; any real
+    angle is wrapped to an ``Angle``, and an unknown symbol is rejected.
     """
 
-    axes: Mapping[str, OrientedAxis]
+    axes: Mapping[str, "Angle | float"]
     count: int
     index: int = 0
 
     def __post_init__(self) -> None:
         if self.count < 1:
             raise ValueError(f"block count must be >= 1, got {self.count}")
-        axes = dict(self.axes)
-        for symbol, axis in axes.items():
-            expected = side_of_symbol(symbol)
-            if axis.side is not expected:
-                raise ValueError(
-                    f"axis {symbol!r} must be on side {expected.value}, "
-                    f"got {axis.side.value}"
-                )
+        for symbol in self.axes:
+            side_of_symbol(symbol)  # raises on an unknown symbol
+        axes = {symbol: as_angle(theta) for symbol, theta in self.axes.items()}
         object.__setattr__(self, "axes", axes)
 
     @property
@@ -207,17 +164,6 @@ class Block:
         (ROADMAP item 2).
         """
         return self.index * self.count
-
-    @classmethod
-    def from_angles(
-        cls, angles: Mapping[str, "Angle | float"], count: int, index: int = 0
-    ) -> "Block":
-        """Build a block from symbol -> angle, inferring sides from symbols."""
-        axes = {
-            sym: OrientedAxis(as_angle(theta), side_of_symbol(sym))
-            for sym, theta in angles.items()
-        }
-        return cls(axes=axes, count=count, index=index)
 
 
 def default_burn_in(n: int) -> int:

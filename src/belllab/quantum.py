@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-from .core import Angle, Block, Side, as_angle
+from .core import Angle, Block, Side, as_angle, side_of_symbol
 
 __all__ = ["SingletSource", "pair_uniforms", "twisted_malus"]
 
@@ -78,7 +78,7 @@ class SingletSource:
         is anti-correlated with probability (1 + cos(delta)) / 2, which
         reproduces corr = -cos(delta) with unbiased marginals.
         """
-        sides = {axis.side: axis.angle.radians for axis in block.axes.values()}
+        sides = {side_of_symbol(s): theta.radians for s, theta in block.axes.items()}
         if len(block.axes) != 2 or len(sides) != 2:
             raise ValueError("a singlet block needs one Alice axis and one Bob axis")
         u = pair_uniforms(seed, block.first_pair, block.count)

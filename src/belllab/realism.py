@@ -18,6 +18,11 @@ same value it would have gotten counterfactually).  Three models ship:
 * ``FileReplay`` -- verbatim +/-1 tuples from a text file, for adversarial
   and regression vectors.
 
+``generate_block`` returns one ``OutcomeSequence`` per block axis, keyed
+by symbol.  Whether an axis's value needs Weak Realism (a primed axis is
+never the measured one) is decided by the definability engine in
+``relativity``, not recorded on the sequences.
+
 The seeded models draw a block's pairs from Philox counter
 ``block.first_pair`` on, the same address ``SingletSource`` reads, so an
 assignment is a pure function of (seed, block) and blocks can be generated
@@ -28,9 +33,7 @@ in any order.  That address only keeps blocks of equal count apart (see
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping
 
 import numpy as np
 
@@ -42,14 +45,13 @@ from .core import (
     Angle,
     Block,
     OutcomeSequence,
-    Provenance,
     Side,
     as_angle,
+    side_of_symbol,
 )
 from .quantum import born_outcomes, pair_uniforms
 
 __all__ = [
-    "AssignmentBlock",
     "CollapseSequential",
     "FileReplay",
     "LHVSign",
@@ -67,31 +69,6 @@ class UnsupportedAxisError(ValueError):
 
 class ReplayFormatError(ValueError):
     """A replay file does not match the expected layout."""
-
-
-@dataclass(frozen=True)
-class AssignmentBlock:
-    """A block's complete outcome tuples: one sequence per configured axis."""
-
-    block: Block
-    sequences: Mapping[str, OutcomeSequence]
-
-    def __post_init__(self) -> None:
-        if set(self.sequences) != set(self.block.axes):
-            raise ValueError(
-                f"sequences {sorted(self.sequences)} do not match block axes "
-                f"{sorted(self.block.axes)}"
-            )
-        for symbol, seq in self.sequences.items():
-            if len(seq) != self.block.count:
-                raise ValueError(
-                    f"sequence {symbol!r} has {len(seq)} values, "
-                    f"block expects {self.block.count}"
-                )
-        object.__setattr__(self, "sequences", dict(self.sequences))
-
-    def __getitem__(self, symbol: str) -> OutcomeSequence:
-        return self.sequences[symbol]
 
 
 # No double is a zero of cos, so over |x| <= 7*pi/2 its sign flips between
@@ -139,8 +116,8 @@ class LHVSign:
     def assign(self, block: Block, seed: int) -> dict[str, np.ndarray]:
         lam = self.lambdas(block, seed)
         return {
-            symbol: lhv_outcomes(lam, axis.angle, axis.side)
-            for symbol, axis in block.axes.items()
+            symbol: lhv_outcomes(lam, theta, side_of_symbol(symbol))
+            for symbol, theta in block.axes.items()
         }
 
 
@@ -160,14 +137,14 @@ class CollapseSequential:
             )
         if SYM_P not in block.axes:
             raise UnsupportedAxisError("collapse-sequential requires a P axis")
-        theta_p = block.axes[SYM_P].angle.radians
+        theta_p = block.axes[SYM_P].radians
         u = pair_uniforms(seed, block.first_pair, block.count)
         p = np.where(u[:, 0] < 0.5, 1, -1).astype(np.int8)
         out: dict[str, np.ndarray] = {SYM_P: p}
         prepared = -p  # far particle collapses to the opposite sign along theta_p
         for column, symbol in ((1, SYM_E), (2, SYM_EP)):
             if symbol in block.axes:
-                delta = block.axes[symbol].angle.radians - theta_p
+                delta = block.axes[symbol].radians - theta_p
                 out[symbol] = born_outcomes(prepared, delta, u[:, column])
         return out
 
@@ -222,11 +199,11 @@ class FileReplay:
             raise ReplayFormatError(
                 f"{self.path}: block needs axes {sorted(missing)} not in header"
             )
-        for symbol, axis in block.axes.items():
-            if abs((as_angle(header[symbol]) - axis.angle).radians) > 1e-9:
+        for symbol, theta in block.axes.items():
+            if abs((as_angle(header[symbol]) - theta).radians) > 1e-9:
                 raise ReplayFormatError(
                     f"{self.path}: angle mismatch for {symbol!r}: file has "
-                    f"{header[symbol]}, block wants {axis.angle.radians}"
+                    f"{header[symbol]}, block wants {theta.radians}"
                 )
         rows = lines[1:]
         if len(rows) < block.count:
@@ -258,28 +235,15 @@ CounterfactualModel = LHVSign | CollapseSequential | FileReplay
 
 def generate_block(
     model: "CounterfactualModel", block: Block, seed: int
-) -> AssignmentBlock:
+) -> dict[str, OutcomeSequence]:
     """Run a model over a block: one complete +/-1 tuple per pair.
 
-    Unprimed axes are tagged as measured, primed ones as counterfactual;
-    the measured value and the counterfactual value on the same axis are
-    one and the same entry, so the single-tuple convention holds by
-    construction.
+    Returns one sequence per block axis.  The measured value and the
+    counterfactual value on an axis are one and the same entry, so the
+    single-tuple convention holds by construction.
     """
     raw = model.assign(block, seed)
-    sequences = {
-        symbol: OutcomeSequence(
-            axis=block.axes[symbol],
-            values=raw[symbol],
-            provenance=(
-                Provenance.MEASURED
-                if symbol in (SYM_E, SYM_P)
-                else Provenance.COUNTERFACTUAL
-            ),
-        )
-        for symbol in block.axes
-    }
-    return AssignmentBlock(block=block, sequences=sequences)
+    return {symbol: OutcomeSequence(raw[symbol]) for symbol in block.axes}
 
 
 def model_from_spec(name: str, path: "str | Path | None" = None) -> "CounterfactualModel":

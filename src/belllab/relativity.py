@@ -468,9 +468,7 @@ def no_correlation_check(
     theta_p = as_angle(theta_p)
     if tolerance is None:
         tolerance = 4.0 / math.sqrt(n_pairs)
-    block = Block.from_angles(
-        {SYM_E: theta_e, SYM_EP: theta_ep, SYM_P: theta_p}, count=n_pairs
-    )
+    block = Block({SYM_E: theta_e, SYM_EP: theta_ep, SYM_P: theta_p}, count=n_pairs)
     assignment = generate_block(model, block, seed)
     est = correlate(assignment[SYM_E], assignment[SYM_EP])
     ok = abs(est.mean) <= tolerance and est.straddles_zero

@@ -19,11 +19,8 @@ from belllab.core import (
     SYM_EP,
     SYM_P,
     SYM_PP,
-    Angle,
     Block,
-    OrientedAxis,
     OutcomeSequence,
-    Side,
     correlate,
 )
 from belllab.inequalities import (
@@ -82,7 +79,7 @@ def test_criterion_1_v3_falsification_under_eacp_fwp():
     assert abs(report.rhs - (1 - SQRT2 / 2)) <= ANALYTIC_TOL
     assert abs(report.excess - (SQRT2 - 1)) <= ANALYTIC_TOL
 
-    block = Block.from_angles(V3_ANGLES, count=N_MC)
+    block = Block(V3_ANGLES, count=N_MC)
     assignment = generate_block(CollapseSequential(), block, seed=0)
     mc_pe = correlate(assignment[SYM_P], assignment[SYM_E]).mean
     mc_pep = correlate(assignment[SYM_P], assignment[SYM_EP]).mean
@@ -108,7 +105,7 @@ def test_criterion_2_v4_chsh_falsification_under_locality():
 
     mc = []
     for k, (alice, bob) in enumerate(pairs):
-        block = Block.from_angles(
+        block = Block(
             {alice: V4_ANGLES[alice], bob: V4_ANGLES[bob]}, count=N_MC, index=k
         )
         a, b = SingletSource().sample_pairs(block, 0)
@@ -123,16 +120,15 @@ def test_criterion_2_v4_chsh_falsification_under_locality():
 
 def test_criterion_3_identity_guarantee_exact():
     rng = np.random.default_rng(2718)
-    axis = OrientedAxis(Angle(0.0), Side.ALICE)
     failures = 0
     cases = 10_000
     for _ in range(cases):
         n = int(rng.integers(1, 257))
-        x, y, z = (OutcomeSequence(axis, rng.choice([-1, 1], n)) for _ in range(3))
+        x, y, z = (OutcomeSequence(rng.choice([-1, 1], n)) for _ in range(3))
         if sica_v3_check(x, y, z) < 0.0:
             failures += 1
         n = int(rng.integers(1, 257))
-        w, x, y, z = (OutcomeSequence(axis, rng.choice([-1, 1], n)) for _ in range(4))
+        w, x, y, z = (OutcomeSequence(rng.choice([-1, 1], n)) for _ in range(4))
         if sica_v4_check(w, x, y, z) < 0.0:
             failures += 1
     assert failures == 0
@@ -149,12 +145,12 @@ def test_criterion_4_lhv_never_violates_and_matches_closed_form():
     checked = 0
     for seed in range(10):
         for k, phi in enumerate(map(float, grid)):
-            b3 = Block.from_angles(
+            b3 = Block(
                 {SYM_P: 0.0, SYM_E: phi, SYM_EP: 2 * phi}, count=n_grid, index=2 * k
             )
             a3 = generate_block(model, b3, seed)
             assert sica_v3_check(a3[SYM_E], a3[SYM_P], a3[SYM_EP]) >= 0.0
-            b4 = Block.from_angles(
+            b4 = Block(
                 {SYM_E: phi, SYM_EP: 3 * phi, SYM_P: 2 * phi, SYM_PP: 0.0},
                 count=n_grid,
                 index=2 * k + 1,
@@ -174,7 +170,7 @@ def test_criterion_4_lhv_never_violates_and_matches_closed_form():
     tol = 4.0 / math.sqrt(N_MC)
     deltas = [0.0, math.pi / 4, math.pi / 2, 3 * math.pi / 4, math.pi]
     for i, delta in enumerate(deltas):
-        block = Block.from_angles(
+        block = Block(
             {SYM_E: 0.0, SYM_EP: delta, SYM_P: delta}, count=N_MC, index=0
         )
         asg = generate_block(model, block, seed=100 + i)
@@ -326,4 +322,31 @@ def test_criterion_8_observer_construction():
         f"criterion 8: boosts beta={ep.beta:+.2f} / beta={pe.beta:+.2f} realize "
         "E-P and P-E orderings for simultaneous spacelike events; timelike "
         "inputs are rejected"
+    )
+
+
+def test_criterion_9_weak_realism_is_the_common_assumption():
+    # the paper's conclusion: of {WR, Locality, EACP, FWP}, the minimal sets
+    # under which V3 or V4 is falsified are {WR, Locality} and
+    # {WR, EACP, FWP}, so Weak Realism is the one assumption both need
+    names = ("WR", "Locality", "EACP", "FWP")
+    subsets = [
+        frozenset(sub) for r in range(len(names) + 1)
+        for sub in itertools.combinations(names, r)
+    ]
+    falsifying = set()
+    for sub in subsets:
+        engine = DefinabilityEngine(HypothesisSet.parse(",".join(sorted(sub))))
+        outcomes = [
+            falsification_search(v, engine.values, math.pi / 36) for v in ("V3", "V4")
+        ]
+        if any(o.found and o.report.violated for o in outcomes):
+            falsifying.add(sub)
+    minimal = {sub for sub in falsifying if not any(o < sub for o in falsifying)}
+    assert len(subsets) == 16
+    assert minimal == {frozenset({"WR", "Locality"}), frozenset({"WR", "EACP", "FWP"})}
+    assert frozenset.intersection(*minimal) == {"WR"}
+    _passed(
+        f"criterion 9: {len(falsifying)} of 16 hypothesis subsets falsify V3 or V4; "
+        "the minimal ones are {WR, Locality} and {WR, EACP, FWP}, sharing only WR"
     )

@@ -151,6 +151,9 @@ class TestMain:
                          id="target-nan"),
             pytest.param([], "scenario = polytope\ntarget = 0, 0, 0, inf\n", "target[3]",
                          id="target-inf"),
+            pytest.param([], "scenario = polytope\ntarget =\n", "target", id="target-empty"),
+            pytest.param([], "scenario = polytope\ntarget = ,,\n", "target",
+                         id="target-only-commas"),
         ],
     )
     def test_non_finite_or_out_of_range_inputs_exit_2(

@@ -7,22 +7,15 @@ from hypothesis import strategies as st
 from belllab.core import (
     Angle,
     Block,
-    OrientedAxis,
     OutcomeSequence,
-    Provenance,
-    Side,
     correlate,
     default_burn_in,
     pair_symbol,
 )
 
 
-def axis(angle, side=Side.ALICE):
-    return OrientedAxis(Angle(angle), side)
-
-
-def seq(values, angle=0.0, side=Side.ALICE):
-    return OutcomeSequence(axis(angle, side), values)
+def seq(values):
+    return OutcomeSequence(values)
 
 
 class TestAngle:
@@ -46,25 +39,23 @@ class TestAngle:
 
 
 class TestAngleBetween:
-    """The signed angle from one axis to another is ``a2.angle - a1.angle``."""
+    """The signed angle from one axis to another is ``a2 - a1``."""
 
     def test_quarter_turn(self):
-        assert (axis(math.pi / 2).angle - axis(0.0).angle).radians == pytest.approx(
-            math.pi / 2
-        )
+        assert (Angle(math.pi / 2) - Angle(0.0)).radians == pytest.approx(math.pi / 2)
 
     def test_wrap_around(self):
         # 3pi/4 to -3pi/4 crosses the branch cut; magnitude is a right angle
-        d = axis(-3 * math.pi / 4).angle - axis(3 * math.pi / 4).angle
+        d = Angle(-3 * math.pi / 4) - Angle(3 * math.pi / 4)
         assert abs(d.radians) == pytest.approx(math.pi / 2)
 
     def test_identical_axes(self):
-        assert (axis(1.234).angle - axis(1.234).angle).radians == 0.0
+        assert (Angle(1.234) - Angle(1.234)).radians == 0.0
 
     @given(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0))
     def test_antisymmetric_up_to_normalization(self, a, b):
-        fwd = (axis(b).angle - axis(a).angle).radians
-        rev = (axis(a).angle - axis(b).angle).radians
+        fwd = (Angle(b) - Angle(a)).radians
+        rev = (Angle(a) - Angle(b)).radians
         assert abs(fwd) <= math.pi
         assert Angle(fwd + rev).radians == pytest.approx(0.0, abs=1e-12)
 
@@ -92,7 +83,7 @@ class TestCorrelate:
     def test_self_and_negated(self, values):
         u = seq(values)
         assert correlate(u, u).mean == 1.0
-        assert correlate(u, OutcomeSequence(u.axis, -u.values)).mean == -1.0
+        assert correlate(u, OutcomeSequence(-u.values)).mean == -1.0
 
     @given(
         st.lists(st.sampled_from([-1, 1]), min_size=1, max_size=128),
@@ -115,27 +106,24 @@ class TestOutcomeSequence:
         with pytest.raises(ValueError):
             q.values[0] = -1
 
-    def test_provenance_default(self):
-        assert seq([1]).provenance is Provenance.MEASURED
-
 
 class TestBlock:
-    def test_from_angles_assigns_sides(self):
-        b = Block.from_angles({"E": 0.1, "P'": -0.4}, count=5)
-        assert b.axes["E"].side is Side.ALICE
-        assert b.axes["P'"].side is Side.BOB
+    def test_stores_wrapped_angles(self):
+        b = Block({"E": 0.1, "P'": 3 * math.pi / 2, "P": Angle(0.2)}, count=5)
+        assert b.axes == {"E": Angle(0.1), "P'": Angle(3 * math.pi / 2), "P": Angle(0.2)}
+        assert b.axes["P'"].radians == pytest.approx(-math.pi / 2)
 
     def test_count_validated(self):
         with pytest.raises(ValueError, match=">= 1"):
-            Block.from_angles({"E": 0.0}, count=0)
+            Block({"E": 0.0}, count=0)
 
-    def test_wrong_side_rejected(self):
-        with pytest.raises(ValueError, match="side"):
-            Block(axes={"E": axis(0.0, Side.BOB)}, count=1)
+    def test_unknown_symbol_rejected(self):
+        with pytest.raises(ValueError, match="unknown axis symbol: 'Q'"):
+            Block({"E": 0.0, "Q": 0.0}, count=1)
 
     def test_first_pair_is_index_times_count(self):
-        assert Block.from_angles({"E": 0.0}, count=250).first_pair == 0
-        assert Block.from_angles({"E": 0.0}, count=250, index=3).first_pair == 750
+        assert Block({"E": 0.0}, count=250).first_pair == 0
+        assert Block({"E": 0.0}, count=250, index=3).first_pair == 750
 
 
 def test_pair_symbol_is_canonical():

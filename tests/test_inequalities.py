@@ -13,9 +13,7 @@ from belllab.core import (
     SYM_P,
     SYM_PP,
     Angle,
-    OrientedAxis,
     OutcomeSequence,
-    Side,
     pair_symbol,
 )
 from belllab.inequalities import (
@@ -32,11 +30,10 @@ from belllab.inequalities import (
 from belllab.relativity import DefinabilityEngine, HypothesisSet
 
 SQRT2 = math.sqrt(2.0)
-AXIS = OrientedAxis(Angle(0.0), Side.ALICE)
 
 
 def seq(values):
-    return OutcomeSequence(AXIS, values)
+    return OutcomeSequence(values)
 
 
 def random_seq(rng, n):

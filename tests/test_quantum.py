@@ -15,7 +15,7 @@ SQRT2 = math.sqrt(2.0)
 
 
 def measure(seed, theta_a, theta_b, count, index=0):
-    block = Block.from_angles({SYM_E: theta_a, SYM_P: theta_b}, count=count, index=index)
+    block = Block({SYM_E: theta_a, SYM_P: theta_b}, count=count, index=index)
     return SingletSource().sample_pairs(block, seed)
 
 
@@ -77,7 +77,7 @@ class TestSamplePair:
     )
     def test_needs_one_alice_and_one_bob_axis(self, angles):
         with pytest.raises(ValueError, match="one Alice axis and one Bob axis"):
-            SingletSource().sample_pairs(Block.from_angles(angles, count=2), 0)
+            SingletSource().sample_pairs(Block(angles, count=2), 0)
 
 
 class TestDeterminism:

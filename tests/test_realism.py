@@ -12,7 +12,6 @@ from belllab.core import (
     SYM_P,
     SYM_PP,
     Block,
-    Provenance,
     Side,
     correlate,
 )
@@ -33,7 +32,7 @@ V3_ANGLES = {SYM_P: 0.0, SYM_E: 3 * math.pi / 4, SYM_EP: -3 * math.pi / 4}
 
 
 def lhv_block(angles, n, seed=0):
-    return generate_block(LHVSign(), Block.from_angles(angles, count=n), seed)
+    return generate_block(LHVSign(), Block(angles, count=n), seed)
 
 
 def lhv_outcome(lam, theta, side):
@@ -133,7 +132,7 @@ class TestLhvThresholdKernel:
         assert_same_as_cos(outer, 0.0)
 
     def test_matches_cos_on_model_draws_at_100_angles(self):
-        lambdas = LHVSign().lambdas(Block.from_angles({SYM_E: 0.0}, count=20_000), 31)
+        lambdas = LHVSign().lambdas(Block({SYM_E: 0.0}, count=20_000), 31)
         for theta in np.linspace(math.pi, -math.pi, 100, endpoint=False):
             assert_same_as_cos(lambdas, float(theta))
 
@@ -198,15 +197,9 @@ class TestLhvTwoPointFunction:
 
 
 class TestGenerateBlock:
-    def test_provenance_tags(self):
-        asg = lhv_block(V3_ANGLES, 100)
-        assert asg[SYM_E].provenance is Provenance.MEASURED
-        assert asg[SYM_P].provenance is Provenance.MEASURED
-        assert asg[SYM_EP].provenance is Provenance.COUNTERFACTUAL
-
     def test_one_sequence_per_axis(self):
         asg = lhv_block(V3_ANGLES, 64)
-        assert set(asg.sequences) == set(V3_ANGLES)
+        assert set(asg) == set(V3_ANGLES)
         assert all(len(asg[s]) == 64 for s in V3_ANGLES)
 
     def test_deterministic_in_seed(self):
@@ -228,7 +221,7 @@ class TestCollapseSequential:
     N = 100_000
 
     def test_correlations_at_the_three_angle_config(self):
-        block = Block.from_angles(V3_ANGLES, count=self.N)
+        block = Block(V3_ANGLES, count=self.N)
         asg = generate_block(CollapseSequential(), block, seed=12)
         tol = 4 / math.sqrt(self.N)
         assert correlate(asg[SYM_P], asg[SYM_E]).mean == pytest.approx(SQRT2 / 2, abs=tol)
@@ -237,22 +230,22 @@ class TestCollapseSequential:
         assert correlate(asg[SYM_E], asg[SYM_EP]).mean == pytest.approx(0.5, abs=tol)
 
     def test_equal_axes_forced_anti_correlation(self):
-        block = Block.from_angles({SYM_P: 0.4, SYM_E: 0.4}, count=10_000)
+        block = Block({SYM_P: 0.4, SYM_E: 0.4}, count=10_000)
         asg = generate_block(CollapseSequential(), block, seed=2)
         assert np.all(asg[SYM_E].values + asg[SYM_P].values == 0)
 
     def test_p_prime_unsupported(self):
-        block = Block.from_angles({**V3_ANGLES, SYM_PP: 0.2}, count=10)
+        block = Block({**V3_ANGLES, SYM_PP: 0.2}, count=10)
         with pytest.raises(UnsupportedAxisError):
             generate_block(CollapseSequential(), block, seed=0)
 
     def test_requires_p_axis(self):
-        block = Block.from_angles({SYM_E: 0.0, SYM_EP: 1.0}, count=10)
+        block = Block({SYM_E: 0.0, SYM_EP: 1.0}, count=10)
         with pytest.raises(UnsupportedAxisError):
             generate_block(CollapseSequential(), block, seed=0)
 
     def test_scalar_assign_matches_model(self):
-        block = Block.from_angles(V3_ANGLES, count=50)
+        block = Block(V3_ANGLES, count=50)
         asg = generate_block(CollapseSequential(), block, seed=8)
         for i in (0, 7, 49):
             p, e, ep = collapse_sequential_assign(
@@ -265,7 +258,7 @@ class TestCollapseSequential:
             )
 
     def test_p_marginal_unbiased(self):
-        block = Block.from_angles(V3_ANGLES, count=self.N)
+        block = Block(V3_ANGLES, count=self.N)
         asg = generate_block(CollapseSequential(), block, seed=14)
         assert abs(np.mean(asg[SYM_P].values)) <= 4 / math.sqrt(self.N)
 
@@ -273,7 +266,7 @@ class TestCollapseSequential:
         # the identity binds any actual sequences, local or not
         from belllab.inequalities import sica_v3_check
 
-        block = Block.from_angles(V3_ANGLES, count=5000)
+        block = Block(V3_ANGLES, count=5000)
         asg = generate_block(CollapseSequential(), block, seed=6)
         assert sica_v3_check(asg[SYM_E], asg[SYM_P], asg[SYM_EP]) >= 0.0
 
@@ -292,7 +285,7 @@ class TestFileReplay:
             "-1 -1 1\n"
             "1 1 -1\n",
         )
-        block = Block.from_angles({SYM_E: 0.5, SYM_EP: -1.0, SYM_P: 0.0}, count=3)
+        block = Block({SYM_E: 0.5, SYM_EP: -1.0, SYM_P: 0.0}, count=3)
         asg = generate_block(FileReplay(path), block, seed=0)
         assert list(asg[SYM_E].values) == [1, -1, 1]
         assert list(asg[SYM_EP].values) == [-1, -1, 1]
@@ -300,43 +293,43 @@ class TestFileReplay:
 
     def test_subset_of_file_axes(self, tmp_path):
         path = self.write_vectors(tmp_path, "E=0.5 P=0.0\n1 -1\n-1 1\n")
-        block = Block.from_angles({SYM_P: 0.0}, count=2)
+        block = Block({SYM_P: 0.0}, count=2)
         asg = generate_block(FileReplay(path), block, seed=0)
         assert list(asg[SYM_P].values) == [-1, 1]
 
     def test_angle_mismatch(self, tmp_path):
         path = self.write_vectors(tmp_path, "E=0.5 P=0.0\n1 -1\n")
-        block = Block.from_angles({SYM_E: 0.6, SYM_P: 0.0}, count=1)
+        block = Block({SYM_E: 0.6, SYM_P: 0.0}, count=1)
         with pytest.raises(ReplayFormatError, match="angle mismatch"):
             generate_block(FileReplay(path), block, seed=0)
 
     def test_too_few_rows(self, tmp_path):
         path = self.write_vectors(tmp_path, "E=0.5\n1\n")
-        block = Block.from_angles({SYM_E: 0.5}, count=5)
+        block = Block({SYM_E: 0.5}, count=5)
         with pytest.raises(ReplayFormatError, match="data rows"):
             generate_block(FileReplay(path), block, seed=0)
 
     def test_bad_value(self, tmp_path):
         path = self.write_vectors(tmp_path, "E=0.5\n2\n")
-        block = Block.from_angles({SYM_E: 0.5}, count=1)
+        block = Block({SYM_E: 0.5}, count=1)
         with pytest.raises(ReplayFormatError, match="\\+1 or -1"):
             generate_block(FileReplay(path), block, seed=0)
 
     def test_ragged_row(self, tmp_path):
         path = self.write_vectors(tmp_path, "E=0.5 P=0.0\n1\n")
-        block = Block.from_angles({SYM_E: 0.5, SYM_P: 0.0}, count=1)
+        block = Block({SYM_E: 0.5, SYM_P: 0.0}, count=1)
         with pytest.raises(ReplayFormatError, match="values, expected"):
             generate_block(FileReplay(path), block, seed=0)
 
     def test_bad_header(self, tmp_path):
         path = self.write_vectors(tmp_path, "E:0.5\n1\n")
-        block = Block.from_angles({SYM_E: 0.5}, count=1)
+        block = Block({SYM_E: 0.5}, count=1)
         with pytest.raises(ReplayFormatError, match="symbol=angle"):
             generate_block(FileReplay(path), block, seed=0)
 
     def test_missing_axis(self, tmp_path):
         path = self.write_vectors(tmp_path, "E=0.5\n1\n")
-        block = Block.from_angles({SYM_E: 0.5, SYM_P: 0.0}, count=1)
+        block = Block({SYM_E: 0.5, SYM_P: 0.0}, count=1)
         with pytest.raises(ReplayFormatError, match="not in header"):
             generate_block(FileReplay(path), block, seed=0)
 
