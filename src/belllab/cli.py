@@ -26,16 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import (
-    SYM_E,
-    SYM_EP,
-    SYM_P,
-    SYM_PP,
-    Block,
-    OutcomeSequence,
-    correlate,
-    pair_symbol,
-)
+from .core import SYM_E, SYM_EP, SYM_P, SYM_PP, Block, pair_symbol
 from .inequalities import (
     V3_PAIRS,
     V4_PAIRS,
@@ -43,14 +34,16 @@ from .inequalities import (
     eval_v4,
     feasible_quad,
     feasible_triple,
-    sica_v3_check,
-    sica_v4_check,
+    product_sum,
+    sica_v3_slack,
+    sica_v4_margin,
 )
 from .quantum import SingletSource
 from .realism import (
     ReplayFormatError,
     UnsupportedAxisError,
-    generate_block,
+    assign_chunks,
+    correlate_block,
     model_from_spec,
 )
 from .relativity import (
@@ -63,6 +56,12 @@ from .relativity import (
     interval_type,
     no_correlation_check,
 )
+
+# Not called since the sampled scenarios stream their blocks, but
+# bench/tracer.py wraps these names in this module.
+from .core import correlate  # noqa: F401
+from .inequalities import sica_v3_check, sica_v4_check  # noqa: F401
+from .realism import generate_block  # noqa: F401
 
 __all__ = ["ConfigError", "ScenarioConfig", "ScenarioResult", "main", "run"]
 
@@ -81,11 +80,17 @@ class ConfigError(ValueError):
 
 DEFAULT_PAIRS = 1_000_000
 SWEEP_DEFAULT_PAIRS = 20_000  # identities are exact at any N; keep the sweep quick
+SWEEP_DEFAULT_STEP = math.pi / 90.0
 # lhv-sweep runs round(pi / grid-step) + 1 configurations of two blocks each;
 # the cap keeps a tiny step from running unbounded (at the default pairs,
 # 1,000 configurations take about 3 s on a 2-vCPU machine, so the cap is
 # about 30 s).
 _SWEEP_MAX_CONFIGURATIONS = 10_000
+# Pairs a run may draw, pairs x blocks.  Memory does not grow with pairs, so
+# this bounds time: 10**9 pairs take 40-65 s on a 2-vCPU machine.
+_MAX_PAIRS_PER_RUN = 10**9
+# Blocks each scenario draws; lhv-sweep draws two per configuration.
+_BLOCKS = {"v3-local": 2, "v4-chsh": 4, "v3-eacp": 1, "no-correlation": 1}
 
 
 @dataclass
@@ -131,6 +136,15 @@ class ScenarioConfig:
                     f"{_SWEEP_MAX_CONFIGURATIONS} configurations over [0, pi]; "
                     f"use a step above {math.pi / (_SWEEP_MAX_CONFIGURATIONS - 0.5):.6g}"
                 )
+        blocks = _BLOCKS.get(self.scenario, 0)
+        if self.scenario == "lhv-sweep":
+            blocks = 2 * (round(math.pi / (self.grid_step or SWEEP_DEFAULT_STEP)) + 1)
+        if self.pairs * blocks > _MAX_PAIRS_PER_RUN:
+            raise ConfigError(
+                f"pairs {self.pairs} x {blocks} blocks is over the limit of "
+                f"{_MAX_PAIRS_PER_RUN:,} pairs per run; use at most "
+                f"{_MAX_PAIRS_PER_RUN // blocks} pairs"
+            )
         if self.tolerance is not None and not 0 <= self.tolerance < math.inf:
             raise ConfigError(f"tol must be non-negative and finite, got {self.tolerance}")
         for i, value in enumerate(self.target or ()):
@@ -198,8 +212,11 @@ def _mc_row(symbol: str, estimate, tolerance: float) -> dict:
     )
 
 
-def _mc_tolerance(n: int) -> float:
-    return 4.0 / math.sqrt(n)
+def _mc_rows(model, block: Block, seed: int, pairs) -> list[dict]:
+    """Monte Carlo rows for axis pairs of one block, streamed in chunks."""
+    tol = 4.0 / math.sqrt(block.count)
+    estimates = correlate_block(model, block, seed, pairs)
+    return [_mc_row(pair_symbol(a, b), est, tol) for (a, b), est in zip(pairs, estimates)]
 
 
 def _angles_with_defaults(cfg: ScenarioConfig, defaults: dict[str, float]) -> dict:
@@ -240,15 +257,9 @@ def _scenario_v3_eacp(cfg: ScenarioConfig) -> ScenarioResult:
     rows, report = _v3_rows_and_report(engine, angles)
 
     model = model_from_spec(cfg.model or "collapse-sequential", cfg.model_path)
-    block = Block(
-        {SYM_E: angles[SYM_E], SYM_EP: angles[SYM_EP], SYM_P: angles[SYM_P]},
-        count=cfg.pairs,
-    )
-    assignment = generate_block(model, block, cfg.seed)
-    tol = _mc_tolerance(cfg.pairs)
-    for a, b in ((SYM_P, SYM_E), (SYM_P, SYM_EP), (SYM_E, SYM_EP)):
-        est = correlate(assignment[a], assignment[b])
-        rows.append(_mc_row(pair_symbol(a, b), est, tol))
+    block = Block({s: angles[s] for s in (SYM_E, SYM_EP, SYM_P)}, count=cfg.pairs)
+    mc_pairs = ((SYM_P, SYM_E), (SYM_P, SYM_EP), (SYM_E, SYM_EP))
+    rows += _mc_rows(model, block, cfg.seed, mc_pairs)
 
     triple = [report.c_xy, report.c_yz, report.c_xz]  # <P,E>, <E',P>, <E,E'>
     return ScenarioResult(
@@ -264,21 +275,13 @@ def _scenario_v3_eacp(cfg: ScenarioConfig) -> ScenarioResult:
     )
 
 
-def _singlet_rows(cfg: ScenarioConfig, angles: dict, pairs) -> tuple[list, list]:
-    """Monte Carlo rows and means of singlet pairs, the k-th pair in block k."""
-    tol = _mc_tolerance(cfg.pairs)
-    rows, means = [], []
-    for k, (alice_sym, bob_sym) in enumerate(pairs):
-        block = Block(
-            {alice_sym: angles[alice_sym], bob_sym: angles[bob_sym]},
-            count=cfg.pairs,
-            index=k,
-        )
-        a, b = SingletSource().sample_pairs(block, cfg.seed)
-        est = correlate(OutcomeSequence(a), OutcomeSequence(b))
-        means.append(est.mean)
-        rows.append(_mc_row(pair_symbol(alice_sym, bob_sym), est, tol))
-    return rows, means
+def _singlet_rows(cfg: ScenarioConfig, angles: dict, pairs) -> list[dict]:
+    """Monte Carlo rows of singlet pairs, the k-th pair measured in block k."""
+    rows = []
+    for k, (a, b) in enumerate(pairs):
+        block = Block({a: angles[a], b: angles[b]}, count=cfg.pairs, index=k)
+        rows += _mc_rows(SingletSource(), block, cfg.seed, [(a, b)])
+    return rows
 
 
 def _scenario_v3_local(cfg: ScenarioConfig) -> ScenarioResult:
@@ -288,8 +291,7 @@ def _scenario_v3_local(cfg: ScenarioConfig) -> ScenarioResult:
     rows, report = _v3_rows_and_report(engine, angles)
 
     # The two cross correlations are measurable: sample each in its own block.
-    mc_rows, _ = _singlet_rows(cfg, angles, ((SYM_E, SYM_P), (SYM_EP, SYM_P)))
-    rows += mc_rows
+    rows += _singlet_rows(cfg, angles, ((SYM_E, SYM_P), (SYM_EP, SYM_P)))
 
     return ScenarioResult(
         inputs={"angles": dict(angles), "hypotheses": hypotheses.label()},
@@ -306,9 +308,9 @@ def _scenario_v4_chsh(cfg: ScenarioConfig) -> ScenarioResult:
     engine = DefinabilityEngine(hypotheses)
     statuses = engine.definite_statuses(angles, V4_PAIRS)
     report = eval_v4(*(st.value for st in statuses))
-    mc_rows, means = _singlet_rows(cfg, angles, V4_PAIRS)
+    mc_rows = _singlet_rows(cfg, angles, V4_PAIRS)
     rows = [_row(**st.to_dict()) for st in statuses] + mc_rows
-    s_mc = eval_v4(*means).s
+    s_mc = eval_v4(*(row["value"] for row in mc_rows)).s
 
     if report.violated:
         verdict = (
@@ -446,9 +448,18 @@ def _scenario_polytope(cfg: ScenarioConfig) -> ScenarioResult:
     )
 
 
+def _product_sums(model, block: Block, seed: int, pairs) -> list[int]:
+    """Exact product sum of each axis pair over a block, added chunk by chunk."""
+    sums = [0] * len(pairs)
+    for chunk in assign_chunks(model, block, seed):
+        for i, (a, b) in enumerate(pairs):
+            sums[i] += product_sum(chunk[a], chunk[b])
+    return sums
+
+
 def _scenario_lhv_sweep(cfg: ScenarioConfig) -> ScenarioResult:
     n = cfg.pairs
-    step = cfg.grid_step if cfg.grid_step is not None else math.pi / 90.0
+    step = cfg.grid_step if cfg.grid_step is not None else SWEEP_DEFAULT_STEP
     model = model_from_spec(cfg.model or "lhv-sign", cfg.model_path)
     phis = np.arange(0.0, math.pi + step / 2, step)
     min_v3_slack = math.inf
@@ -458,27 +469,19 @@ def _scenario_lhv_sweep(cfg: ScenarioConfig) -> ScenarioResult:
     for k, phi in enumerate(phis):
         phi = float(phi)
         block3 = Block({SYM_P: 0.0, SYM_E: phi, SYM_EP: 2 * phi}, count=n, index=2 * k)
-        asg3 = generate_block(model, block3, cfg.seed)
         # the finite-run inequality on the linked sequences, exact integers
-        exact3 = sica_v3_check(asg3[SYM_E], asg3[SYM_P], asg3[SYM_EP])
+        sums3 = _product_sums(model, block3, cfg.seed, V3_PAIRS)
+        exact3 = sica_v3_slack(n, *sums3)
         min_v3_slack = min(min_v3_slack, exact3)
         violations += exact3 < 0
 
-        # LHV two-point law: +/-(1 - 2*delta/pi); track worst deviation
+        # LHV two-point law: +/-(1 - 2*delta/pi); track worst deviation of <E,P>
         analytic = -(1 - 2 * min(abs(phi), math.pi) / math.pi)
-        max_dev = max(
-            max_dev, abs(correlate(asg3[SYM_E], asg3[SYM_P]).mean - analytic)
-        )
+        max_dev = max(max_dev, abs(sums3[0] / n - analytic))
 
-        block4 = Block(
-            {SYM_E: phi, SYM_EP: 3 * phi, SYM_P: 2 * phi, SYM_PP: 0.0},
-            count=n,
-            index=2 * k + 1,
-        )
-        asg4 = generate_block(model, block4, cfg.seed)
-        exact4 = sica_v4_check(
-            asg4[SYM_EP], asg4[SYM_E], asg4[SYM_P], asg4[SYM_PP]
-        )
+        angles4 = {SYM_E: phi, SYM_EP: 3 * phi, SYM_P: 2 * phi, SYM_PP: 0.0}
+        block4 = Block(angles4, count=n, index=2 * k + 1)
+        exact4 = sica_v4_margin(n, *_product_sums(model, block4, cfg.seed, V4_PAIRS))
         min_v4_margin = min(min_v4_margin, exact4)
         violations += exact4 < 0
     rows = [

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -36,6 +36,7 @@ __all__ = [
     "Block",
     "CorrelationEstimate",
     "OutcomeSequence",
+    "RunningCorrelation",
     "Side",
     "correlate",
     "default_burn_in",
@@ -186,8 +187,8 @@ class CorrelationEstimate:
     n: int
     sum_products: int
     burn_in: int
-    running_min_mean: float = field(default=math.nan)
-    running_max_mean: float = field(default=math.nan)
+    running_min_mean: float
+    running_max_mean: float
 
     @property
     def mean(self) -> float:
@@ -200,38 +201,50 @@ class CorrelationEstimate:
         return self.running_min_mean <= 0.0 <= self.running_max_mean
 
 
-def correlate(
-    u: OutcomeSequence,
-    v: OutcomeSequence,
-    burn_in: int | None = None,
-) -> CorrelationEstimate:
+class RunningCorrelation:
+    """``correlate`` of two length-``n`` sequences fed in consecutive chunks.
+
+    The int64 product sum and the partial-mean extrema carry over from chunk
+    to chunk, and each partial mean is the same division csum[i] / (i + 1)
+    as over the whole arrays, so the estimate does not depend on the split.
+    """
+
+    def __init__(self, n: int) -> None:
+        self.n, self.seen, self.total, self.burn_in = n, 0, 0, default_burn_in(n)
+        self.lo, self.hi = math.inf, -math.inf
+
+    def add(self, u: np.ndarray, v: np.ndarray) -> None:
+        """Feed the next stretch of both sequences as +/-1 int8 arrays."""
+        start, self.seen = self.seen, self.seen + u.size
+        csum = np.cumsum(u * v, dtype=np.int64)
+        csum += self.total
+        skip = max(self.burn_in - start, 0)
+        if skip < u.size:
+            partial = csum[skip:] / np.arange(start + skip + 1, self.seen + 1)
+            self.lo = min(self.lo, float(partial.min()))
+            self.hi = max(self.hi, float(partial.max()))
+        self.total = int(csum[-1]) if u.size else self.total
+
+    def estimate(self) -> CorrelationEstimate:
+        if self.seen != self.n:
+            raise ValueError(f"{self.seen} of {self.n} values fed")
+        mean = self.total / self.n
+        lo, hi = (self.lo, self.hi) if self.n > self.burn_in else (mean, mean)
+        return CorrelationEstimate(self.n, self.total, self.burn_in, lo, hi)
+
+
+def correlate(u: OutcomeSequence, v: OutcomeSequence) -> CorrelationEstimate:
     """Correlation of two equal-length outcome sequences.
 
     The mean is sum(u_i * v_i) / N with an exact integer numerator.  Partial
-    means at indices > burn_in (default ceil(sqrt(N))) feed the running
-    extrema.
+    means at indices > burn_in = ceil(sqrt(N)) feed the running extrema.
+    This is the one-chunk case of ``RunningCorrelation``.
     """
     n = len(u)
     if n == 0:
         raise ValueError("cannot correlate empty sequences")
     if len(v) != n:
         raise ValueError(f"length mismatch: {n} vs {len(v)}")
-    if burn_in is None:
-        burn_in = default_burn_in(n)
-    products = u.values.astype(np.int64) * v.values.astype(np.int64)
-    csum = np.cumsum(products)
-    total = int(csum[-1])
-    mean = total / n
-    if n > burn_in:
-        partial = csum[burn_in:] / np.arange(burn_in + 1, n + 1)
-        rmin = float(partial.min())
-        rmax = float(partial.max())
-    else:
-        rmin = rmax = mean
-    return CorrelationEstimate(
-        n=n,
-        sum_products=total,
-        burn_in=burn_in,
-        running_min_mean=rmin,
-        running_max_mean=rmax,
-    )
+    running = RunningCorrelation(n)
+    running.add(u.values, v.values)
+    return running.estimate()

@@ -47,8 +47,11 @@ __all__ = [
     "falsification_search",
     "feasible_quad",
     "feasible_triple",
+    "product_sum",
     "sica_v3_check",
+    "sica_v3_slack",
     "sica_v4_check",
+    "sica_v4_margin",
 ]
 
 # Correlation pairs appearing in each inequality, in report order.  The
@@ -68,9 +71,20 @@ def _values(*seqs: OutcomeSequence) -> tuple[int, list[np.ndarray]]:
     return n, [s.values for s in seqs]
 
 
-def _product_sum(n: int, u: np.ndarray, v: np.ndarray) -> int:
+def product_sum(u: np.ndarray, v: np.ndarray) -> int:
     """Exact sum of u*v over +/-1 arrays: agreements minus disagreements."""
-    return n - 2 * int(np.count_nonzero(u != v))
+    return u.size - 2 * int(np.count_nonzero(u != v))
+
+
+def sica_v3_slack(n: int, s_xy: int, s_xz: int, s_yz: int) -> float:
+    """Slack of the three-sequence identity from N and its exact product sums,
+    which a streamed run adds up chunk by chunk."""
+    return ((n - s_yz) - abs(s_xy - s_xz)) / n
+
+
+def sica_v4_margin(n: int, s_xy: int, s_xz: int, s_wy: int, s_wz: int) -> float:
+    """Margin of the four-sequence identity from N and its exact product sums."""
+    return (2 * n - abs(s_xy + s_xz) - abs(s_wy - s_wz)) / n
 
 
 def sica_v3_check(
@@ -81,10 +95,7 @@ def sica_v3_check(
     Computed from exact integer sums; non-negative for every actual triple.
     """
     n, (xa, ya, za) = _values(x, y, z)
-    s_xy = _product_sum(n, xa, ya)
-    s_xz = _product_sum(n, xa, za)
-    s_yz = _product_sum(n, ya, za)
-    return ((n - s_yz) - abs(s_xy - s_xz)) / n
+    return sica_v3_slack(n, product_sum(xa, ya), product_sum(xa, za), product_sum(ya, za))
 
 
 def sica_v4_check(
@@ -95,11 +106,8 @@ def sica_v4_check(
     Computed from exact integer sums; non-negative for every actual quadruple.
     """
     n, (wa, xa, ya, za) = _values(w, x, y, z)
-    s_xy = _product_sum(n, xa, ya)
-    s_xz = _product_sum(n, xa, za)
-    s_wy = _product_sum(n, wa, ya)
-    s_wz = _product_sum(n, wa, za)
-    return (2 * n - abs(s_xy + s_xz) - abs(s_wy - s_wz)) / n
+    s_xy, s_xz = product_sum(xa, ya), product_sum(xa, za)
+    return sica_v4_margin(n, s_xy, s_xz, product_sum(wa, ya), product_sum(wa, za))
 
 
 def _check_corr(name: str, value: float) -> float:

@@ -71,8 +71,10 @@ class SingletSource:
     pairs are the ones at ``block.first_pair`` on.
     """
 
-    def sample_pairs(self, block: Block, seed: int) -> tuple[np.ndarray, np.ndarray]:
-        """Measure the block's pairs along its Alice and Bob axes.
+    def sample_pairs(
+        self, block: Block, seed: int, span: slice = slice(None)
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Measure the block's pairs in ``span`` along its Alice and Bob axes.
 
         Returns int8 arrays (a, b).  Alice's outcome is a fair coin; Bob's
         is anti-correlated with probability (1 + cos(delta)) / 2, which
@@ -81,9 +83,16 @@ class SingletSource:
         sides = {side_of_symbol(s): theta.radians for s, theta in block.axes.items()}
         if len(block.axes) != 2 or len(sides) != 2:
             raise ValueError("a singlet block needs one Alice axis and one Bob axis")
-        u = pair_uniforms(seed, block.first_pair, block.count)
+        lo, hi, _ = span.indices(block.count)
+        u = pair_uniforms(seed, block.first_pair + lo, hi - lo)
         delta = sides[Side.ALICE] - sides[Side.BOB]
         a = np.where(u[:, 0] < 0.5, 1, -1).astype(np.int8)
         p_anti = (1.0 + math.cos(delta)) / 2.0
         b = np.where(u[:, 1] < p_anti, -a, a).astype(np.int8)
         return a, b
+
+    def assign(self, block: Block, seed: int, span: slice) -> dict[str, np.ndarray]:
+        """``sample_pairs`` keyed by axis symbol, as a ``realism`` model assigns."""
+        a, b = self.sample_pairs(block, seed, span)
+        symbol = {side_of_symbol(s): s for s in block.axes}
+        return {symbol[Side.ALICE]: a, symbol[Side.BOB]: b}

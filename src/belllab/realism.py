@@ -18,22 +18,24 @@ same value it would have gotten counterfactually).  Three models ship:
 * ``FileReplay`` -- verbatim +/-1 tuples from a text file, for adversarial
   and regression vectors.
 
-``generate_block`` returns one ``OutcomeSequence`` per block axis, keyed
-by symbol.  Whether an axis's value needs Weak Realism (a primed axis is
-never the measured one) is decided by the definability engine in
-``relativity``, not recorded on the sequences.
+``assign_chunks`` runs a model (or ``quantum.SingletSource``) over a block
+``CHUNK_PAIRS`` pairs at a time; ``generate_block`` returns one whole
+``OutcomeSequence`` per block axis, keyed by symbol.  Whether an axis's
+value needs Weak Realism (a primed axis is never the measured one) is
+decided by the definability engine in ``relativity``.
 
-The seeded models draw a block's pairs from Philox counter
-``block.first_pair`` on, the same address ``SingletSource`` reads, so an
-assignment is a pure function of (seed, block) and blocks can be generated
-in any order.  That address only keeps blocks of equal count apart (see
-``Block.first_pair``).
+The seeded models draw a block's pair i from Philox counter block
+``block.first_pair + i``, the same address ``SingletSource`` reads, so an
+assignment is a pure function of (seed, block), the same in any chunking,
+and blocks can be generated in any order.  That address only keeps blocks
+of equal count apart (see ``Block.first_pair``).
 """
 
 from __future__ import annotations
 
 import math
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -44,7 +46,9 @@ from .core import (
     SYM_PP,
     Angle,
     Block,
+    CorrelationEstimate,
     OutcomeSequence,
+    RunningCorrelation,
     Side,
     as_angle,
     side_of_symbol,
@@ -52,11 +56,14 @@ from .core import (
 from .quantum import born_outcomes, pair_uniforms
 
 __all__ = [
+    "CHUNK_PAIRS",
     "CollapseSequential",
     "FileReplay",
     "LHVSign",
     "ReplayFormatError",
     "UnsupportedAxisError",
+    "assign_chunks",
+    "correlate_block",
     "generate_block",
     "lhv_outcomes",
     "model_from_spec",
@@ -108,13 +115,14 @@ class LHVSign:
 
     name = "lhv-sign"
 
-    def lambdas(self, block: Block, seed: int) -> np.ndarray:
-        """Hidden angles for the block's pairs, uniform on [0, 2*pi)."""
-        u = pair_uniforms(seed, block.first_pair, block.count)
+    def lambdas(self, block: Block, seed: int, span: slice = slice(None)) -> np.ndarray:
+        """Hidden angles for the block's pairs in ``span``, uniform on [0, 2*pi)."""
+        lo, hi, _ = span.indices(block.count)
+        u = pair_uniforms(seed, block.first_pair + lo, hi - lo)
         return u[:, 0] * math.tau
 
-    def assign(self, block: Block, seed: int) -> dict[str, np.ndarray]:
-        lam = self.lambdas(block, seed)
+    def assign(self, block: Block, seed: int, span: slice) -> dict[str, np.ndarray]:
+        lam = self.lambdas(block, seed, span)
         return {
             symbol: lhv_outcomes(lam, theta, side_of_symbol(symbol))
             for symbol, theta in block.axes.items()
@@ -130,7 +138,7 @@ class CollapseSequential:
 
     name = "collapse-sequential"
 
-    def assign(self, block: Block, seed: int) -> dict[str, np.ndarray]:
+    def assign(self, block: Block, seed: int, span: slice) -> dict[str, np.ndarray]:
         if SYM_PP in block.axes:
             raise UnsupportedAxisError(
                 "collapse-sequential defines no second axis on the P side"
@@ -138,7 +146,8 @@ class CollapseSequential:
         if SYM_P not in block.axes:
             raise UnsupportedAxisError("collapse-sequential requires a P axis")
         theta_p = block.axes[SYM_P].radians
-        u = pair_uniforms(seed, block.first_pair, block.count)
+        lo, hi, _ = span.indices(block.count)
+        u = pair_uniforms(seed, block.first_pair + lo, hi - lo)
         p = np.where(u[:, 0] < 0.5, 1, -1).astype(np.int8)
         out: dict[str, np.ndarray] = {SYM_P: p}
         prepared = -p  # far particle collapses to the opposite sign along theta_p
@@ -154,13 +163,14 @@ class FileReplay:
 
     Line 1 is a header of ``symbol=angle`` tokens (angles in radians,
     symbols among E, E', P, P'); each following non-empty line carries one
-    pair's values in header order.
+    pair's values in header order.  The file is parsed once per block.
     """
 
     name = "file-replay"
 
     def __init__(self, path: "str | Path") -> None:
         self.path = Path(path)
+        self._parsed: tuple[Block, dict[str, np.ndarray]] | None = None
 
     def _parse_header(self, line: str) -> dict[str, float]:
         header: dict[str, float] = {}
@@ -184,7 +194,12 @@ class FileReplay:
             raise ReplayFormatError(f"{self.path}: empty header")
         return header
 
-    def assign(self, block: Block, seed: int) -> dict[str, np.ndarray]:
+    def assign(self, block: Block, seed: int, span: slice) -> dict[str, np.ndarray]:
+        if self._parsed is None or self._parsed[0] is not block:
+            self._parsed = (block, self._read(block))
+        return {symbol: values[span] for symbol, values in self._parsed[1].items()}
+
+    def _read(self, block: Block) -> dict[str, np.ndarray]:
         try:
             lines = self.path.read_text().splitlines()
         except (OSError, ValueError) as exc:  # ValueError: NUL in path, not UTF-8
@@ -232,6 +247,26 @@ class FileReplay:
 
 CounterfactualModel = LHVSign | CollapseSequential | FileReplay
 
+# Pairs drawn, assigned and reduced at a time: memory depends on this, not
+# on the block size.  A chunk's Philox draws take 2 MiB.
+CHUNK_PAIRS = 2**16
+
+
+def assign_chunks(model, block: Block, seed: int) -> Iterator[dict[str, np.ndarray]]:
+    """``model.assign`` over consecutive ``CHUNK_PAIRS``-pair spans of a block:
+    int8 arrays keyed by symbol that, laid end to end, are the whole block."""
+    for lo in range(0, block.count, CHUNK_PAIRS):
+        yield model.assign(block, seed, slice(lo, lo + CHUNK_PAIRS))
+
+
+def correlate_block(model, block: Block, seed: int, pairs) -> list[CorrelationEstimate]:
+    """``correlate`` of each axis pair over a block, without holding the block."""
+    running = [RunningCorrelation(block.count) for _ in pairs]
+    for chunk in assign_chunks(model, block, seed):
+        for estimate, (a, b) in zip(running, pairs):
+            estimate.add(chunk[a], chunk[b])
+    return [estimate.estimate() for estimate in running]
+
 
 def generate_block(
     model: "CounterfactualModel", block: Block, seed: int
@@ -242,8 +277,8 @@ def generate_block(
     counterfactual value on an axis are one and the same entry, so the
     single-tuple convention holds by construction.
     """
-    raw = model.assign(block, seed)
-    return {symbol: OutcomeSequence(raw[symbol]) for symbol in block.axes}
+    chunks = list(assign_chunks(model, block, seed))
+    return {s: OutcomeSequence(np.concatenate([c[s] for c in chunks])) for s in block.axes}
 
 
 def model_from_spec(name: str, path: "str | Path | None" = None) -> "CounterfactualModel":

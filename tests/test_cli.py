@@ -154,6 +154,10 @@ class TestMain:
             pytest.param([], "scenario = polytope\ntarget =\n", "target", id="target-empty"),
             pytest.param([], "scenario = polytope\ntarget = ,,\n", "target",
                          id="target-only-commas"),
+            pytest.param(["--pairs", "10000000000"], "scenario = v4-chsh\n", "pairs",
+                         id="pairs-over-work-budget"),
+            pytest.param(["--pairs", "100000000"], "scenario = lhv-sweep\n", "pairs",
+                         id="sweep-pairs-over-work-budget"),
         ],
     )
     def test_non_finite_or_out_of_range_inputs_exit_2(
@@ -459,7 +463,9 @@ _FUZZ_VALUES = {
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
     scenario=st.sampled_from(sorted(cli.SCENARIOS)),
-    pairs=st.integers(-1, 500),
+    # small counts run quickly; counts past the work budget exit 2 at once
+    # wherever pairs are drawn
+    pairs=st.integers(-1, 500) | st.integers(cli._MAX_PAIRS_PER_RUN + 1, 10**12),
     step=st.none() | st.floats(min_value=math.pi / 90),
     seed=st.none() | st.integers(0, 2**64 - 1),
     data=st.data(),

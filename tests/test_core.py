@@ -8,6 +8,7 @@ from belllab.core import (
     Angle,
     Block,
     OutcomeSequence,
+    RunningCorrelation,
     correlate,
     default_burn_in,
     pair_symbol,
@@ -94,6 +95,45 @@ class TestCorrelate:
         est = correlate(seq(values), seq(v))
         assert est.running_min_mean <= est.mean <= est.running_max_mean
         assert -1.0 <= est.mean <= 1.0
+
+
+def reference_estimate(u, v, burn_in):
+    """(sum, min, max) of the partial means, one pair at a time."""
+    total, partial = 0, []
+    for i, (a, b) in enumerate(zip(u, v)):
+        total += a * b
+        if i >= burn_in:
+            partial.append(total / (i + 1))
+    mean = total / len(u)
+    return total, min(partial, default=mean), max(partial, default=mean)
+
+
+class TestRunningCorrelation:
+    @given(
+        st.lists(st.sampled_from([-1, 1]), min_size=1, max_size=128),
+        st.randoms(use_true_random=False),
+    )
+    def test_any_split_gives_the_reference_estimate(self, values, rnd):
+        v = [rnd.choice([-1, 1]) for _ in values]
+        n = len(values)
+        cuts = sorted(rnd.choices(range(n + 1), k=rnd.randint(0, 8)))  # may repeat
+        running = RunningCorrelation(n)
+        for lo, hi in zip([0, *cuts], [*cuts, n]):
+            running.add(seq(values).values[lo:hi], seq(v).values[lo:hi])
+        est = running.estimate()
+        assert est == correlate(seq(values), seq(v))
+        assert (est.sum_products, est.running_min_mean, est.running_max_mean) == (
+            reference_estimate(values, v, default_burn_in(n))
+        )
+
+    def test_fed_length_must_match(self):
+        running = RunningCorrelation(3)
+        running.add(seq([1, 1]).values, seq([1, -1]).values)
+        with pytest.raises(ValueError, match="2 of 3"):
+            running.estimate()
+        running.add(seq([1, 1]).values, seq([1, 1]).values)
+        with pytest.raises(ValueError, match="4 of 3"):
+            running.estimate()
 
 
 class TestOutcomeSequence:
