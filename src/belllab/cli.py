@@ -219,10 +219,6 @@ def _mc_rows(model, block: Block, seed: int, pairs) -> list[dict]:
     return [_mc_row(pair_symbol(a, b), est, tol) for (a, b), est in zip(pairs, estimates)]
 
 
-def _angles_with_defaults(cfg: ScenarioConfig, defaults: dict[str, float]) -> dict:
-    return {**defaults, **cfg.angles}
-
-
 V3_DEFAULT_ANGLES = {SYM_P: 0.0, SYM_E: 3 * math.pi / 4, SYM_EP: -3 * math.pi / 4}
 V4_DEFAULT_ANGLES = {
     SYM_E: math.pi / 4,
@@ -252,7 +248,7 @@ def _v3_verdict(report, anchor: str) -> str:
 
 def _scenario_v3_eacp(cfg: ScenarioConfig) -> ScenarioResult:
     hypotheses = cfg.hypotheses or HypothesisSet.parse("WR,EACP,FWP")
-    angles = _angles_with_defaults(cfg, V3_DEFAULT_ANGLES)
+    angles = {**V3_DEFAULT_ANGLES, **cfg.angles}
     engine = DefinabilityEngine(hypotheses)
     rows, report = _v3_rows_and_report(engine, angles)
 
@@ -286,7 +282,7 @@ def _singlet_rows(cfg: ScenarioConfig, angles: dict, pairs) -> list[dict]:
 
 def _scenario_v3_local(cfg: ScenarioConfig) -> ScenarioResult:
     hypotheses = cfg.hypotheses or HypothesisSet.parse("WR,Locality")
-    angles = _angles_with_defaults(cfg, V3_DEFAULT_ANGLES)
+    angles = {**V3_DEFAULT_ANGLES, **cfg.angles}
     engine = DefinabilityEngine(hypotheses)
     rows, report = _v3_rows_and_report(engine, angles)
 
@@ -304,7 +300,7 @@ def _scenario_v3_local(cfg: ScenarioConfig) -> ScenarioResult:
 
 def _scenario_v4_chsh(cfg: ScenarioConfig) -> ScenarioResult:
     hypotheses = cfg.hypotheses or HypothesisSet.parse("WR,Locality")
-    angles = _angles_with_defaults(cfg, V4_DEFAULT_ANGLES)
+    angles = {**V4_DEFAULT_ANGLES, **cfg.angles}
     engine = DefinabilityEngine(hypotheses)
     statuses = engine.definite_statuses(angles, V4_PAIRS)
     report = eval_v4(*(st.value for st in statuses))
@@ -332,15 +328,10 @@ def _scenario_no_correlation(cfg: ScenarioConfig) -> ScenarioResult:
     model_name = cfg.model or "lhv-sign"
     model = model_from_spec(model_name, cfg.model_path)
     defaults = {SYM_E: 3 * math.pi / 4, SYM_EP: -3 * math.pi / 4, SYM_P: 0.0}
-    angles = _angles_with_defaults(cfg, defaults)
+    angles = {**defaults, **cfg.angles}
     report = no_correlation_check(
-        model,
-        angles[SYM_E],
-        angles[SYM_EP],
-        angles[SYM_P],
-        cfg.pairs,
-        seed=cfg.seed,
-        tolerance=cfg.tolerance,
+        model, angles[SYM_E], angles[SYM_EP], angles[SYM_P], cfg.pairs,
+        seed=cfg.seed, tolerance=cfg.tolerance,
     )
     est = report.estimate
     rows = [_mc_row(pair_symbol(SYM_E, SYM_EP), est, report.tolerance)]
@@ -420,9 +411,7 @@ def _scenario_polytope(cfg: ScenarioConfig) -> ScenarioResult:
         result = feasible_quad(*target)
         names = ["xy", "xz", "wy", "wz"]
     else:
-        raise ConfigError(
-            f"target must have 3 or 4 correlations, got {len(target)}"
-        )
+        raise ConfigError(f"target must have 3 or 4 correlations, got {len(target)}")
     rows = [
         _row(f"target:{name}", "target", value, source="input",
              justification="local-polytope-membership")
@@ -462,8 +451,7 @@ def _scenario_lhv_sweep(cfg: ScenarioConfig) -> ScenarioResult:
     step = cfg.grid_step if cfg.grid_step is not None else SWEEP_DEFAULT_STEP
     model = model_from_spec(cfg.model or "lhv-sign", cfg.model_path)
     phis = np.arange(0.0, math.pi + step / 2, step)
-    min_v3_slack = math.inf
-    min_v4_margin = math.inf
+    min_v3_slack = min_v4_margin = math.inf
     max_dev = 0.0
     violations = 0
     for k, phi in enumerate(phis):

@@ -141,6 +141,8 @@ class Block:
 
     ``axes`` maps axis symbols (E, E', P, P') to their angles; any real
     angle is wrapped to an ``Angle``, and an unknown symbol is rejected.
+    ``index`` names the block's own Philox stream (``quantum.pair_uniforms``),
+    so blocks with different indices never share a draw.
     """
 
     axes: Mapping[str, "Angle | float"]
@@ -150,21 +152,12 @@ class Block:
     def __post_init__(self) -> None:
         if self.count < 1:
             raise ValueError(f"block count must be >= 1, got {self.count}")
+        if not 0 <= self.index < 2**64:
+            raise ValueError(f"block index must be in [0, 2**64), got {self.index}")
         for symbol in self.axes:
             side_of_symbol(symbol)  # raises on an unknown symbol
         axes = {symbol: as_angle(theta) for symbol, theta in self.axes.items()}
         object.__setattr__(self, "axes", axes)
-
-    @property
-    def first_pair(self) -> int:
-        """Philox counter of the block's first pair: ``index * count``.
-
-        This is the one stream address; every seeded draw reads the block's
-        pairs from here on.  Blocks of equal count never share pairs, but
-        (index 0, count 20) and (index 1, count 10) both use pairs 10-19
-        (ROADMAP item 2).
-        """
-        return self.index * self.count
 
 
 def default_burn_in(n: int) -> int:

@@ -13,9 +13,9 @@ After one side is measured, the far particle is left in the pure state
 with the opposite sign along the measured axis; measuring that prepared
 state |s> along an axis at angle t has outcome expectation s*cos(t - a).
 
-Randomness is counter-based: pair i of a seed's stream is Philox counter
-block i under key seed, whatever the batching.  A block's pairs start at
-``Block.first_pair``, the one stream address every seeded draw reads.
+Randomness is counter-based (Salmon et al., SC'11): each block is its own
+Philox stream, and a draw is one raw uint64 word w compared as an integer,
+bit for bit the test on its uniform double (w >> 11) * 2**-53.
 """
 
 from __future__ import annotations
@@ -34,41 +34,57 @@ def twisted_malus(theta1: "Angle | float", theta2: "Angle | float") -> float:
     return -math.cos(float(as_angle(theta1).radians) - float(as_angle(theta2).radians))
 
 
-def pair_uniforms(seed: int, start: int, count: int) -> np.ndarray:
-    """Uniform [0,1) draws for pairs [start, start+count), shape (count, 4).
+# Every operand of a uint64 array is np.uint64: numpy 1.x promotes uint64
+# mixed with a signed integer to float64.
+_SHIFT = np.uint64(11)  # w >> 11 keeps the 53 bits a uniform double holds
+_HALF = np.uint64(2**63)
 
-    Row i holds the four words of Philox counter block start+i under key
-    ``seed``; a pair's draws never depend on how surrounding pairs were
-    batched.
+
+def pair_uniforms(block: Block, seed: int, span: slice, words: int) -> np.ndarray:
+    """Raw Philox words for the block's pairs in ``span``, shape (count, words).
+
+    The block's stream has key ``seed | block.index << 64``.  Pair i reads
+    its words ``words*i`` to ``words*i + words - 1``, and word j is word
+    j % 4 of counter block j // 4, so a pair's words never depend on how
+    the block is chunked, and blocks with different indices share none.
     """
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
-    if start < 0 or count < 0:
-        raise ValueError("start and count must be non-negative")
-    bg = np.random.Philox(key=seed)
-    if start:
-        bg.advance(start)
-    return np.random.Generator(bg).random((count, 4))
+    lo, hi, _ = span.indices(block.count)
+    first, count = lo * words, max(hi - lo, 0)
+    bg = np.random.Philox(key=seed | block.index << 64)
+    bg.advance(first // 4)
+    return bg.random_raw(first % 4 + count * words)[first % 4 :].reshape(count, words)
 
 
-def born_outcomes(
-    signs: np.ndarray | int, delta: float, uniforms: np.ndarray
-) -> np.ndarray:
+def born_threshold(p: float) -> np.uint64:
+    """``ceil(p * 2**53)``: ``w >> 11`` is below it exactly when the double
+    ``(w >> 11) * 2**-53`` is below p, so p = 1 always passes and p = 0 never."""
+    return np.uint64(math.ceil(p * 2**53))
+
+
+def fair_coins(words: np.ndarray) -> np.ndarray:
+    """+1 where a word's top bit is clear (the double test u < 0.5), else -1."""
+    return (words < _HALF).view(np.int8) * np.int8(2) - np.int8(1)
+
+
+def born_outcomes(signs: np.ndarray, delta: float, words: np.ndarray) -> np.ndarray:
     """Measure prepared states |sign> along an axis ``delta`` away.
 
-    P(outcome = +1) = (1 + sign * cos(delta)) / 2.  The strict comparison
-    keeps eigenstates exact: probability-1 branches can never lose to a
-    stray draw.
+    The outcome is the sign with probability (1 + cos(delta)) / 2, one word
+    per pair; eigenstates stay exact, since p = 1 keeps every sign and p = 0
+    flips every one.
     """
-    p_plus = (1.0 + np.asarray(signs) * math.cos(delta)) / 2.0
-    return np.where(uniforms < p_plus, 1, -1).astype(np.int8)
+    signs = np.asarray(signs, dtype=np.int8)
+    same = words >> _SHIFT < born_threshold((1.0 + math.cos(delta)) / 2.0)
+    return np.where(same, signs, -signs)
 
 
 class SingletSource:
     """Singlet pairs measured along a block's one Alice and one Bob axis.
 
-    Stateless: a block's outcomes depend only on (seed, block), and its
-    pairs are the ones at ``block.first_pair`` on.
+    Stateless: a block's outcomes depend only on (seed, block), and pair i
+    reads two words of the block's stream, Alice's coin and Bob's Born draw.
     """
 
     def sample_pairs(
@@ -76,19 +92,16 @@ class SingletSource:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Measure the block's pairs in ``span`` along its Alice and Bob axes.
 
-        Returns int8 arrays (a, b).  Alice's outcome is a fair coin; Bob's
-        is anti-correlated with probability (1 + cos(delta)) / 2, which
-        reproduces corr = -cos(delta) with unbiased marginals.
+        Returns int8 arrays (a, b).  Alice's outcome is a fair coin and leaves
+        Bob's particle in |-a> along her axis, so corr = -cos(delta) with
+        unbiased marginals.
         """
         sides = {side_of_symbol(s): theta.radians for s, theta in block.axes.items()}
         if len(block.axes) != 2 or len(sides) != 2:
             raise ValueError("a singlet block needs one Alice axis and one Bob axis")
-        lo, hi, _ = span.indices(block.count)
-        u = pair_uniforms(seed, block.first_pair + lo, hi - lo)
-        delta = sides[Side.ALICE] - sides[Side.BOB]
-        a = np.where(u[:, 0] < 0.5, 1, -1).astype(np.int8)
-        p_anti = (1.0 + math.cos(delta)) / 2.0
-        b = np.where(u[:, 1] < p_anti, -a, a).astype(np.int8)
+        w = pair_uniforms(block, seed, span, 2)
+        a = fair_coins(w[:, 0])
+        b = born_outcomes(-a, sides[Side.ALICE] - sides[Side.BOB], w[:, 1])
         return a, b
 
     def assign(self, block: Block, seed: int, span: slice) -> dict[str, np.ndarray]:

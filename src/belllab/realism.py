@@ -24,11 +24,11 @@ same value it would have gotten counterfactually).  Three models ship:
 value needs Weak Realism (a primed axis is never the measured one) is
 decided by the definability engine in ``relativity``.
 
-The seeded models draw a block's pair i from Philox counter block
-``block.first_pair + i``, the same address ``SingletSource`` reads, so an
-assignment is a pure function of (seed, block), the same in any chunking,
-and blocks can be generated in any order.  That address only keeps blocks
-of equal count apart (see ``Block.first_pair``).
+The seeded models read their draws from the block's own Philox stream,
+as ``SingletSource`` does (``quantum.pair_uniforms``): ``LHVSign`` one word
+per pair and ``CollapseSequential`` three.  So an assignment is a pure
+function of (seed, block), the same in any chunking, no two blocks share a
+draw, and blocks can be generated in any order.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from .core import (
     as_angle,
     side_of_symbol,
 )
-from .quantum import born_outcomes, pair_uniforms
+from .quantum import _SHIFT, born_outcomes, fair_coins, pair_uniforms
 
 __all__ = [
     "CHUNK_PAIRS",
@@ -86,6 +86,7 @@ _Z1 = float.fromhex("0x1.921fb54442d18p+0")  # math.pi / 2
 _Z3 = float.fromhex("0x1.2d97c7f3321d3p+2")
 _Z5 = float.fromhex("0x1.f6a7a2955385ep+2")
 _Z7 = float.fromhex("0x1.5fdbbe9bba775p+3")
+_TAU_ULP = math.tau / 2**53
 
 
 def lhv_outcomes(
@@ -116,10 +117,10 @@ class LHVSign:
     name = "lhv-sign"
 
     def lambdas(self, block: Block, seed: int, span: slice = slice(None)) -> np.ndarray:
-        """Hidden angles for the block's pairs in ``span``, uniform on [0, 2*pi)."""
-        lo, hi, _ = span.indices(block.count)
-        u = pair_uniforms(seed, block.first_pair + lo, hi - lo)
-        return u[:, 0] * math.tau
+        """Hidden angles for the block's pairs in ``span``, uniform on [0, 2*pi):
+        one word w each, lam = (w >> 11) * (2*pi / 2**53) = u * 2*pi exactly."""
+        w = pair_uniforms(block, seed, span, 1)[:, 0]
+        return (w >> _SHIFT) * _TAU_ULP
 
     def assign(self, block: Block, seed: int, span: slice) -> dict[str, np.ndarray]:
         lam = self.lambdas(block, seed, span)
@@ -146,15 +147,14 @@ class CollapseSequential:
         if SYM_P not in block.axes:
             raise UnsupportedAxisError("collapse-sequential requires a P axis")
         theta_p = block.axes[SYM_P].radians
-        lo, hi, _ = span.indices(block.count)
-        u = pair_uniforms(seed, block.first_pair + lo, hi - lo)
-        p = np.where(u[:, 0] < 0.5, 1, -1).astype(np.int8)
+        w = pair_uniforms(block, seed, span, 3)  # the P coin, E and E' Born draws
+        p = fair_coins(w[:, 0])
         out: dict[str, np.ndarray] = {SYM_P: p}
         prepared = -p  # far particle collapses to the opposite sign along theta_p
         for column, symbol in ((1, SYM_E), (2, SYM_EP)):
             if symbol in block.axes:
                 delta = block.axes[symbol].radians - theta_p
-                out[symbol] = born_outcomes(prepared, delta, u[:, column])
+                out[symbol] = born_outcomes(prepared, delta, w[:, column])
         return out
 
 
@@ -204,10 +204,11 @@ class FileReplay:
             lines = self.path.read_text().splitlines()
         except (OSError, ValueError) as exc:  # ValueError: NUL in path, not UTF-8
             raise ReplayFormatError(f"cannot read replay file {self.path}: {exc}") from exc
-        lines = [ln.strip() for ln in lines if ln.strip() and not ln.lstrip().startswith("#")]
+        numbered = enumerate((ln.strip() for ln in lines), 1)  # physical line numbers
+        lines = [(n, ln) for n, ln in numbered if ln and not ln.startswith("#")]
         if not lines:
             raise ReplayFormatError(f"{self.path}: file is empty")
-        header = self._parse_header(lines[0])
+        header = self._parse_header(lines[0][1])
         order = list(header)
         missing = set(block.axes) - set(header)
         if missing:
@@ -226,20 +227,20 @@ class FileReplay:
                 f"{self.path}: {len(rows)} data rows, block needs {block.count}"
             )
         data = np.empty((block.count, len(order)), dtype=np.int8)
-        for i, row in enumerate(rows[: block.count]):
+        for i, (number, row) in enumerate(rows[: block.count]):
             fields = row.split()
             if len(fields) != len(order):
                 raise ReplayFormatError(
-                    f"{self.path}: line {i + 2} has {len(fields)} values, "
+                    f"{self.path}: line {number} has {len(fields)} values, "
                     f"expected {len(order)}"
                 )
             try:
                 values = [int(f) for f in fields]
             except ValueError as exc:
-                raise ReplayFormatError(f"{self.path}: line {i + 2}: {exc}") from exc
+                raise ReplayFormatError(f"{self.path}: line {number}: {exc}") from exc
             if any(v not in (-1, 1) for v in values):
                 raise ReplayFormatError(
-                    f"{self.path}: line {i + 2}: values must be +1 or -1"
+                    f"{self.path}: line {number}: values must be +1 or -1"
                 )
             data[i] = values
         return {sym: data[:, order.index(sym)] for sym in block.axes}

@@ -13,6 +13,7 @@ from belllab.core import (
     default_burn_in,
     pair_symbol,
 )
+from belllab.quantum import pair_uniforms
 
 
 def seq(values):
@@ -161,9 +162,21 @@ class TestBlock:
         with pytest.raises(ValueError, match="unknown axis symbol: 'Q'"):
             Block({"E": 0.0, "Q": 0.0}, count=1)
 
-    def test_first_pair_is_index_times_count(self):
-        assert Block({"E": 0.0}, count=250).first_pair == 0
-        assert Block({"E": 0.0}, count=250, index=3).first_pair == 750
+    def test_blocks_of_different_sizes_read_disjoint_words(self):
+        # an address of index * count would give both blocks pairs 10-19
+        for words in (1, 2, 3):
+            first = pair_uniforms(Block({"E": 0.0}, count=20), 7, slice(None), words)
+            second = pair_uniforms(
+                Block({"E": 0.0}, count=10, index=1), 7, slice(None), words
+            )
+            assert first.shape == (20, words) and second.shape == (10, words)
+            assert not set(first.ravel().tolist()) & set(second.ravel().tolist())
+
+    @pytest.mark.parametrize("index", [-1, 2**64])
+    def test_index_validated(self, index):
+        with pytest.raises(ValueError, match="index"):
+            Block({"E": 0.0}, count=1, index=index)
+        assert Block({"E": 0.0}, count=1, index=2**64 - 1).index == 2**64 - 1
 
 
 def test_pair_symbol_is_canonical():

@@ -2,14 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from belllab.core import SYM_E, SYM_EP, SYM_P, Block
 from belllab.quantum import (
     SingletSource,
     born_outcomes,
+    born_threshold,
+    fair_coins,
     pair_uniforms,
     twisted_malus,
 )
+from belllab.realism import CollapseSequential, LHVSign
 
 SQRT2 = math.sqrt(2.0)
 
@@ -19,11 +24,13 @@ def measure(seed, theta_a, theta_b, count, index=0):
     return SingletSource().sample_pairs(block, seed)
 
 
-def prepared(seed, signs, axis_angle, theta, column=1):
-    """Measure prepared states |sign> along ``axis_angle`` at ``theta``."""
+def prepared(seed, signs, axis_angle, theta, index=0):
+    """Measure prepared states |sign> along ``axis_angle`` at ``theta``,
+    one word each from the stream of the block with ``index``."""
     signs = np.asarray(signs)
-    u = pair_uniforms(seed, 0, signs.size)[:, column]
-    return born_outcomes(signs, theta - axis_angle, u)
+    block = Block({SYM_E: theta}, count=signs.size, index=index)
+    w = pair_uniforms(block, seed, slice(None), 1)[:, 0]
+    return born_outcomes(signs, theta - axis_angle, w)
 
 
 class TestTwistedMalus:
@@ -87,22 +94,86 @@ class TestDeterminism:
         assert np.array_equal(a1, a2) and np.array_equal(b1, b2)
 
     def test_chunking_does_not_change_stream(self):
-        # blocks 0-3 of 250 pairs start at Block.first_pair = 0, 250, 500, 750
-        parts = [measure(77, 0.1, 0.5, 250, index=k) for k in range(4)]
+        # spans of 250 and 1 pairs: the odd ones start inside a counter block
+        block = Block({SYM_E: 0.1, SYM_P: 0.5}, count=1000)
+        cuts = [0, 250, 251, 500, 751, 1000]
+        parts = [
+            SingletSource().sample_pairs(block, 77, slice(lo, hi))
+            for lo, hi in zip(cuts, cuts[1:])
+        ]
         whole_a, whole_b = measure(77, 0.1, 0.5, 1000)
         assert np.array_equal(np.concatenate([p[0] for p in parts]), whole_a)
         assert np.array_equal(np.concatenate([p[1] for p in parts]), whole_b)
 
     def test_pair_uniforms_pure_in_pair_index(self):
-        u = pair_uniforms(42, 0, 100)
-        v = pair_uniforms(42, 60, 40)
-        assert np.array_equal(u[60:], v)
+        block = Block({SYM_E: 0.0}, count=100)
+        for words in (1, 2, 3):
+            u = pair_uniforms(block, 42, slice(None), words)
+            v = pair_uniforms(block, 42, slice(60, 100), words)
+            assert np.array_equal(u[60:], v)
 
     def test_seed_validation(self):
+        block = Block({SYM_E: 0.0}, count=1)
         with pytest.raises(ValueError, match="64-bit"):
-            pair_uniforms(-1, 0, 1)
+            pair_uniforms(block, -1, slice(None), 1)
         with pytest.raises(ValueError, match="64-bit"):
-            pair_uniforms(2**64, 0, 1)
+            pair_uniforms(block, 2**64, slice(None), 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    index=st.integers(0, 2**64 - 1),
+    words=st.sampled_from([1, 2, 3]),
+    count=st.integers(1, 50),
+    data=st.data(),
+)
+def test_pair_uniforms_reads_the_blocks_words_in_order(seed, index, words, count, data):
+    lo = data.draw(st.integers(0, count), label="lo")
+    hi = data.draw(st.integers(lo, count), label="hi")
+    block = Block({SYM_E: 0.0}, count=count, index=index)
+    got = pair_uniforms(block, seed, slice(lo, hi), words)
+    stream = np.random.Philox(key=seed | index << 64).random_raw(words * count)
+    assert got.dtype == np.uint64
+    assert np.array_equal(got, stream.reshape(count, words)[lo:hi])
+
+
+def born_cases():
+    yield from (0.0, 2.0**-53, 0.5, 1.0 - 2.0**-53, 1.0)
+    for delta in np.linspace(-math.pi, math.pi, 100):
+        yield (1.0 + math.cos(delta)) / 2.0
+        yield (1.0 - math.cos(delta)) / 2.0
+
+
+def test_born_threshold_is_the_double_comparison():
+    rng_words = pair_uniforms(Block({SYM_E: 0.0}, count=1000), 3, slice(None), 1)[:, 0]
+    for p in born_cases():
+        t = born_threshold(p)
+        assert isinstance(t, np.uint64)
+        # the words whose top 53 bits sit next to the threshold, low bits 0 and all 1
+        k = [max(min(int(t) + d, 2**53 - 1), 0) for d in (-2, -1, 0, 1)]
+        edge = np.array([x << 11 | low for x in k for low in (0, 2**11 - 1)], np.uint64)
+        words = np.concatenate([rng_words, edge])
+        by_int = (words >> np.uint64(11)) < t
+        by_double = (words >> np.uint64(11)) * 2.0**-53 < p
+        assert np.array_equal(by_int, by_double), p
+    assert born_threshold(1.0) == 2**53 and born_threshold(0.0) == 0
+
+
+def test_draws_keep_their_integer_dtypes():
+    words = pair_uniforms(Block({SYM_E: 0.0}, count=64), 5, slice(None), 3)
+    assert words.dtype == np.uint64
+    assert fair_coins(words[:, 0]).dtype == np.int8
+    assert born_outcomes(fair_coins(words[:, 0]), 0.3, words[:, 1]).dtype == np.int8
+    assert born_threshold(0.25).dtype == np.uint64
+    a, b = measure(5, 0.2, 1.3, 64)
+    assert a.dtype == b.dtype == np.int8
+    block = Block({SYM_E: 0.2, SYM_EP: 1.0, SYM_P: 0.0}, count=64)
+    for model in (LHVSign(), CollapseSequential()):
+        assert {v.dtype for v in model.assign(block, 5, slice(None)).values()} == {
+            np.dtype(np.int8)
+        }
+    assert LHVSign().lambdas(block, 5).dtype == np.float64
 
 
 class TestCollapse:
@@ -141,8 +212,8 @@ def test_chained_consistency():
     n = 200_000
     theta_b, theta_e = 0.4, 2.1
     _, b = measure(31, 0.4, theta_b, n)  # A side discarded
-    # columns 0 and 1 drew the pair; column 2 of the same pairs is unused
-    e = prepared(31, -b, theta_b, theta_e, column=2)
+    # block 0 drew the pair; the block with index 1 has its own stream
+    e = prepared(31, -b, theta_b, theta_e, index=1)
     assert np.mean(e * b) == pytest.approx(
         twisted_malus(theta_e, theta_b), abs=4 / math.sqrt(n)
     )

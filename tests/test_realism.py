@@ -15,7 +15,7 @@ from belllab.core import (
     Side,
     correlate,
 )
-from belllab.quantum import born_outcomes, pair_uniforms
+from belllab.quantum import pair_uniforms
 from belllab.realism import (
     CollapseSequential,
     FileReplay,
@@ -40,17 +40,19 @@ def lhv_outcome(lam, theta, side):
     return int(lhv_outcomes(np.array([lam]), theta, side)[0])
 
 
-def collapse_sequential_assign(pair, theta_p, theta_e, theta_ep, seed):
+def collapse_sequential_assign(block, pair, theta_p, theta_e, theta_ep, seed):
     """One pair's (P, E, E') tuple under the measure-P-first rule.
 
     The scalar reference for ``CollapseSequential``: P is a fair coin; E
     and E' are independent measurements of the state |-P> prepared along
-    theta_p, from Philox counter ``pair`` under ``seed``.
+    theta_p.  The three draws are words 3*pair .. 3*pair + 2 of the block's
+    stream, read as uniform doubles u = (w >> 11) * 2**-53.
     """
-    u = pair_uniforms(seed, pair, 1)[0]
+    words = pair_uniforms(block, seed, slice(pair, pair + 1), 3)[0]
+    u = [(int(w) >> 11) * 2.0**-53 for w in words]
     p = 1 if u[0] < 0.5 else -1
-    e = int(born_outcomes(-p, theta_e - theta_p, u[1]))
-    ep = int(born_outcomes(-p, theta_ep - theta_p, u[2]))
+    e = -p if u[1] < (1.0 + math.cos(theta_e - theta_p)) / 2.0 else p
+    ep = -p if u[2] < (1.0 + math.cos(theta_ep - theta_p)) / 2.0 else p
     return p, e, ep
 
 
@@ -249,7 +251,7 @@ class TestCollapseSequential:
         asg = generate_block(CollapseSequential(), block, seed=8)
         for i in (0, 7, 49):
             p, e, ep = collapse_sequential_assign(
-                i, V3_ANGLES[SYM_P], V3_ANGLES[SYM_E], V3_ANGLES[SYM_EP], 8
+                block, i, V3_ANGLES[SYM_P], V3_ANGLES[SYM_E], V3_ANGLES[SYM_EP], 8
             )
             assert (p, e, ep) == (
                 asg[SYM_P].values[i],
@@ -313,6 +315,14 @@ class TestFileReplay:
         path = self.write_vectors(tmp_path, "E=0.5\n2\n")
         block = Block({SYM_E: 0.5}, count=1)
         with pytest.raises(ReplayFormatError, match="\\+1 or -1"):
+            generate_block(FileReplay(path), block, seed=0)
+
+    def test_errors_name_the_physical_line(self, tmp_path):
+        path = self.write_vectors(
+            tmp_path, "E=0.5 P=0.0\n# a comment\n\n1 -1\n2 1\n"
+        )
+        block = Block({SYM_E: 0.5, SYM_P: 0.0}, count=2)
+        with pytest.raises(ReplayFormatError, match="line 5: values must be"):
             generate_block(FileReplay(path), block, seed=0)
 
     def test_ragged_row(self, tmp_path):
