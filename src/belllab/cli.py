@@ -138,7 +138,7 @@ class ScenarioConfig:
                 )
         blocks = _BLOCKS.get(self.scenario, 0)
         if self.scenario == "lhv-sweep":
-            blocks = 2 * (round(math.pi / (self.grid_step or SWEEP_DEFAULT_STEP)) + 1)
+            blocks = 2 * _sweep_configurations(self.grid_step or SWEEP_DEFAULT_STEP)
         if self.pairs * blocks > _MAX_PAIRS_PER_RUN:
             raise ConfigError(
                 f"pairs {self.pairs} x {blocks} blocks is over the limit of "
@@ -239,9 +239,12 @@ def _v3_rows_and_report(engine: DefinabilityEngine, angles: dict):
 def _v3_verdict(report, anchor: str) -> str:
     lhs_over_rhs = f"{report.lhs:.6f} <= {report.rhs:.6f}"
     if report.violated:
+        half = math.sqrt(2) / 2  # the paper's values: lhs half, rhs 1 - half
+        paper = max(abs(report.lhs - half), abs(report.rhs - (1 - half))) <= 1e-12
         return (
-            f"falsified: the inequality reduces to {lhs_over_rhs}, i.e. "
-            f"sqrt(2) <= 1, which is false (excess {report.excess:.6f}) [{anchor}]"
+            f"falsified: the inequality reduces to {lhs_over_rhs}"
+            + (", i.e. sqrt(2) <= 1" if paper else "")
+            + f", which is false (excess {report.excess:.6f}) [{anchor}]"
         )
     return f"satisfied: {lhs_over_rhs} holds (slack {report.slack:.6f}) [{anchor}]"
 
@@ -309,9 +312,11 @@ def _scenario_v4_chsh(cfg: ScenarioConfig) -> ScenarioResult:
     s_mc = eval_v4(*(row["value"] for row in mc_rows)).s
 
     if report.violated:
+        paper = abs(report.s - 2 * math.sqrt(2)) <= 1e-12  # the paper's S
         verdict = (
-            f"falsified: S = {report.s:.6f} > 2, i.e. 2*sqrt(2) <= 2 is false "
-            f"(monte carlo S = {s_mc:.4f}) [chsh-under-locality]"
+            f"falsified: S = {report.s:.6f} > 2"
+            + (", i.e. 2*sqrt(2) <= 2 is false" if paper else "")
+            + f" (monte carlo S = {s_mc:.4f}) [chsh-under-locality]"
         )
     else:
         verdict = f"satisfied: S = {report.s:.6f} <= 2 [chsh-under-locality]"
@@ -437,6 +442,11 @@ def _scenario_polytope(cfg: ScenarioConfig) -> ScenarioResult:
     )
 
 
+def _sweep_configurations(step: float) -> int:
+    """Configurations the lhv-sweep runs, at 0, step, ..., round(pi / step) * step."""
+    return round(math.pi / step) + 1
+
+
 def _product_sums(model, block: Block, seed: int, pairs) -> list[int]:
     """Exact product sum of each axis pair over a block, added chunk by chunk."""
     sums = [0] * len(pairs)
@@ -450,7 +460,7 @@ def _scenario_lhv_sweep(cfg: ScenarioConfig) -> ScenarioResult:
     n = cfg.pairs
     step = cfg.grid_step if cfg.grid_step is not None else SWEEP_DEFAULT_STEP
     model = model_from_spec(cfg.model or "lhv-sign", cfg.model_path)
-    phis = np.arange(0.0, math.pi + step / 2, step)
+    phis = np.arange(_sweep_configurations(step)) * step
     min_v3_slack = min_v4_margin = math.inf
     max_dev = 0.0
     violations = 0

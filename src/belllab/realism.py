@@ -6,10 +6,10 @@ that axis is the one actually measured (and the measured axis gets the
 same value it would have gotten counterfactually).  Three models ship:
 
 * ``LHVSign`` -- a local hidden-variable instance.  Each pair carries a
-  uniform planar angle lam; the outcome along an axis at angle t is
-  sign(cos(lam - t)) on Alice's side and its negation on Bob's.  Two-point
-  functions are piecewise linear in the angle gap d = |t1 - t2|:
-  1 - 2d/pi on the same side, -(1 - 2d/pi) across sides.
+  uniform planar angle lam, a uint64 fraction of a turn; along an axis at
+  angle t Alice gets +1 iff lam - t is in [-pi/2, pi/2) mod 2*pi (the sign
+  of cos), Bob the negation.  Two-point functions are piecewise linear in
+  the gap d = |t1 - t2|: 1 - 2d/pi on the same side, -(1 - 2d/pi) across.
 * ``CollapseSequential`` -- a nonlocal, measure-P-first rule: P is a fair
   coin, then both Alice-side values are drawn independently from the state
   the P measurement prepares.  Same-side correlations come out as
@@ -53,7 +53,7 @@ from .core import (
     as_angle,
     side_of_symbol,
 )
-from .quantum import _SHIFT, born_outcomes, fair_coins, pair_uniforms
+from .quantum import born_outcomes, fair_coins, pair_uniforms
 
 __all__ = [
     "CHUNK_PAIRS",
@@ -78,54 +78,36 @@ class ReplayFormatError(ValueError):
     """A replay file does not match the expected layout."""
 
 
-# No double is a zero of cos, so over |x| <= 7*pi/2 its sign flips between
-# neighbouring doubles: _Z1, _Z5 and _Z7 are the last doubles below pi/2,
-# 5*pi/2 and 7*pi/2, _Z3 the first above 3*pi/2.  np.cos flips there too,
-# bit for bit (tests/test_realism.py checks 2**16 ulps around each zero).
-_Z1 = float.fromhex("0x1.921fb54442d18p+0")  # math.pi / 2
-_Z3 = float.fromhex("0x1.2d97c7f3321d3p+2")
-_Z5 = float.fromhex("0x1.f6a7a2955385ep+2")
-_Z7 = float.fromhex("0x1.5fdbbe9bba775p+3")
-_TAU_ULP = math.tau / 2**53
-
-
-def lhv_outcomes(
-    lambdas: np.ndarray, theta: "Angle | float", side: Side
-) -> np.ndarray:
+def lhv_outcomes(phases: np.ndarray, theta: "Angle | float", side: Side) -> np.ndarray:
     """Vectorized hidden-variable outcomes along one axis.
 
-    sign(cos(lam - t)) with ties resolved to +1; Bob's side is negated so
-    equal-angle opposite-side values cancel exactly on every pair.  For
-    |lam - t| <= 7*pi/2 (always so for LHVSign) the sign is decided by
-    comparing |lam - t| with the zeros of cos, bit for bit what np.cos
-    gives; anything else (empty, NaN, inf, far out) takes np.cos itself.
+    A uint64 phase word w is the hidden angle lam = w / 2**64 of a turn.  The
+    outcome is +1 iff lam - t lies in [-pi/2, pi/2) mod 2*pi, decided exactly
+    modulo 2**64 by the top bit of w - start; Bob's side is negated, so
+    equal-angle opposite-side values cancel on every pair.
     """
-    x = np.asarray(lambdas, dtype=np.float64) - float(as_angle(theta).radians)
-    d = np.abs(x)
-    if d.size and d.max() <= _Z7:
-        plus = (d >= _Z3) & (d <= _Z5)
-        plus |= d <= _Z1
-        out = plus.view(np.int8) * 2 - 1
-    else:
-        out = np.where(np.cos(x) >= 0.0, 1, -1).astype(np.int8)
+    if not isinstance(phases, np.ndarray) or phases.dtype != np.uint64:
+        raise TypeError("phases must be a uint64 array of phase words")
+    t = theta.radians if isinstance(theta, Angle) else float(theta)
+    if not math.isfinite(t):
+        raise ValueError(f"theta must be finite, got {t}")
+    # Python ints until one np.uint64 meets the array, whose subtraction wraps
+    # silently (numpy 1.x makes float64 of uint64 mixed with a signed int)
+    start = (round(as_angle(t).radians / math.tau * 2**64) - 2**62) % 2**64
+    out = fair_coins(phases - np.uint64(start))
     return out if side is Side.ALICE else -out
 
 
 class LHVSign:
-    """Local hidden-variable model; defines every axis on both sides."""
+    """Local hidden-variable model; defines every axis on both sides from
+    one phase word of the block's stream per pair (``lhv_outcomes``)."""
 
     name = "lhv-sign"
 
-    def lambdas(self, block: Block, seed: int, span: slice = slice(None)) -> np.ndarray:
-        """Hidden angles for the block's pairs in ``span``, uniform on [0, 2*pi):
-        one word w each, lam = (w >> 11) * (2*pi / 2**53) = u * 2*pi exactly."""
-        w = pair_uniforms(block, seed, span, 1)[:, 0]
-        return (w >> _SHIFT) * _TAU_ULP
-
     def assign(self, block: Block, seed: int, span: slice) -> dict[str, np.ndarray]:
-        lam = self.lambdas(block, seed, span)
+        phases = pair_uniforms(block, seed, span, 1)[:, 0]
         return {
-            symbol: lhv_outcomes(lam, theta, side_of_symbol(symbol))
+            symbol: lhv_outcomes(phases, theta, side_of_symbol(symbol))
             for symbol, theta in block.axes.items()
         }
 

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from belllab import cli
+from belllab import cli, realism
 from belllab.cli import (
     CSV_COLUMNS,
     ConfigError,
@@ -93,6 +93,24 @@ class TestRun:
         result = run(small("lhv-sweep", n_pairs=2000))
         assert result.extras["violations"] == 0
         assert "[finite-run-identities]" in result.verdict
+
+    @pytest.mark.parametrize(
+        "scenario, angles, reduction",
+        [
+            ("v4-chsh", {"E": 0.3, "E'": 1.9, "P": 1.0, "P'": 0.0},
+             "S = 2.665078 > 2 (monte carlo S = "),
+            ("v3-local", {"E": 2.0, "E'": -2.0, "P": 0.0},
+             "reduces to 1.069790 <= 0.583853, which is false (excess 0.485937)"),
+        ],
+    )
+    def test_verdict_states_the_paper_reduction_only_at_its_values(
+        self, scenario, angles, reduction
+    ):
+        verdict = run(small(scenario, n_pairs=1000, angles=angles)).verdict
+        assert verdict.startswith("falsified: ")
+        assert reduction in verdict
+        assert "i.e." not in verdict and "sqrt(2)" not in verdict
+        assert ", i.e. " in run(small(scenario, n_pairs=1000)).verdict
 
     def test_unknown_scenario(self):
         with pytest.raises(ConfigError, match="unknown scenario"):
@@ -371,6 +389,35 @@ class TestMain:
         assert main(["--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert "configuration error: " in err and str(vectors) in err
+
+
+@pytest.mark.parametrize(
+    "scenario, step",
+    [(name, None) for name in sorted(cli.SCENARIOS)]
+    + [("lhv-sweep", step) for step in ("0.5", repr(2 * math.pi / 3), repr(math.pi / 720))],
+)
+def test_work_budget_counts_the_blocks_each_scenario_draws(
+    scenario, step, monkeypatch, capsys
+):
+    # the fail-fast budget multiplies pairs by these block counts
+    blocks = []
+    real = realism.assign_chunks
+
+    def counting(model, block, seed):
+        blocks.append(block)
+        return real(model, block, seed)
+
+    monkeypatch.setattr(realism, "assign_chunks", counting)
+    monkeypatch.setattr(cli, "assign_chunks", counting)
+    argv = ["--scenario", scenario, "--pairs", "10"]
+    assert main(argv + (["--grid-step", step] if step else [])) == 0
+    if scenario == "lhv-sweep":
+        want = 2 * (round(math.pi / float(step or cli.SWEEP_DEFAULT_STEP)) + 1)
+    else:
+        want = cli._BLOCKS.get(scenario, 0)
+    assert len(blocks) == want
+    assert len({block.index for block in blocks}) == want
+    assert {block.count for block in blocks} <= {10}
 
 
 class TestConfigParsing:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from belllab.core import SYM_E, SYM_EP, SYM_P, Block
+from belllab.core import SYM_E, SYM_EP, SYM_P, Block, Side
 from belllab.quantum import (
     SingletSource,
     born_outcomes,
@@ -14,7 +14,7 @@ from belllab.quantum import (
     pair_uniforms,
     twisted_malus,
 )
-from belllab.realism import CollapseSequential, LHVSign
+from belllab.realism import CollapseSequential, LHVSign, lhv_outcomes
 
 SQRT2 = math.sqrt(2.0)
 
@@ -173,7 +173,11 @@ def test_draws_keep_their_integer_dtypes():
         assert {v.dtype for v in model.assign(block, 5, slice(None)).values()} == {
             np.dtype(np.int8)
         }
-    assert LHVSign().lambdas(block, 5).dtype == np.float64
+    phases = pair_uniforms(block, 5, slice(None), 1)[:, 0]
+    assert phases.dtype == np.uint64
+    for theta in (-math.pi / 2, 0.0, math.pi / 2, math.pi):
+        for side in Side:
+            assert lhv_outcomes(phases, theta, side).dtype == np.int8
 
 
 class TestCollapse:

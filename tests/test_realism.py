@@ -1,16 +1,16 @@
 import math
-import warnings
-from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from belllab import realism
 from belllab.core import (
     SYM_E,
     SYM_EP,
     SYM_P,
     SYM_PP,
+    Angle,
     Block,
     Side,
     correlate,
@@ -35,9 +35,18 @@ def lhv_block(angles, n, seed=0):
     return generate_block(LHVSign(), Block(angles, count=n), seed)
 
 
+TURN = 2**64  # phase words in one turn
+
+
+def phases_of(lambdas):
+    """The phase words nearest to angles in radians: lam / 2*pi of a turn."""
+    words = [round(lam / math.tau * TURN) % TURN for lam in lambdas]
+    return np.array(words, dtype=np.uint64)
+
+
 def lhv_outcome(lam, theta, side):
     """One pair's hidden-variable outcome, through ``lhv_outcomes``."""
-    return int(lhv_outcomes(np.array([lam]), theta, side)[0])
+    return int(lhv_outcomes(phases_of([lam]), theta, side)[0])
 
 
 def collapse_sequential_assign(block, pair, theta_p, theta_e, theta_ep, seed):
@@ -69,102 +78,82 @@ class TestLhvOutcome:
 
     def test_vectorized_matches_scalar(self):
         lambdas = np.linspace(0, math.tau, 37)
-        outs = lhv_outcomes(lambdas, 1.1, Side.BOB)
+        outs = lhv_outcomes(phases_of(lambdas), 1.1, Side.BOB)
         assert [lhv_outcome(l, 1.1, Side.BOB) for l in lambdas] == list(outs)
 
 
-# pi to 60 digits; its error is far below the spacing of doubles near k*pi/2
-PI_60 = Fraction("3.14159265358979323846264338327950288419716939937510582097494")
-ZEROS = {  # threshold -> (k, is the threshold the double just above k*pi/2)
-    realism._Z1: (1, False),
-    realism._Z3: (3, True),
-    realism._Z5: (5, False),
-    realism._Z7: (7, False),
-}
+def start_word(theta):
+    """The first phase word of the +1 half-turn along theta in (-pi, pi]:
+    theta - pi/2 as a fraction of a turn."""
+    return (round(theta / math.tau * TURN) - TURN // 4) % TURN
 
 
-def cos_reference(lambdas, theta, side):
-    """The np.cos expression the threshold kernel must reproduce bit for bit."""
-    c = np.cos(np.asarray(lambdas, dtype=np.float64) - float(theta))
-    out = np.where(c >= 0.0, 1, -1).astype(np.int8)
-    return out if side is Side.ALICE else (-out).astype(np.int8)
+# the words on either side of each half-turn's edges at theta = +-pi/2
+EDGE_WORDS = [0, 1, 2**62 - 1, 2**62, 2**62 + 1, 2**63 - 1, 2**63, 2**63 + 1,
+              3 * 2**62 - 1, 3 * 2**62, 3 * 2**62 + 1, TURN - 1]
+words = st.lists(st.integers(0, TURN - 1), min_size=1, max_size=64)
 
 
-def assert_same_as_cos(lambdas, theta):
-    for side in Side:
-        got = lhv_outcomes(lambdas, theta, side)
-        want = cos_reference(lambdas, theta, side)
-        assert got.dtype == np.int8
-        assert np.array_equal(got, want)
+def sign_of_cos(phases, theta):
+    """sign(cos(lam - theta)) for lam = w * 2*pi / 2**64, and where that
+    angle is at least 1e-9 rad from a zero of cos."""
+    x = phases.astype(np.float64) * (math.tau / TURN) - theta
+    r = np.remainder(x - math.pi / 2, math.pi)  # zeros of cos at r = 0 and pi
+    return np.where(np.cos(x) >= 0.0, 1, -1), np.minimum(r, math.pi - r) >= 1e-9
 
 
-def ulp_window(x, half_width):
-    """Every double within half_width ulps of x, in order."""
-    bits = np.array([x]).view(np.int64)[0]
-    return (bits + np.arange(-half_width, half_width + 1)).view(np.float64)
-
-
-class TestLhvThresholdKernel:
-    @pytest.mark.parametrize("z", sorted(ZEROS))
-    def test_thresholds_are_the_doubles_next_to_the_zeros_of_cos(self, z):
-        k, above = ZEROS[z]
-        zero = k * PI_60 / 2
-        below_z, above_z = math.nextafter(z, -math.inf), math.nextafter(z, math.inf)
-        if above:
-            assert Fraction(below_z) < zero < Fraction(z)
-        else:
-            assert Fraction(z) < zero < Fraction(above_z)
-
-    def test_first_threshold_is_math_pi_over_2(self):
-        assert realism._Z1 == math.pi / 2
-
-    def test_matches_cos_within_2_16_ulps_of_each_zero(self, monkeypatch):
-        windows = np.concatenate(
-            [ulp_window(s * k * math.pi / 2, 2**16) for k in (1, 3, 5, 7) for s in (1, -1)]
-        )
-        inner = windows[np.abs(windows) <= realism._Z7]
-        outer = windows[np.abs(windows) > realism._Z7]
-        want = {side: cos_reference(inner, 0.0, side) for side in Side}
-        with monkeypatch.context() as m:  # the inner window never calls np.cos
-            m.setattr(np, "cos", None)
-            got = {side: lhv_outcomes(inner, 0.0, side) for side in Side}
-        for side in Side:
-            assert got[side].dtype == np.int8
-            assert np.array_equal(got[side], want[side])
-        assert_same_as_cos(outer, 0.0)
+class TestLhvPhaseKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(words, st.floats(-math.pi, math.pi))
+    def test_is_the_sign_of_cos_away_from_its_zeros(self, ws, theta):
+        phases = np.array(ws, dtype=np.uint64)
+        want, far = sign_of_cos(phases, theta)
+        for side, sign in ((Side.ALICE, 1), (Side.BOB, -1)):
+            got = lhv_outcomes(phases, theta, side)
+            assert np.array_equal(got[far], sign * want[far])
 
     def test_matches_cos_on_model_draws_at_100_angles(self):
-        lambdas = LHVSign().lambdas(Block({SYM_E: 0.0}, count=20_000), 31)
         for theta in np.linspace(math.pi, -math.pi, 100, endpoint=False):
-            assert_same_as_cos(lambdas, float(theta))
+            block = Block({SYM_E: float(theta), SYM_P: float(theta)}, count=20_000)
+            got = LHVSign().assign(block, 31, slice(None))
+            want, far = sign_of_cos(pair_uniforms(block, 31, slice(None), 1)[:, 0], theta)
+            assert far.mean() > 0.99
+            assert got[SYM_E].dtype == np.int8
+            assert np.array_equal(got[SYM_E][far], want[far])
+            assert np.array_equal(got[SYM_P], -got[SYM_E])
 
     @pytest.mark.parametrize(
-        "lambdas",
-        [
-            [],
-            [math.nan],
-            [math.inf],
-            [-math.inf],
-            [0.5, math.nan, -math.inf, 2.0],
-            [0.5, 7 * math.pi / 2 + 1e-9],
-            [40.0, -1e300, 3.0],
-        ],
-        ids=["empty", "nan", "inf", "-inf", "mixed", "past-7pi/2", "far"],
+        "theta", [0.0, math.pi / 2, -math.pi / 2, math.pi, 0.3, -2.5, 3 * math.pi / 4]
     )
-    def test_edge_inputs_give_the_same_values_and_warnings(self, lambdas):
-        lam = np.array(lambdas, dtype=np.float64)
-        for side in Side:
-            with warnings.catch_warnings(record=True) as seen_got:
-                warnings.simplefilter("always")
-                got = lhv_outcomes(lam, 0.25, side)
-            with warnings.catch_warnings(record=True) as seen_want:
-                warnings.simplefilter("always")
-                want = cos_reference(lam, 0.25, side)
-            assert got.dtype == np.int8
-            assert np.array_equal(got, want)
-            assert [(w.category, str(w.message)) for w in seen_got] == [
-                (w.category, str(w.message)) for w in seen_want
-            ]
+    def test_the_plus_half_turn_is_start_to_start_plus_2_63(self, theta):
+        start = start_word(theta)
+        edges = [(start + d) % TURN for d in (-1, 0, 2**63 - 1, 2**63)]
+        phases = np.array(edges, dtype=np.uint64)
+        assert lhv_outcomes(phases, theta, Side.ALICE).tolist() == [-1, 1, 1, -1]
+        assert lhv_outcomes(phases, theta, Side.BOB).tolist() == [1, -1, -1, 1]
+
+    @settings(max_examples=100, deadline=None)
+    @given(words)
+    def test_opposite_axes_negate_on_every_word(self, ws):
+        phases = np.array(ws + EDGE_WORDS, dtype=np.uint64)
+        up = lhv_outcomes(phases, math.pi / 2, Side.ALICE)
+        down = lhv_outcomes(phases, -math.pi / 2, Side.ALICE)
+        assert np.array_equal(down, -up)
+        assert np.array_equal(lhv_outcomes(phases, math.pi / 2, Side.BOB), down)
+
+    @pytest.mark.parametrize(
+        "phases",
+        [np.array([0.5, 1.0]), np.array([1, 2]), np.array([1], dtype=np.uint32), [0, 1]],
+        ids=["float64", "int64", "uint32", "list"],
+    )
+    def test_phases_must_be_uint64(self, phases):
+        with pytest.raises(TypeError, match="uint64"):
+            lhv_outcomes(phases, 0.0, Side.ALICE)
+
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf, Angle(math.nan)])
+    def test_theta_must_be_finite(self, theta):
+        with pytest.raises(ValueError, match="finite"):
+            lhv_outcomes(np.zeros(3, dtype=np.uint64), theta, Side.ALICE)
 
 
 class TestLhvTwoPointFunction:

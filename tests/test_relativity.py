@@ -326,10 +326,10 @@ def test_opposite_orientation_splits_equality_probability_exactly():
     # with E'' the reversed orientation of E', each pair matches E against
     # exactly one of E', E'': Prob(E=E') + Prob(E=E'') = 1, pair by pair
     rng = np.random.default_rng(17)
-    lambdas = rng.uniform(0, math.tau, 50_000)
-    e = lhv_outcomes(lambdas, 0.0, Side.ALICE)
-    ep = lhv_outcomes(lambdas, math.pi / 2, Side.ALICE)
-    epp = lhv_outcomes(lambdas, math.pi / 2 + math.pi, Side.ALICE)
+    phases = rng.integers(0, 2**64, 50_000, dtype=np.uint64)
+    e = lhv_outcomes(phases, 0.0, Side.ALICE)
+    ep = lhv_outcomes(phases, math.pi / 2, Side.ALICE)
+    epp = lhv_outcomes(phases, math.pi / 2 + math.pi, Side.ALICE)
     assert np.array_equal(epp, -ep)
     matches = (e == ep).astype(int) + (e == epp).astype(int)
     assert np.all(matches == 1)
