@@ -3,8 +3,9 @@
 Every scenario is deterministic in (config, seed): randomness is
 counter-based, files never embed timestamps, and reruns are byte-identical.
 Results carry analytic correlation statuses from the definability engine
-side by side with Monte Carlo estimates, each MC row quoting the 4/sqrt(N)
-tolerance convention.
+side by side with Monte Carlo estimates.  Each MC row's lo/hi is its
+checkpoint interval at the 4/sqrt(N) tolerance, and its justification
+quotes the false-witness rate alpha that interval carries.
 
 Exit codes: 0 success, 2 configuration error, 3 a correlation required by
 the scenario has no definite value under the configured hypotheses,
@@ -26,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import SYM_E, SYM_EP, SYM_P, SYM_PP, Block, pair_symbol
+from .core import SYM_E, SYM_EP, SYM_P, SYM_PP, Block, pair_symbol, product_sum
 from .inequalities import (
     V3_PAIRS,
     V4_PAIRS,
@@ -34,7 +35,6 @@ from .inequalities import (
     eval_v4,
     feasible_quad,
     feasible_triple,
-    product_sum,
     sica_v3_slack,
     sica_v4_margin,
 )
@@ -181,34 +181,19 @@ class ScenarioResult:
     wall_clock_s: float = 0.0
 
 
-def _row(
-    symbol: str,
-    status: str,
-    value=None,
-    lo=None,
-    hi=None,
-    n=None,
-    source: str = "analytic",
-    justification: str = "",
-) -> dict:
+def _row(symbol: str, status: str, value=None, lo=None, hi=None, n=None,
+         source: str = "analytic", justification: str = "") -> dict:
     """One output row; every scenario builds its rows here."""
-    return {
-        "symbol": symbol,
-        "status": status,
-        "value": value,
-        "lo": lo,
-        "hi": hi,
-        "n": n,
-        "source": source,
-        "justification": justification,
-    }
+    return dict(symbol=symbol, status=status, value=value, lo=lo, hi=hi, n=n,
+                source=source, justification=justification)
 
 
 def _mc_row(symbol: str, estimate, tolerance: float) -> dict:
+    """A Monte Carlo row; lo/hi are the checkpoint interval at the tolerance."""
     return _row(
-        symbol, "estimated", estimate.mean, estimate.running_min_mean,
-        estimate.running_max_mean, estimate.n, "monte-carlo",
-        f"monte-carlo (tolerance {tolerance:.6g})",
+        symbol, "estimated", estimate.mean, *estimate.interval(tolerance), estimate.n,
+        "monte-carlo",
+        f"monte-carlo (tolerance {tolerance:.6g}, alpha {estimate.alpha(tolerance):.3g})",
     )
 
 
@@ -340,21 +325,21 @@ def _scenario_no_correlation(cfg: ScenarioConfig) -> ScenarioResult:
     )
     est = report.estimate
     rows = [_mc_row(pair_symbol(SYM_E, SYM_EP), est, report.tolerance)]
+    lo, hi = est.interval(report.tolerance)
+    at = f"at tolerance {report.tolerance:.5f}"
+    rate = f"false-witness rate <= {est.alpha(report.tolerance):.3g}"
     if report.verdict.value == "consistent":
         verdict = (
-            f"consistent with the zero prediction: |{est.mean:.5f}| <= "
-            f"{report.tolerance:.5f} and extrema straddle 0 [no-correlation-lemma]"
+            f"consistent with the zero prediction: <E,E'> = {est.mean:.5f} and 0 lies "
+            f"in [{lo:+.5f}, {hi:+.5f}] {at} ({rate}) [no-correlation-lemma]"
         )
     else:
         if abs(est.mean) > report.tolerance:
             detail = f"<E,E'> = {est.mean:.5f} exceeds tolerance {report.tolerance:.5f}"
         else:
-            detail = (
-                f"partial-mean extrema [{est.running_min_mean:+.5f}, "
-                f"{est.running_max_mean:+.5f}] do not straddle 0"
-            )
+            detail = f"0 lies outside [{lo:+.5f}, {hi:+.5f}] {at}"
         verdict = (
-            f"model {report.model} fails the zero prediction ({detail}); "
+            f"model {report.model} fails the zero prediction ({detail}; {rate}); "
             f"flagged as EACP-violation witness [no-correlation-lemma]"
         )
     return ScenarioResult(
@@ -546,33 +531,14 @@ def to_csv(result: ScenarioResult) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     for row in result.correlations:
-        writer.writerow(
-            [
-                result.scenario,
-                row["symbol"],
-                row["status"],
-                _cell(row.get("value")),
-                _cell(row.get("lo")),
-                _cell(row.get("hi")),
-                _cell(row.get("n")),
-                result.seed,
-            ]
-        )
+        cells = [_cell(row.get(key)) for key in ("value", "lo", "hi", "n")]
+        writer.writerow([result.scenario, row["symbol"], row["status"], *cells, result.seed])
     for ineq in result.inequalities:
         version = ineq["version"]
         headline = ineq["S"] if version == "V4" else ineq["slack"]
-        writer.writerow(
-            [
-                result.scenario,
-                version,
-                "violated" if ineq["violated"] else "satisfied",
-                _cell(headline),
-                "",
-                "",
-                "",
-                result.seed,
-            ]
-        )
+        status = "violated" if ineq["violated"] else "satisfied"
+        writer.writerow([result.scenario, version, status, _cell(headline), "", "", "",
+                         result.seed])
     return buf.getvalue()
 
 

@@ -11,8 +11,11 @@ The correlation of two equal-length sequences is
 and relates to the probability of equality by p = (1 + corr) / 2.
 Products are accumulated as exact integers so that the finite-N inequality
 checks elsewhere in the package are arithmetic identities, not float
-approximations.  Partial-mean extrema past a sqrt(N) burn-in serve as
-finite-sample proxies for liminf/limsup of a possibly non-convergent mean.
+approximations.  A running estimate also keeps the exact partial sums S_t
+at the checkpoints t = 2**k < N and t = N; the intervals S_t/t +/- tol*sqrt(N/t)
+then bound a possibly non-convergent mean at every scale, and by Hoeffding's
+inequality and a union bound a zero-mean run leaves 0 outside one of them
+with probability at most 2*K*exp(-N*tol**2/2) over its K checkpoints.
 """
 
 from __future__ import annotations
@@ -38,9 +41,10 @@ __all__ = [
     "OutcomeSequence",
     "RunningCorrelation",
     "Side",
+    "checkpoints",
     "correlate",
-    "default_burn_in",
     "pair_symbol",
+    "product_sum",
     "side_of_symbol",
 ]
 
@@ -95,7 +99,10 @@ class Angle:
     radians: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "radians", _wrap(float(self.radians)))
+        radians = float(self.radians)
+        if not math.isfinite(radians):
+            raise ValueError(f"angle must be finite, got {self.radians!r}")
+        object.__setattr__(self, "radians", _wrap(radians))
 
     def __sub__(self, other: "Angle") -> "Angle":
         return Angle(self.radians - other.radians)
@@ -160,78 +167,85 @@ class Block:
         object.__setattr__(self, "axes", axes)
 
 
-def default_burn_in(n: int) -> int:
-    """Samples ignored before partial-mean extrema are tracked: ceil(sqrt(N))."""
-    return math.isqrt(max(n, 0) - 1) + 1 if n > 0 else 0
+def product_sum(u: np.ndarray, v: np.ndarray) -> int:
+    """Exact sum of u*v over +/-1 arrays: agreements minus disagreements."""
+    return u.size - 2 * int(np.count_nonzero(u != v))
+
+
+def checkpoints(n: int) -> list[int]:
+    """The times t = 2**k < n and t = n at which a running mean is checked."""
+    return [*(1 << k for k in range((n - 1).bit_length())), n]
 
 
 @dataclass(frozen=True)
 class CorrelationEstimate:
-    """Running estimate of a correlation over one sequence pair.
+    """Exact-integer estimate of a correlation over one sequence pair.
 
-    ``sum_products`` is the exact integer sum of pairwise products, so the
-    mean is one exact division.  ``running_min_mean``/``running_max_mean``
-    are the extrema of the partial means at indices past ``burn_in``; they
-    act as finite-N stand-ins for liminf/limsup when convergence is not
-    guaranteed.  For an estimate with no tracked partials (n <= burn_in)
-    both extrema collapse to the mean.
+    ``sum_products`` is the integer sum of pairwise products, so the mean is
+    one exact division; ``partial_sums`` holds the sum S_t of the first t
+    products at each of ``checkpoints(n)``.
     """
 
     n: int
     sum_products: int
-    burn_in: int
-    running_min_mean: float
-    running_max_mean: float
+    partial_sums: tuple[int, ...]
 
     @property
     def mean(self) -> float:
-        if self.n == 0:
-            raise ValueError("mean of an empty estimate is undefined")
         return self.sum_products / self.n
 
-    @property
-    def straddles_zero(self) -> bool:
-        return self.running_min_mean <= 0.0 <= self.running_max_mean
+    def interval(self, tol: float) -> tuple[float, float]:
+        """(lo, hi): the intersection over checkpoints t of S_t/t +/- tol*sqrt(n/t).
+
+        At t = n the half-width is exactly ``tol``, so lo <= 0 <= hi implies
+        |mean| <= tol; lo > hi when the intervals do not meet.
+        """
+        bounds = [
+            (s / t, tol * math.sqrt(self.n / t))
+            for t, s in zip(checkpoints(self.n), self.partial_sums)
+        ]
+        return max(m - h for m, h in bounds), min(m + h for m, h in bounds)
+
+    def alpha(self, tol: float) -> float:
+        """2*K*exp(-n*tol**2/2) over the K checkpoints: by Hoeffding and a union
+        bound, the most often n independent zero-mean +/-1 products leave 0
+        outside ``interval(tol)``."""
+        return 2 * len(self.partial_sums) * math.exp(-self.n * tol * tol / 2)
 
 
 class RunningCorrelation:
     """``correlate`` of two length-``n`` sequences fed in consecutive chunks.
 
-    The int64 product sum and the partial-mean extrema carry over from chunk
-    to chunk, and each partial mean is the same division csum[i] / (i + 1)
-    as over the whole arrays, so the estimate does not depend on the split.
+    Only exact integers carry over from chunk to chunk: the product sum and,
+    for each checkpoint a chunk reaches, one prefix sum.  The checkpoints
+    depend on n alone, so the estimate does not depend on the split.
     """
 
     def __init__(self, n: int) -> None:
-        self.n, self.seen, self.total, self.burn_in = n, 0, 0, default_burn_in(n)
-        self.lo, self.hi = math.inf, -math.inf
+        self.n, self.seen, self.total = n, 0, 0
+        self.partial_sums: list[int] = []
+        self._pending = checkpoints(n)[::-1]  # the next one last
 
     def add(self, u: np.ndarray, v: np.ndarray) -> None:
         """Feed the next stretch of both sequences as +/-1 int8 arrays."""
         start, self.seen = self.seen, self.seen + u.size
-        csum = np.cumsum(u * v, dtype=np.int64)
-        csum += self.total
-        skip = max(self.burn_in - start, 0)
-        if skip < u.size:
-            partial = csum[skip:] / np.arange(start + skip + 1, self.seen + 1)
-            self.lo = min(self.lo, float(partial.min()))
-            self.hi = max(self.hi, float(partial.max()))
-        self.total = int(csum[-1]) if u.size else self.total
+        while self._pending and self._pending[-1] <= self.seen:
+            k = self._pending.pop() - start
+            self.partial_sums.append(self.total + product_sum(u[:k], v[:k]))
+        self.total += product_sum(u, v)
 
     def estimate(self) -> CorrelationEstimate:
         if self.seen != self.n:
             raise ValueError(f"{self.seen} of {self.n} values fed")
-        mean = self.total / self.n
-        lo, hi = (self.lo, self.hi) if self.n > self.burn_in else (mean, mean)
-        return CorrelationEstimate(self.n, self.total, self.burn_in, lo, hi)
+        return CorrelationEstimate(self.n, self.total, tuple(self.partial_sums))
 
 
 def correlate(u: OutcomeSequence, v: OutcomeSequence) -> CorrelationEstimate:
     """Correlation of two equal-length outcome sequences.
 
-    The mean is sum(u_i * v_i) / N with an exact integer numerator.  Partial
-    means at indices > burn_in = ceil(sqrt(N)) feed the running extrema.
-    This is the one-chunk case of ``RunningCorrelation``.
+    The mean is sum(u_i * v_i) / N with an exact integer numerator, and the
+    partial sums at ``checkpoints(N)`` come with it.  This is the one-chunk
+    case of ``RunningCorrelation``.
     """
     n = len(u)
     if n == 0:

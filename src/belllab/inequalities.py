@@ -35,7 +35,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .core import SYM_E, SYM_EP, SYM_P, SYM_PP, OutcomeSequence, pair_symbol
+from .core import SYM_E, SYM_EP, SYM_P, SYM_PP, OutcomeSequence, pair_symbol, product_sum
 
 __all__ = [
     "FeasibilityResult",
@@ -47,7 +47,6 @@ __all__ = [
     "falsification_search",
     "feasible_quad",
     "feasible_triple",
-    "product_sum",
     "sica_v3_check",
     "sica_v3_slack",
     "sica_v4_check",
@@ -69,11 +68,6 @@ def _values(*seqs: OutcomeSequence) -> tuple[int, list[np.ndarray]]:
         if len(s) != n:
             raise ValueError(f"length mismatch: {n} vs {len(s)}")
     return n, [s.values for s in seqs]
-
-
-def product_sum(u: np.ndarray, v: np.ndarray) -> int:
-    """Exact sum of u*v over +/-1 arrays: agreements minus disagreements."""
-    return u.size - 2 * int(np.count_nonzero(u != v))
 
 
 def sica_v3_slack(n: int, s_xy: int, s_xz: int, s_yz: int) -> float:

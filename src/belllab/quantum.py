@@ -14,13 +14,16 @@ with the opposite sign along the measured axis; measuring that prepared
 state |s> along an axis at angle t has outcome expectation s*cos(t - a).
 
 Randomness is counter-based (Salmon et al., SC'11): each block is its own
-Philox stream, and a draw is one raw uint64 word w compared as an integer,
-bit for bit the test on its uniform double (w >> 11) * 2**-53.
+Philox stream, and a Born draw is one raw uint64 word w compared as an
+integer, bit for bit the test on its uniform double (w >> 11) * 2**-53.
+That test never reads the low 11 bits, so a fair coin from bit 0 of the
+same word is exactly independent of it: a singlet pair reads one word.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 
 import numpy as np
 
@@ -38,6 +41,22 @@ def twisted_malus(theta1: "Angle | float", theta2: "Angle | float") -> float:
 # mixed with a signed integer to float64.
 _SHIFT = np.uint64(11)  # w >> 11 keeps the 53 bits a uniform double holds
 _HALF = np.uint64(2**63)
+_BIT0 = np.uint8(1)
+_WORD = 2**64 - 1
+_local = threading.local()  # each thread's own Philox and its state template
+
+
+def _philox(key: int, counter: int) -> np.random.Philox:
+    """This thread's Philox at (key, counter) with an empty buffer.  Setting
+    the state skips the OS-entropy SeedSequence of np.random.Philox(key=...)."""
+    if not hasattr(_local, "bg"):
+        _local.bg = np.random.Philox(0)
+        _local.state = _local.bg.state  # buffer empty; only the words change
+    words = _local.state["state"]
+    words["counter"][:] = [counter >> s & _WORD for s in (0, 64, 128, 192)]
+    words["key"][:] = [key & _WORD, key >> 64]
+    _local.bg.state = _local.state
+    return _local.bg
 
 
 def pair_uniforms(block: Block, seed: int, span: slice, words: int) -> np.ndarray:
@@ -52,9 +71,8 @@ def pair_uniforms(block: Block, seed: int, span: slice, words: int) -> np.ndarra
         raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
     lo, hi, _ = span.indices(block.count)
     first, count = lo * words, max(hi - lo, 0)
-    bg = np.random.Philox(key=seed | block.index << 64)
-    bg.advance(first // 4)
-    return bg.random_raw(first % 4 + count * words)[first % 4 :].reshape(count, words)
+    raw = _philox(seed | block.index << 64, first // 4).random_raw(first % 4 + count * words)
+    return raw[first % 4 :].reshape(count, words)
 
 
 def born_threshold(p: float) -> np.uint64:
@@ -66,6 +84,12 @@ def born_threshold(p: float) -> np.uint64:
 def fair_coins(words: np.ndarray) -> np.ndarray:
     """+1 where a word's top bit is clear (the double test u < 0.5), else -1."""
     return (words < _HALF).view(np.int8) * np.int8(2) - np.int8(1)
+
+
+def parity_coins(words: np.ndarray) -> np.ndarray:
+    """+1 where a word's bit 0 is clear, else -1: a fair coin that a Born draw
+    on the same word (``w >> 11``) never sees."""
+    return np.int8(1) - np.int8(2) * (words.astype(np.uint8) & _BIT0).view(np.int8)
 
 
 def born_outcomes(signs: np.ndarray, delta: float, words: np.ndarray) -> np.ndarray:
@@ -84,7 +108,8 @@ class SingletSource:
     """Singlet pairs measured along a block's one Alice and one Bob axis.
 
     Stateless: a block's outcomes depend only on (seed, block), and pair i
-    reads two words of the block's stream, Alice's coin and Bob's Born draw.
+    reads word i of the block's stream: Alice's coin is its bit 0 and Bob's
+    Born draw its top 53 bits.
     """
 
     def sample_pairs(
@@ -99,9 +124,9 @@ class SingletSource:
         sides = {side_of_symbol(s): theta.radians for s, theta in block.axes.items()}
         if len(block.axes) != 2 or len(sides) != 2:
             raise ValueError("a singlet block needs one Alice axis and one Bob axis")
-        w = pair_uniforms(block, seed, span, 2)
-        a = fair_coins(w[:, 0])
-        b = born_outcomes(-a, sides[Side.ALICE] - sides[Side.BOB], w[:, 1])
+        w = pair_uniforms(block, seed, span, 1)[:, 0]
+        a = parity_coins(w)
+        b = born_outcomes(-a, sides[Side.ALICE] - sides[Side.BOB], w)
         return a, b
 
     def assign(self, block: Block, seed: int, span: slice) -> dict[str, np.ndarray]:

@@ -12,9 +12,10 @@ same value it would have gotten counterfactually).  Three models ship:
   the gap d = |t1 - t2|: 1 - 2d/pi on the same side, -(1 - 2d/pi) across.
 * ``CollapseSequential`` -- a nonlocal, measure-P-first rule: P is a fair
   coin, then both Alice-side values are drawn independently from the state
-  the P measurement prepares.  Same-side correlations come out as
-  cos(tE - tP) * cos(tE' - tP), generally nonzero, which is what makes the
-  model useful as a violation witness.
+  the P measurement prepares; the P coin (bit 0) and the E draw (the top 53
+  bits) share one word, and E' reads a second.  Same-side correlations come
+  out as cos(tE - tP) * cos(tE' - tP), generally nonzero, which is what
+  makes the model useful as a violation witness.
 * ``FileReplay`` -- verbatim +/-1 tuples from a text file, for adversarial
   and regression vectors.
 
@@ -26,7 +27,7 @@ decided by the definability engine in ``relativity``.
 
 The seeded models read their draws from the block's own Philox stream,
 as ``SingletSource`` does (``quantum.pair_uniforms``): ``LHVSign`` one word
-per pair and ``CollapseSequential`` three.  So an assignment is a pure
+per pair and ``CollapseSequential`` two.  So an assignment is a pure
 function of (seed, block), the same in any chunking, no two blocks share a
 draw, and blocks can be generated in any order.
 """
@@ -53,7 +54,7 @@ from .core import (
     as_angle,
     side_of_symbol,
 )
-from .quantum import born_outcomes, fair_coins, pair_uniforms
+from .quantum import born_outcomes, fair_coins, pair_uniforms, parity_coins
 
 __all__ = [
     "CHUNK_PAIRS",
@@ -88,12 +89,9 @@ def lhv_outcomes(phases: np.ndarray, theta: "Angle | float", side: Side) -> np.n
     """
     if not isinstance(phases, np.ndarray) or phases.dtype != np.uint64:
         raise TypeError("phases must be a uint64 array of phase words")
-    t = theta.radians if isinstance(theta, Angle) else float(theta)
-    if not math.isfinite(t):
-        raise ValueError(f"theta must be finite, got {t}")
     # Python ints until one np.uint64 meets the array, whose subtraction wraps
     # silently (numpy 1.x makes float64 of uint64 mixed with a signed int)
-    start = (round(as_angle(t).radians / math.tau * 2**64) - 2**62) % 2**64
+    start = (round(as_angle(theta).radians / math.tau * 2**64) - 2**62) % 2**64
     out = fair_coins(phases - np.uint64(start))
     return out if side is Side.ALICE else -out
 
@@ -129,11 +127,11 @@ class CollapseSequential:
         if SYM_P not in block.axes:
             raise UnsupportedAxisError("collapse-sequential requires a P axis")
         theta_p = block.axes[SYM_P].radians
-        w = pair_uniforms(block, seed, span, 3)  # the P coin, E and E' Born draws
-        p = fair_coins(w[:, 0])
+        w = pair_uniforms(block, seed, span, 2)  # the P coin and E draw, E' draw
+        p = parity_coins(w[:, 0])
         out: dict[str, np.ndarray] = {SYM_P: p}
         prepared = -p  # far particle collapses to the opposite sign along theta_p
-        for column, symbol in ((1, SYM_E), (2, SYM_EP)):
+        for column, symbol in ((0, SYM_E), (1, SYM_EP)):
             if symbol in block.axes:
                 delta = block.axes[symbol].radians - theta_p
                 out[symbol] = born_outcomes(prepared, delta, w[:, column])

@@ -248,14 +248,8 @@ class HypothesisSet:
         return Hypothesis.FWP in self.flags
 
     def label(self) -> str:
-        order = [
-            Hypothesis.QM,
-            Hypothesis.WEAK_REALISM,
-            Hypothesis.LOCALITY,
-            Hypothesis.EACP,
-            Hypothesis.FWP,
-        ]
-        return "{" + ",".join(h.value for h in order if h in self.flags) + "}"
+        """The flags in declaration order, e.g. {QM,WR,EACP,FWP}."""
+        return "{" + ",".join(h.value for h in Hypothesis if h in self.flags) + "}"
 
 
 class StatusKind(enum.Enum):
@@ -434,6 +428,7 @@ class NoCorrelationReport:
     verdict: NoCorrelationVerdict
 
     def to_dict(self) -> dict:
+        lo, hi = self.estimate.interval(self.tolerance)
         return {
             "model": self.model,
             "theta_E": self.theta_e,
@@ -442,9 +437,10 @@ class NoCorrelationReport:
             "orthogonal_axes": self.orthogonal,
             "n": self.estimate.n,
             "mean": self.estimate.mean,
-            "running_min_mean": self.estimate.running_min_mean,
-            "running_max_mean": self.estimate.running_max_mean,
+            "lo": lo,
+            "hi": hi,
             "tolerance": self.tolerance,
+            "alpha": self.estimate.alpha(self.tolerance),
             "verdict": self.verdict.value,
         }
 
@@ -460,10 +456,12 @@ def no_correlation_check(
 ) -> NoCorrelationReport:
     """Estimate <E,E'> for a model and test it against zero.
 
-    CONSISTENT requires the mean within tolerance (default 4/sqrt(N)) of 0
-    and the partial-mean extrema to straddle 0; anything else marks the
-    model as an EACP-violation witness.  Non-orthogonal axes are allowed
-    but flagged, since the zero prediction only covers the orthogonal case.
+    CONSISTENT requires 0 in the estimate's checkpoint interval at the
+    tolerance (default 4/sqrt(N)), so |mean| <= tolerance; anything else marks
+    the model as an EACP-violation witness, for a zero-mean model on at most
+    a fraction ``estimate.alpha(tolerance)`` of seeds.  Non-orthogonal axes
+    are allowed but flagged, since the zero prediction only covers the
+    orthogonal case.
     """
     theta_e = as_angle(theta_e)
     theta_ep = as_angle(theta_ep)
@@ -472,7 +470,8 @@ def no_correlation_check(
         tolerance = 4.0 / math.sqrt(n_pairs)
     block = Block({SYM_E: theta_e, SYM_EP: theta_ep, SYM_P: theta_p}, count=n_pairs)
     (est,) = correlate_block(model, block, seed, [(SYM_E, SYM_EP)])
-    ok = abs(est.mean) <= tolerance and est.straddles_zero
+    lo, hi = est.interval(tolerance)
+    ok = lo <= 0.0 <= hi
     return NoCorrelationReport(
         model=getattr(model, "name", type(model).__name__),
         theta_e=theta_e.radians,

@@ -198,7 +198,8 @@ def test_criterion_5_no_correlation_lemma_checks():
     )
     assert lhv.orthogonal
     assert abs(lhv.estimate.mean) <= MC_TOL
-    assert lhv.estimate.running_min_mean <= 0.0 <= lhv.estimate.running_max_mean
+    lo, hi = lhv.estimate.interval(MC_TOL)
+    assert lo <= 0.0 <= hi
     assert lhv.verdict.value == "consistent"
 
     cs = no_correlation_check(
@@ -213,9 +214,9 @@ def test_criterion_5_no_correlation_lemma_checks():
     assert abs(cs.estimate.mean - 0.5) <= MC_TOL
     assert cs.verdict.value == "witness-of-eacp-violation"
     _passed(
-        f"criterion 5: LHV <E,E'> = {lhv.estimate.mean:+.5f} with extrema "
-        f"[{lhv.estimate.running_min_mean:+.4f}, {lhv.estimate.running_max_mean:+.4f}] "
-        f"straddling 0; collapse-sequential gives {cs.estimate.mean:.4f} ~ 0.5 "
+        f"criterion 5: LHV <E,E'> = {lhv.estimate.mean:+.5f} with checkpoint "
+        f"interval [{lo:+.4f}, {hi:+.4f}] containing 0; collapse-sequential gives "
+        f"{cs.estimate.mean:.4f} ~ 0.5 "
         "and is flagged as EACP-violation witness"
     )
 

@@ -353,6 +353,26 @@ class TestMain:
         captured = capsys.readouterr()
         assert "witness" in captured.out  # E and E' perfectly anti-correlated here
 
+    def test_zero_mean_run_outside_a_checkpoint_interval_is_a_witness(self, tmp_path):
+        # E = E' on the first half of the pairs and E = -E' on the second: the
+        # mean is exactly 0, but at t = 2048 the partial mean is 1, and its
+        # interval 1 +/- tol*sqrt(2) excludes 0
+        vectors = tmp_path / "v.txt"
+        lines = ["E=2.356194490192345 E'=-2.356194490192345 P=0.0"]
+        lines += ["1 1 1"] * 2048 + ["1 -1 1"] * 2048
+        vectors.write_text("\n".join(lines) + "\n")
+        result = run(ScenarioConfig(
+            "no-correlation", n_pairs=4096, model="file-replay", model_path=str(vectors)
+        ))
+        row = result.correlations[0]
+        assert row["value"] == 0.0
+        assert row["lo"] == pytest.approx(1 - 0.0625 * math.sqrt(2))
+        assert row["lo"] > 0.0 and row["hi"] == 0.0625
+        assert result.extras["verdict"] == "witness-of-eacp-violation"
+        assert result.extras["alpha"] == pytest.approx(2 * 13 * math.exp(-8))
+        assert "(0 lies outside [+0.91161, +0.06250] at tolerance 0.06250;" in result.verdict
+        assert "flagged as EACP-violation witness" in result.verdict
+
     def test_malformed_replay_is_config_error(self, tmp_path, capsys):
         vectors = tmp_path / "v.txt"
         vectors.write_text("E=0.0 P=0.0\n1 2\n")

@@ -1,5 +1,7 @@
 import math
+import re
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -9,8 +11,8 @@ from belllab.core import (
     Block,
     OutcomeSequence,
     RunningCorrelation,
+    checkpoints,
     correlate,
-    default_burn_in,
     pair_symbol,
 )
 from belllab.quantum import pair_uniforms
@@ -32,6 +34,16 @@ class TestAngle:
         once = Angle(x)
         assert Angle(once.radians).radians == once.radians
         assert -math.pi < once.radians <= math.pi
+
+    @given(st.sampled_from([math.nan, -math.nan, math.inf, -math.inf])
+           | st.builds(np.float64, st.sampled_from(["nan", "inf", "-inf"])))
+    def test_non_finite_values_are_rejected_by_name(self, x):
+        with pytest.raises(ValueError, match=re.escape(f"angle must be finite, got {x!r}")):
+            Angle(x)
+
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    def test_every_finite_value_wraps(self, x):
+        assert -math.pi < Angle(x).radians <= math.pi
 
     @given(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0))
     def test_difference_is_an_angle(self, a, b):
@@ -90,23 +102,24 @@ class TestCorrelate:
     @given(
         st.lists(st.sampled_from([-1, 1]), min_size=1, max_size=128),
         st.randoms(use_true_random=False),
+        st.floats(0.0, 10.0),
     )
-    def test_extrema_bracket_mean_past_burn_in(self, values, rnd):
+    def test_interval_lies_within_tol_of_the_mean(self, values, rnd, tol):
         v = [rnd.choice([-1, 1]) for _ in values]
         est = correlate(seq(values), seq(v))
-        assert est.running_min_mean <= est.mean <= est.running_max_mean
+        lo, hi = est.interval(tol)
+        assert est.mean - tol <= lo and hi <= est.mean + tol
         assert -1.0 <= est.mean <= 1.0
 
 
-def reference_estimate(u, v, burn_in):
-    """(sum, min, max) of the partial means, one pair at a time."""
-    total, partial = 0, []
+def reference_estimate(u, v):
+    """(sum, partial sums at checkpoints), one pair at a time."""
+    total, partial, marks = 0, [], checkpoints(len(u))
     for i, (a, b) in enumerate(zip(u, v)):
         total += a * b
-        if i >= burn_in:
-            partial.append(total / (i + 1))
-    mean = total / len(u)
-    return total, min(partial, default=mean), max(partial, default=mean)
+        if i + 1 in marks:
+            partial.append(total)
+    return total, tuple(partial)
 
 
 class TestRunningCorrelation:
@@ -123,9 +136,7 @@ class TestRunningCorrelation:
             running.add(seq(values).values[lo:hi], seq(v).values[lo:hi])
         est = running.estimate()
         assert est == correlate(seq(values), seq(v))
-        assert (est.sum_products, est.running_min_mean, est.running_max_mean) == (
-            reference_estimate(values, v, default_burn_in(n))
-        )
+        assert (est.sum_products, est.partial_sums) == reference_estimate(values, v)
 
     def test_fed_length_must_match(self):
         running = RunningCorrelation(3)
@@ -187,9 +198,9 @@ def test_pair_symbol_is_canonical():
         pair_symbol("E", "Q")
 
 
-def test_default_burn_in_is_ceil_sqrt():
-    assert default_burn_in(0) == 0
-    assert default_burn_in(1) == 1
-    assert default_burn_in(4) == 2
-    assert default_burn_in(10) == 4
-    assert default_burn_in(1_000_000) == 1000
+def test_checkpoints_are_the_powers_of_two_below_n_then_n():
+    assert checkpoints(1) == [1]
+    assert checkpoints(2) == [1, 2]
+    assert checkpoints(4) == [1, 2, 4]
+    assert checkpoints(5) == [1, 2, 4, 5]
+    assert checkpoints(10_000) == [2**k for k in range(14)] + [10_000]

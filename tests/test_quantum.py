@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from belllab.quantum import (
     born_threshold,
     fair_coins,
     pair_uniforms,
+    parity_coins,
     twisted_malus,
 )
 from belllab.realism import CollapseSequential, LHVSign, lhv_outcomes
@@ -138,6 +141,81 @@ def test_pair_uniforms_reads_the_blocks_words_in_order(seed, index, words, count
     assert np.array_equal(got, stream.reshape(count, words)[lo:hi])
 
 
+def reference_words(block, seed, lo, hi, words):
+    """The words of pairs lo..hi-1 from a freshly keyed np.random.Philox."""
+    first = lo * words
+    bg = np.random.Philox(key=seed | block.index << 64)
+    bg.advance(first // 4)
+    return bg.random_raw(first % 4 + (hi - lo) * words)[first % 4 :].reshape(-1, words)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    index=st.integers(0, 2**64 - 1),
+    words=st.integers(1, 5),
+    lo=st.integers(0, 2**70) | st.integers(0, 64),
+    length=st.integers(0, 9),
+)
+def test_pair_uniforms_matches_a_freshly_keyed_philox(seed, index, words, lo, length):
+    # offsets past 2**66 words carry into the counter's second 64-bit word
+    block = Block({SYM_E: 0.0}, count=lo + length + 1, index=index)
+    got = pair_uniforms(block, seed, slice(lo, lo + length), words)
+    assert got.shape == (length, words)
+    assert np.array_equal(got, reference_words(block, seed, lo, lo + length, words))
+
+
+def test_threads_draw_their_own_words():
+    # more threads than cores, switching often: a Philox shared between
+    # threads would hand one thread's key or counter to another's draw
+    blocks = [Block({SYM_E: 0.0}, count=5_000, index=i) for i in range(6)]
+    want = [reference_words(b, 11, 0, b.count, 2) for b in blocks]
+    failures = []
+
+    def draw(k):
+        for i in range(100):
+            j = (k + i) % len(blocks)
+            if not np.array_equal(pair_uniforms(blocks[j], 11, slice(None), 2), want[j]):
+                failures.append((k, i))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=draw, args=(k,)) for k in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert failures == []
+
+
+def test_singlet_pair_reads_one_word():
+    block = Block({SYM_E: 0.3, SYM_P: -1.2}, count=1_000, index=2)
+    w = pair_uniforms(block, 9, slice(None), 1)[:, 0]
+    a, b = SingletSource().sample_pairs(block, 9)
+    assert np.array_equal(a, np.where(w & np.uint64(1), -1, 1))
+    assert np.array_equal(b, born_outcomes(-a, 0.3 - -1.2, w))
+
+
+@pytest.mark.parametrize("p", [0.5, math.cos(3 * math.pi / 8) ** 2])
+def test_bit_0_coin_and_born_draw_of_one_word_are_independent(p):
+    # an exact 2x2 count over 2**20 words; chi-squared with one degree of
+    # freedom, 10.83 is its 0.1% point
+    w = pair_uniforms(Block({SYM_E: 0.0}, count=2**20), 23, slice(None), 1)[:, 0]
+    coin = parity_coins(w) > 0
+    draw = w >> np.uint64(11) < born_threshold(p)
+    table = np.array([[np.count_nonzero(coin & draw), np.count_nonzero(coin & ~draw)],
+                      [np.count_nonzero(~coin & draw), np.count_nonzero(~coin & ~draw)]])
+    n = int(table.sum())
+    expected = np.outer(table.sum(axis=1), table.sum(axis=0)) / n
+    assert n == 2**20 and table.min() > 0
+    assert float(((table - expected) ** 2 / expected).sum()) < 10.83
+    assert abs(np.count_nonzero(draw) / n - p) < 5 * math.sqrt(p * (1 - p) / n)
+
+
 def born_cases():
     yield from (0.0, 2.0**-53, 0.5, 1.0 - 2.0**-53, 1.0)
     for delta in np.linspace(-math.pi, math.pi, 100):
@@ -164,6 +242,7 @@ def test_draws_keep_their_integer_dtypes():
     words = pair_uniforms(Block({SYM_E: 0.0}, count=64), 5, slice(None), 3)
     assert words.dtype == np.uint64
     assert fair_coins(words[:, 0]).dtype == np.int8
+    assert parity_coins(words[:, 0]).dtype == np.int8
     assert born_outcomes(fair_coins(words[:, 0]), 0.3, words[:, 1]).dtype == np.int8
     assert born_threshold(0.25).dtype == np.uint64
     a, b = measure(5, 0.2, 1.3, 64)

@@ -10,7 +10,6 @@ from belllab.core import (
     SYM_EP,
     SYM_P,
     SYM_PP,
-    Angle,
     Block,
     Side,
     correlate,
@@ -54,14 +53,15 @@ def collapse_sequential_assign(block, pair, theta_p, theta_e, theta_ep, seed):
 
     The scalar reference for ``CollapseSequential``: P is a fair coin; E
     and E' are independent measurements of the state |-P> prepared along
-    theta_p.  The three draws are words 3*pair .. 3*pair + 2 of the block's
-    stream, read as uniform doubles u = (w >> 11) * 2**-53.
+    theta_p.  The pair reads words 2*pair and 2*pair + 1 of the block's
+    stream: P is bit 0 of the first, and E and E' compare the uniform
+    doubles u = (w >> 11) * 2**-53 of the first and the second.
     """
-    words = pair_uniforms(block, seed, slice(pair, pair + 1), 3)[0]
-    u = [(int(w) >> 11) * 2.0**-53 for w in words]
-    p = 1 if u[0] < 0.5 else -1
-    e = -p if u[1] < (1.0 + math.cos(theta_e - theta_p)) / 2.0 else p
-    ep = -p if u[2] < (1.0 + math.cos(theta_ep - theta_p)) / 2.0 else p
+    words = [int(w) for w in pair_uniforms(block, seed, slice(pair, pair + 1), 2)[0]]
+    u = [(w >> 11) * 2.0**-53 for w in words]
+    p = -1 if words[0] & 1 else 1
+    e = -p if u[0] < (1.0 + math.cos(theta_e - theta_p)) / 2.0 else p
+    ep = -p if u[1] < (1.0 + math.cos(theta_ep - theta_p)) / 2.0 else p
     return p, e, ep
 
 
@@ -150,7 +150,7 @@ class TestLhvPhaseKernel:
         with pytest.raises(TypeError, match="uint64"):
             lhv_outcomes(phases, 0.0, Side.ALICE)
 
-    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf, Angle(math.nan)])
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf, np.array(math.nan)])
     def test_theta_must_be_finite(self, theta):
         with pytest.raises(ValueError, match="finite"):
             lhv_outcomes(np.zeros(3, dtype=np.uint64), theta, Side.ALICE)

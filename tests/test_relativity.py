@@ -298,20 +298,31 @@ class TestNoCorrelationCheck:
     N = 100_000
 
     def test_lhv_is_consistent_at_orthogonal_axes(self):
-        # the straddle criterion is statistical: a few percent of seeds keep
-        # the post-burn-in partial means one-signed; seed 0 shows the typical
-        # behavior
         report = no_correlation_check(LHVSign(), *V3_ANGLES, self.N, seed=0)
         assert report.orthogonal
         assert report.verdict.value == "consistent"
         assert abs(report.estimate.mean) <= report.tolerance
-        assert report.estimate.straddles_zero
+        lo, hi = report.estimate.interval(report.tolerance)
+        assert lo <= 0.0 <= hi
 
     def test_collapse_sequential_is_a_witness(self):
         report = no_correlation_check(CollapseSequential(), *V3_ANGLES, self.N, seed=5)
         assert report.orthogonal
         assert report.verdict.value == "witness-of-eacp-violation"
         assert report.estimate.mean == pytest.approx(0.5, abs=4 / math.sqrt(self.N))
+
+    def test_lhv_false_witness_rate_is_within_alpha(self):
+        n, seeds = 10_000, 1_000
+        reports = [no_correlation_check(LHVSign(), *V3_ANGLES, n, seed=s) for s in range(seeds)]
+        alpha = reports[0].estimate.alpha(reports[0].tolerance)
+        assert 0.01 < alpha < 0.011  # 2 * 15 checkpoints * exp(-8)
+        witnesses = sum(r.verdict.value != "consistent" for r in reports)
+        assert witnesses / seeds <= alpha
+
+    def test_collapse_sequential_is_flagged_at_every_seed(self):
+        for seed in range(200):
+            report = no_correlation_check(CollapseSequential(), *V3_ANGLES, 10_000, seed=seed)
+            assert report.verdict.value == "witness-of-eacp-violation", seed
 
     def test_non_orthogonal_axes_flagged(self):
         report = no_correlation_check(LHVSign(), 0.0, 1.0, 0.0, 10_000, seed=1)
