@@ -19,8 +19,9 @@ matter how it was produced.  The asymptotic forms
 
 can nevertheless be *falsified* by correlation values that no single run
 of sequences realizes -- that is the content of every Bell-type theorem.
-``feasible_triple``/``feasible_quad`` decide by linear programming whether
-a correlation target admits any joint +/-1 distribution at all, and
+``feasible_triple``/``feasible_quad`` decide from the facets of the local
+polytope, in closed form, whether a correlation target admits any joint
++/-1 distribution at all, and
 ``falsification_search`` scans angle configurations for the strongest
 falsification a value source (the hypothesis-definability engine) can
 support.
@@ -221,83 +222,79 @@ class FeasibilityResult:
 
 
 def linprog(*args, **kwargs):
-    """``scipy.optimize.linprog``, imported on the first call.
-
-    Importing scipy takes most of the package's start-up time and only the
-    feasibility LP needs it.  ``_feasibility`` looks the name up in this
-    module at each call, so a caller may replace the attribute to wrap it.
-    """
+    """``scipy.optimize.linprog``, imported on the first call.  No belllab code
+    calls it any more; it stays for code that wraps this name."""
     from scipy.optimize import linprog as scipy_linprog
 
     return scipy_linprog(*args, **kwargs)
 
 
-def _feasibility(
-    targets: Sequence[float],
-    n_vars: int,
-    pair_slots: Sequence[tuple[int, int]],
-    tol: float,
-) -> FeasibilityResult:
-    """Chebyshev-fit a distribution over deterministic assignments.
+# The atoms' correlation vectors (Fine, PRL 48, 291 (1982)).  A quadruple's
+# are +/- the rows h of a Hadamard matrix H (H H^T = 4I): a cross-polytope,
+# sum |h.c|/4 <= 1, cut out by the box and the 8 CHSH facets s.c <= 2.  A
+# triple's are the rows of H without its first column, the sign vectors v with
+# v1 v2 v3 = 1: a tetrahedron (sum v v^T = 4I) with facets 1 + v.c >= 0.
+_HADAMARD = np.kron([[1.0, 1.0], [1.0, -1.0]], [[1.0, 1.0], [1.0, -1.0]])
+_TETRAHEDRON = _HADAMARD[:, 1:]
+_CHSH = np.vstack([1.0 - 2.0 * np.eye(4), 2.0 * np.eye(4) - 1.0])  # rows s
 
-    minimize t  s.t.  |A p - targets| <= t,  sum p = 1,  p >= 0
-    where row k of A holds the product of the two slots of pair k for each
-    deterministic +/-1 assignment.  Feasible iff the optimum t is ~0.
-    """
-    targets = [_check_corr(f"target[{i}]", t) for i, t in enumerate(targets)]
+
+def _atom_table(n_vars: int, pair_slots, vertices: np.ndarray):
+    """Atoms in product order, their pairwise products, and the atom realizing
+    each vertex: of an atom and its negation, the one whose first variable is +1."""
     atoms = tuple(itertools.product((-1, 1), repeat=n_vars))
-    n_atoms = len(atoms)
-    a_rows = np.array(
-        [[atom[i] * atom[j] for atom in atoms] for i, j in pair_slots],
-        dtype=float,
-    )
-    n_pairs = len(pair_slots)
-    # variables: p_0..p_{n_atoms-1}, t
-    c = np.zeros(n_atoms + 1)
-    c[-1] = 1.0
-    a_ub = np.zeros((2 * n_pairs, n_atoms + 1))
-    b_ub = np.zeros(2 * n_pairs)
-    a_ub[:n_pairs, :n_atoms] = a_rows
-    a_ub[:n_pairs, -1] = -1.0
-    b_ub[:n_pairs] = targets
-    a_ub[n_pairs:, :n_atoms] = -a_rows
-    a_ub[n_pairs:, -1] = -1.0
-    b_ub[n_pairs:] = [-t for t in targets]
-    a_eq = np.zeros((1, n_atoms + 1))
-    a_eq[0, :n_atoms] = 1.0
-    bounds = [(0.0, 1.0)] * n_atoms + [(0.0, None)]
-    res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=[1.0], bounds=bounds,
-                  method="highs")
-    if not res.success:
-        raise RuntimeError(f"feasibility LP failed: {res.message}")
-    witness = tuple(max(float(p), 0.0) for p in res.x[:n_atoms])
-    max_violation = float(res.x[-1])
-    achieved = tuple(float(v) for v in a_rows @ np.array(witness))
-    return FeasibilityResult(
-        feasible=max_violation <= tol,
-        witness=witness,
-        max_violation=max_violation,
-        atoms=atoms,
-        correlations=achieved,
-    )
+    products = np.array([[a[i] * a[j] for i, j in pair_slots] for a in atoms], dtype=float)
+    return atoms, products, [np.flatnonzero((products == v).all(axis=1))[-1] for v in vertices]
+
+
+_TRIPLE = _atom_table(3, ((0, 1), (0, 2), (1, 2)), _TETRAHEDRON)
+_QUAD = _atom_table(4, ((1, 2), (1, 3), (0, 2), (0, 3)), np.vstack([_HADAMARD, -_HADAMARD]))
+
+
+def _targets(values: Sequence[float]) -> np.ndarray:
+    return np.array([_check_corr(f"target[{i}]", t) for i, t in enumerate(values)])
+
+
+def _result(table, slack: float, weights: np.ndarray, tol: float) -> FeasibilityResult:
+    """Feasibility from the optimum t of  min t  s.t.  |A p - c| <= t, sum p = 1,
+    p >= 0.  A target in the box violates at most one facet f; t = max(0, its
+    excess over |f|_1) bounds the optimum from below, and ``weights``, of c
+    moved by t along -sign(f) onto f, reach it.  Feasible iff t <= tol."""
+    atoms, products, index = table
+    witness = np.zeros(len(atoms))
+    witness[index] = np.maximum(weights, 0.0)
+    return FeasibilityResult(feasible=slack <= tol, witness=tuple(witness.tolist()),
+                             max_violation=slack, atoms=atoms,
+                             correlations=tuple((witness @ products).tolist()))
 
 
 def feasible_triple(
     c_xy: float, c_xz: float, c_yz: float, tol: float = 1e-9
 ) -> FeasibilityResult:
     """Does any joint distribution over (x, y, z) in {-1,+1}^3 have these
-    three pairwise correlations?"""
-    return _feasibility([c_xy, c_xz, c_yz], 3, [(0, 1), (0, 2), (1, 2)], tol)
+    three pairwise correlations?  The witness holds the barycentric weights
+    (1 + v.c)/4 of the target, moved onto the violated facet if any."""
+    c = _targets([c_xy, c_xz, c_yz])
+    dots = _TETRAHEDRON @ c
+    slack = max(0.0, float(-1.0 - dots.min()) / 3.0)
+    moved = c + slack * _TETRAHEDRON[np.argmin(dots)]
+    return _result(_TRIPLE, slack, (1.0 + _TETRAHEDRON @ moved) / 4.0, tol)
 
 
 def feasible_quad(
     c_xy: float, c_xz: float, c_wy: float, c_wz: float, tol: float = 1e-9
 ) -> FeasibilityResult:
     """Does any joint distribution over (w, x, y, z) in {-1,+1}^4 have these
-    four cross correlations (the CHSH set)?"""
-    return _feasibility(
-        [c_xy, c_xz, c_wy, c_wz], 4, [(1, 2), (1, 3), (0, 2), (0, 3)], tol
-    )
+    four cross correlations (the CHSH set)?  The witness puts |h.c|/4 on
+    sign(h.c) h for each Hadamard row h, at the target moved onto the violated
+    CHSH facet if any, and splits the mass left over between +h_0 and -h_0."""
+    c = _targets([c_xy, c_xz, c_wy, c_wz])
+    chsh = _CHSH @ c
+    slack = max(0.0, float(chsh.max() - 2.0) / 4.0)
+    mu = _HADAMARD @ (c - slack * _CHSH[np.argmax(chsh)]) / 4.0
+    weights = np.concatenate([np.maximum(mu, 0.0), np.maximum(-mu, 0.0)])
+    weights[[0, 4]] += (1.0 - np.abs(mu).sum()) / 2.0
+    return _result(_QUAD, slack, weights, tol)
 
 
 # A value source maps {symbol: angle array} to {pair key: value array},

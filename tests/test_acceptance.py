@@ -256,7 +256,7 @@ def test_criterion_6_feasibility_solver_and_oracle():
     assert disagreements == 0
     _passed(
         "criterion 6: (0.7071, 0.7071, 0) infeasible; (0.5, 0.5, 0) feasible with "
-        "valid witness to 1e-9; LP agrees with hull oracle on 1000 random targets"
+        "valid witness to 1e-9; closed form agrees with hull oracle on 1000 random targets"
     )
 
 

@@ -473,29 +473,54 @@ class TestConfigParsing:
         capsys.readouterr()
 
 
-def test_scipy_loads_with_the_first_lp_only():
-    """scipy is most of the start-up time; only the LP scenario may load it."""
+def test_no_scenario_loads_scipy(tmp_path):
+    """Feasibility is closed-form, so no scenario needs scipy at run time."""
+    triple, quad = tmp_path / "triple.cfg", tmp_path / "quad.cfg"
+    triple.write_text("scenario = polytope\ntarget = 0.5, 0.5, 0\n")
+    quad.write_text("scenario = polytope\ntarget = 0.5, 0.5, 0.5, -0.5\n")
+    runs = [["--scenario", name, "--pairs", "1000"] for name in sorted(cli.SCENARIOS)]
+    runs += [["--config", str(triple)], ["--config", str(quad)]]
     probe = textwrap.dedent("""
         import contextlib, io, json, sys
         import belllab, belllab.cli
         loaded = {"import": "scipy" in sys.modules}
-        for argv in (["observer-order"], ["v3-local", "--pairs", "1000"], ["polytope"]):
+        for argv in json.loads(sys.argv[1]):
             with contextlib.redirect_stdout(io.StringIO()):
-                assert belllab.cli.main(["--scenario", *argv]) == 0
-            loaded[argv[0]] = "scipy" in sys.modules
+                assert belllab.cli.main(argv) == 0, argv
+            loaded[" ".join(argv)] = "scipy" in sys.modules
         print(json.dumps(loaded))
     """)
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", probe],
+        [sys.executable, "-c", probe, json.dumps(runs)],
         capture_output=True, text=True, timeout=120,
         env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == {
-        "import": False, "observer-order": False, "v3-local": False, "polytope": True,
-    }
+    loaded = json.loads(proc.stdout)
+    assert len(loaded) == 1 + len(runs)
+    assert not any(loaded.values()), loaded
+
+
+@pytest.mark.parametrize(
+    "target, feasible",
+    [
+        ("1, 0, 0", True),              # an edge of the tetrahedron
+        ("1, 1, 1", True),              # a vertex
+        ("1, 1, -1", False),            # a box corner outside, slack 2/3
+        ("0.5, 0.5, 0.5, -0.5", True),  # on a CHSH facet
+        ("1, 0, 1, 0", True),           # on a CHSH facet and the box
+        ("1, 1, 1, -1", False),         # a box corner outside, slack 1/2
+    ],
+)
+def test_polytope_on_boundary_targets_exits_0(tmp_path, capsys, target, feasible):
+    cfg = tmp_path / "boundary.cfg"
+    cfg.write_text(f"scenario = polytope\ntarget = {target}\n")
+    out = tmp_path / "out.json"
+    assert main(["--config", str(cfg), "--format", "json", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert json.loads(out.read_text())["extras"]["feasible"] is feasible
 
 
 _FUZZ_NUMBER = st.floats() | st.sampled_from([math.pi, -math.pi, 1e308, 5e-324])

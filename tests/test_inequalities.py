@@ -245,26 +245,131 @@ class TestFeasibleQuad:
             )
 
 
-def test_feasibility_lps_call_the_module_linprog(monkeypatch):
-    """Tracing replaces ``inequalities.linprog``; every LP must go through it."""
+def test_feasibility_calls_no_solver(monkeypatch):
+    """Membership is decided in closed form; the ``linprog`` stub is never called."""
     assert "linprog" in vars(inequalities)
-    expected = [
-        feasible_triple(SQRT2 / 2, SQRT2 / 2, 0.0),
-        feasible_quad(-SQRT2 / 2, -SQRT2 / 2, -SQRT2 / 2, SQRT2 / 2),
+    targets = [
+        (feasible_triple, (SQRT2 / 2, SQRT2 / 2, 0.0)),
+        (feasible_triple, (0.5, 0.0, 0.5)),
+        (feasible_quad, (-SQRT2 / 2, -SQRT2 / 2, -SQRT2 / 2, SQRT2 / 2)),
+        (feasible_quad, (0.5, 0.5, 0.5, -0.5)),
     ]
-    methods = []
-    original = inequalities.linprog
+    expected = [solve(*target) for solve, target in targets]
 
-    def recording(*args, **kwargs):
-        methods.append(kwargs["method"])
-        return original(*args, **kwargs)
+    def refuse(*args, **kwargs):
+        raise AssertionError("feasibility must not call a solver")
 
-    monkeypatch.setattr(inequalities, "linprog", recording)
-    triple = feasible_triple(SQRT2 / 2, SQRT2 / 2, 0.0)
-    assert methods == ["highs"]
-    quad = feasible_quad(-SQRT2 / 2, -SQRT2 / 2, -SQRT2 / 2, SQRT2 / 2)
-    assert methods == ["highs", "highs"]
-    assert [triple, quad] == expected
+    monkeypatch.setattr(inequalities, "linprog", refuse)
+    assert [solve(*target) for solve, target in targets] == expected
+
+
+# Facets f . c <= bound of each local polytope, written out by hand: the four
+# triangle facets -v . c <= 1 of the triple's tetrahedron, and Fine's eight
+# CHSH facets of the quadruple's cross-polytope.
+TRIPLE_FACETS = [(-np.array(v, dtype=float), 1.0) for v in triple_vertices()
+                 if v[0] * v[1] * v[2] == 1]
+QUAD_FACETS = [(sign * (1.0 - 2.0 * np.eye(4)[k]), 2.0)
+               for k in range(4) for sign in (1.0, -1.0)]
+# The variable slots of each target correlation: (x, y, z) and (w, x, y, z).
+TRIPLE_SLOTS = ((0, 1), (0, 2), (1, 2))
+QUAD_SLOTS = ((1, 2), (1, 3), (0, 2), (0, 3))
+POLYTOPES = {
+    "triple": (feasible_triple, TRIPLE_SLOTS, triple_vertices, TRIPLE_FACETS),
+    "quad": (feasible_quad, QUAD_SLOTS, quad_vertices, QUAD_FACETS),
+}
+
+
+def random_targets(rng, count, vertices, facets):
+    """Uniform targets in the box; every third one pushed onto a facet, as a
+    random convex combination of the vertices that facet holds."""
+    vertices = np.array(vertices(), dtype=float)
+    targets = []
+    for i in range(count):
+        if i % 3 == 2:
+            f, bound = facets[rng.integers(len(facets))]
+            on = vertices[vertices @ f == bound]
+            targets.append(np.clip(rng.dirichlet(np.ones(len(on))) @ on, -1.0, 1.0))
+        else:
+            targets.append(rng.uniform(-1.0, 1.0, vertices.shape[1]))
+    return targets
+
+
+def facet_bound(target, facets):
+    """Lower bound on the Chebyshev slack: a distribution within s of the
+    target in every correlation has f . c <= bound + |f|_1 s on each facet."""
+    return max(0.0, max((f @ target - bound) / np.abs(f).sum() for f, bound in facets))
+
+
+@pytest.mark.parametrize("name", sorted(POLYTOPES))
+def test_slack_is_certified_by_facet_and_witness(name):
+    """The violated facet bounds the slack from below and the witness from
+    above, so the closed form is the optimum without any solver."""
+    solve, slots, vertices, facets = POLYTOPES[name]
+    rng = np.random.default_rng(12)
+    for target in random_targets(rng, 1000, vertices, facets):
+        result = solve(*target)
+        t = result.max_violation
+        assert t >= facet_bound(target, facets) - 1e-12
+        assert result.feasible == (t <= 1e-9)
+        witness = np.array(result.witness)
+        assert np.all(witness >= 0.0)
+        assert witness.sum() == pytest.approx(1.0, abs=1e-12)
+        atoms = np.array(result.atoms)
+        achieved = np.array([atoms[:, i] * atoms[:, j] for i, j in slots]) @ witness
+        assert np.max(np.abs(achieved - target)) <= t + 1e-12
+        assert np.allclose(result.correlations, achieved, rtol=0.0, atol=1e-15)
+
+
+def chebyshev_lp(target, vertices):
+    """min t  s.t.  |V^T p - target| <= t, sum p = 1, p >= 0, by scipy's LP."""
+    from scipy.optimize import linprog
+
+    v = np.array(vertices, dtype=float).T
+    n_pairs, n_vertices = v.shape
+    ones = np.ones((n_pairs, 1))
+    res = linprog(
+        np.r_[np.zeros(n_vertices), 1.0],
+        A_ub=np.block([[v, -ones], [-v, -ones]]),
+        b_ub=np.r_[target, -target],
+        A_eq=np.r_[np.ones(n_vertices), 0.0][None, :],
+        b_eq=[1.0],
+        bounds=[(0.0, None)] * (n_vertices + 1),
+        method="highs",
+    )
+    assert res.success, res.message
+    return res.x[-1]
+
+
+@pytest.mark.parametrize("name", sorted(POLYTOPES))
+def test_slack_matches_a_chebyshev_lp(name):
+    solve, _, vertices, facets = POLYTOPES[name]
+    rng = np.random.default_rng(13)
+    for target in random_targets(rng, 300, vertices, facets):
+        assert solve(*target).max_violation == pytest.approx(
+            chebyshev_lp(target, vertices()), abs=1e-12
+        )
+
+
+@pytest.mark.parametrize("name", sorted(POLYTOPES))
+def test_every_vertex_is_feasible_as_a_point_mass(name):
+    solve, _, vertices, _ = POLYTOPES[name]
+    for vertex in vertices():
+        result = solve(*vertex)
+        assert result.feasible
+        assert result.max_violation == 0.0
+        assert sorted(result.witness)[-1] == 1.0
+        assert result.correlations == tuple(float(v) for v in vertex)
+
+
+def test_anti_aligned_triple_needs_slack_two_thirds():
+    result = feasible_triple(1.0, 1.0, -1.0)
+    assert not result.feasible
+    assert result.max_violation == pytest.approx(2.0 / 3.0)
+
+
+def test_paper_triple_slack_is_exact():
+    result = feasible_triple(SQRT2 / 2, SQRT2 / 2, 0.0)
+    assert abs(result.max_violation - (SQRT2 - 1.0) / 3.0) <= 1e-15
 
 
 class TestFalsificationSearch:
