@@ -40,6 +40,7 @@ from .inequalities import (
 )
 from .quantum import SingletSource
 from .realism import (
+    FileReplay,
     ReplayFormatError,
     UnsupportedAxisError,
     assign_chunks,
@@ -115,12 +116,19 @@ class ScenarioConfig:
                 f"unknown scenario {self.scenario!r}; "
                 f"choose from {', '.join(sorted(SCENARIOS))}"
             )
+        named = {f"angles.{k}": v for k, v in self.angles.items()}
+        named.update({f"events.{k}": v for k, v in self.events.items()})
+        given = {"hypotheses": self.hypotheses, "model": self.model,
+                 "model.path": self.model_path, "target": self.target,
+                 "grid-step": self.grid_step, "tol": self.tolerance, **named}
+        for key in [key for key, value in given.items() if value is not None]:
+            if key not in _SCENARIO_KEYS[self.scenario]:
+                raise ConfigError(
+                    f"config key {key!r} is not used by scenario {self.scenario!r}")
         if self.n_pairs is not None and self.n_pairs < 1:
             raise ConfigError(f"pairs must be >= 1, got {self.n_pairs}")
         if not 0 <= self.seed < 2**64:
             raise ConfigError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
-        named = {f"angles.{k}": v for k, v in self.angles.items()}
-        named.update({f"events.{k}": v for k, v in self.events.items()})
         for key, value in named.items():
             if not math.isfinite(value):
                 raise ConfigError(f"{key} must be finite, got {value}")
@@ -150,11 +158,15 @@ class ScenarioConfig:
         for i, value in enumerate(self.target or ()):
             if not -1.0 <= value <= 1.0:
                 raise ConfigError(f"target[{i}] out of range [-1, 1]: {value}")
+        model = None
         if self.model:  # empty falls back to the scenario's default model
             try:
-                model_from_spec(self.model, self.model_path)
+                model = model_from_spec(self.model, self.model_path)
             except ValueError as exc:
                 raise ConfigError(str(exc)) from exc
+        if self.model_path is not None and not isinstance(model, FileReplay):
+            what = repr(self.model) if self.model else "the scenario's default model"
+            raise ConfigError(f"model.path is read only by file-replay, not by {what}")
 
     @property
     def pairs(self) -> int:
@@ -188,6 +200,12 @@ def _row(symbol: str, status: str, value=None, lo=None, hi=None, n=None,
                 source=source, justification=justification)
 
 
+def _analytic_rows(engine: DefinabilityEngine, angles: dict, pairs) -> list[dict]:
+    """Rows of the pairs' statuses; raises unless every one is definite."""
+    return [_row(st.symbol, st.kind.value, st.value, justification=st.justification)
+            for st in engine.definite_statuses(angles, pairs)]
+
+
 def _mc_row(symbol: str, estimate, tolerance: float) -> dict:
     """A Monte Carlo row; lo/hi are the checkpoint interval at the tolerance."""
     return _row(
@@ -199,9 +217,9 @@ def _mc_row(symbol: str, estimate, tolerance: float) -> dict:
 
 def _mc_rows(model, block: Block, seed: int, pairs) -> list[dict]:
     """Monte Carlo rows for axis pairs of one block, streamed in chunks."""
-    tol = 4.0 / math.sqrt(block.count)
     estimates = correlate_block(model, block, seed, pairs)
-    return [_mc_row(pair_symbol(a, b), est, tol) for (a, b), est in zip(pairs, estimates)]
+    return [_mc_row(pair_symbol(a, b), est, est.default_tol)
+            for (a, b), est in zip(pairs, estimates)]
 
 
 V3_DEFAULT_ANGLES = {SYM_P: 0.0, SYM_E: 3 * math.pi / 4, SYM_EP: -3 * math.pi / 4}
@@ -214,11 +232,9 @@ V4_DEFAULT_ANGLES = {
 
 
 def _v3_rows_and_report(engine: DefinabilityEngine, angles: dict):
-    pairs = [(SYM_E, SYM_P), (SYM_EP, SYM_P), (SYM_E, SYM_EP)]
-    statuses = engine.definite_statuses(angles, pairs)
-    value = {st.symbol: st.value for st in statuses}
-    report = eval_v3(*(value[pair_symbol(*p)] for p in V3_PAIRS))
-    return [_row(**st.to_dict()) for st in statuses], report
+    rows = _analytic_rows(engine, angles, [(SYM_E, SYM_P), (SYM_EP, SYM_P), (SYM_E, SYM_EP)])
+    value = {row["symbol"]: row["value"] for row in rows}
+    return rows, eval_v3(*(value[pair_symbol(*p)] for p in V3_PAIRS))
 
 
 def _v3_verdict(report, anchor: str) -> str:
@@ -290,10 +306,10 @@ def _scenario_v4_chsh(cfg: ScenarioConfig) -> ScenarioResult:
     hypotheses = cfg.hypotheses or HypothesisSet.parse("WR,Locality")
     angles = {**V4_DEFAULT_ANGLES, **cfg.angles}
     engine = DefinabilityEngine(hypotheses)
-    statuses = engine.definite_statuses(angles, V4_PAIRS)
-    report = eval_v4(*(st.value for st in statuses))
+    rows = _analytic_rows(engine, angles, V4_PAIRS)
+    report = eval_v4(*(row["value"] for row in rows))
     mc_rows = _singlet_rows(cfg, angles, V4_PAIRS)
-    rows = [_row(**st.to_dict()) for st in statuses] + mc_rows
+    rows += mc_rows
     s_mc = eval_v4(*(row["value"] for row in mc_rows)).s
 
     if report.violated:
@@ -323,11 +339,11 @@ def _scenario_no_correlation(cfg: ScenarioConfig) -> ScenarioResult:
         model, angles[SYM_E], angles[SYM_EP], angles[SYM_P], cfg.pairs,
         seed=cfg.seed, tolerance=cfg.tolerance,
     )
-    est = report.estimate
+    est, extras = report.estimate, report.to_dict()
     rows = [_mc_row(pair_symbol(SYM_E, SYM_EP), est, report.tolerance)]
-    lo, hi = est.interval(report.tolerance)
+    lo, hi = extras["lo"], extras["hi"]
     at = f"at tolerance {report.tolerance:.5f}"
-    rate = f"false-witness rate <= {est.alpha(report.tolerance):.3g}"
+    rate = f"false-witness rate <= {extras['alpha']:.3g}"
     if report.verdict.value == "consistent":
         verdict = (
             f"consistent with the zero prediction: <E,E'> = {est.mean:.5f} and 0 lies "
@@ -346,7 +362,7 @@ def _scenario_no_correlation(cfg: ScenarioConfig) -> ScenarioResult:
         inputs={"angles": dict(angles), "model": report.model},
         correlations=rows,
         inequalities=[],
-        extras=report.to_dict(),
+        extras=extras,
         verdict=verdict,
     )
 
@@ -641,16 +657,6 @@ _SCENARIO_KEYS = {
 }
 
 
-def _check_keys(raw: dict[str, str], scenario: str) -> None:
-    """Reject a key no scenario knows, or one this scenario never reads."""
-    for key in raw:
-        if key in _COMMON_KEYS or key in _SCENARIO_KEYS[scenario]:
-            continue
-        if any(key in keys for keys in _SCENARIO_KEYS.values()):
-            raise ConfigError(f"config key {key!r} is not used by scenario {scenario!r}")
-        raise ConfigError(f"unknown config key {key!r}")
-
-
 def build_config(args: argparse.Namespace) -> ScenarioConfig:
     raw = parse_config_file(args.config) if args.config else {}
     # A flag given on the command line overrides its config key and is
@@ -666,8 +672,10 @@ def build_config(args: argparse.Namespace) -> ScenarioConfig:
     scenario = raw.get("scenario")
     if not scenario:
         raise ConfigError("no scenario given (use --scenario or a config file)")
-    if scenario in _SCENARIO_KEYS:  # an unknown scenario fails in ScenarioConfig
-        _check_keys(raw, scenario)
+    # ScenarioConfig rejects a key that this scenario does not read.
+    for key in raw:
+        if key not in _COMMON_KEYS and all(key not in keys for keys in _SCENARIO_KEYS.values()):
+            raise ConfigError(f"unknown config key {key!r}")
 
     angles = {}
     events = {}
@@ -727,22 +735,14 @@ def main(argv: "list[str] | None" = None) -> int:
     )
     parser.add_argument("--config", help="flat key=value config file")
     parser.add_argument("--seed", type=int, default=None, help="RNG seed (default 0)")
-    parser.add_argument(
-        "--pairs",
-        type=int,
-        default=None,
-        help="pairs per estimate (default 10^6; lhv-sweep uses 20000)",
-    )
+    parser.add_argument("--pairs", type=int, default=None,
+                        help="pairs per estimate (default 10^6; lhv-sweep uses 20000)")
     parser.add_argument("--out", help=f"output file (relative paths join ${OUT_DIR_ENV})")
     parser.add_argument(
         "--format", choices=sorted(FORMATTERS), default="table", help="output format"
     )
-    parser.add_argument(
-        "--grid-step",
-        type=float,
-        default=None,
-        help="lhv-sweep angle step in radians (default pi/90)",
-    )
+    parser.add_argument("--grid-step", type=float, default=None,
+                        help="lhv-sweep angle step in radians (default pi/90)")
     args = parser.parse_args(argv)
 
     try:

@@ -194,6 +194,11 @@ class CorrelationEstimate:
     def mean(self) -> float:
         return self.sum_products / self.n
 
+    @property
+    def default_tol(self) -> float:
+        """4/sqrt(n): the tolerance of Monte Carlo rows and, by default, verdicts."""
+        return 4.0 / math.sqrt(self.n)
+
     def interval(self, tol: float) -> tuple[float, float]:
         """(lo, hi): the intersection over checkpoints t of S_t/t +/- tol*sqrt(n/t).
 

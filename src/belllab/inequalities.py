@@ -59,6 +59,10 @@ __all__ = [
 # Alice's side) and x = E, y = P, w = E', z = P' (V4).
 V3_PAIRS = ((SYM_E, SYM_P), (SYM_E, SYM_EP), (SYM_P, SYM_EP))
 V4_PAIRS = ((SYM_E, SYM_P), (SYM_E, SYM_PP), (SYM_EP, SYM_P), (SYM_EP, SYM_PP))
+# A target counts as inside the local polytope up to this slack, and the
+# search's local scan steps at grid_step / SEARCH_REFINEMENT.
+FEASIBILITY_TOL = 1e-9
+SEARCH_REFINEMENT = 10
 
 
 def _values(*seqs: OutcomeSequence) -> tuple[int, list[np.ndarray]]:
@@ -153,10 +157,6 @@ class V4Report:
     s: float
     violated: bool
 
-    @property
-    def excess(self) -> float:
-        return max(self.s - 2.0, 0.0)
-
     def to_dict(self) -> dict:
         return {
             "version": "V4",
@@ -200,9 +200,10 @@ class FeasibilityResult:
 
     ``witness`` is a distribution over the deterministic +/-1 assignments
     (8 atoms for a triple, 16 for a quadruple); when ``feasible`` it matches
-    the targets within tolerance.  ``max_violation`` is the smallest uniform
-    slack that would have to be granted on the correlation constraints for a
-    distribution to exist (0 when the target is inside the polytope).
+    the targets within ``FEASIBILITY_TOL``.  ``max_violation`` is the
+    smallest uniform slack that would have to be granted on the correlation
+    constraints for a distribution to exist (0 when the target is inside the
+    polytope), and ``feasible`` is ``max_violation <= FEASIBILITY_TOL``.
     """
 
     feasible: bool
@@ -255,46 +256,45 @@ def _targets(values: Sequence[float]) -> np.ndarray:
     return np.array([_check_corr(f"target[{i}]", t) for i, t in enumerate(values)])
 
 
-def _result(table, slack: float, weights: np.ndarray, tol: float) -> FeasibilityResult:
+def _result(table, slack: float, weights: np.ndarray) -> FeasibilityResult:
     """Feasibility from the optimum t of  min t  s.t.  |A p - c| <= t, sum p = 1,
     p >= 0.  A target in the box violates at most one facet f; t = max(0, its
     excess over |f|_1) bounds the optimum from below, and ``weights``, of c
-    moved by t along -sign(f) onto f, reach it.  Feasible iff t <= tol."""
+    moved by t along -sign(f) onto f, reach it."""
     atoms, products, index = table
     witness = np.zeros(len(atoms))
     witness[index] = np.maximum(weights, 0.0)
-    return FeasibilityResult(feasible=slack <= tol, witness=tuple(witness.tolist()),
+    return FeasibilityResult(feasible=slack <= FEASIBILITY_TOL,
+                             witness=tuple(witness.tolist()),
                              max_violation=slack, atoms=atoms,
                              correlations=tuple((witness @ products).tolist()))
 
 
-def feasible_triple(
-    c_xy: float, c_xz: float, c_yz: float, tol: float = 1e-9
-) -> FeasibilityResult:
+def feasible_triple(c_xy: float, c_xz: float, c_yz: float) -> FeasibilityResult:
     """Does any joint distribution over (x, y, z) in {-1,+1}^3 have these
-    three pairwise correlations?  The witness holds the barycentric weights
-    (1 + v.c)/4 of the target, moved onto the violated facet if any."""
+    three pairwise correlations, within ``FEASIBILITY_TOL``?  The witness
+    holds the barycentric weights (1 + v.c)/4 of the target, moved onto the
+    violated facet if any."""
     c = _targets([c_xy, c_xz, c_yz])
     dots = _TETRAHEDRON @ c
     slack = max(0.0, float(-1.0 - dots.min()) / 3.0)
     moved = c + slack * _TETRAHEDRON[np.argmin(dots)]
-    return _result(_TRIPLE, slack, (1.0 + _TETRAHEDRON @ moved) / 4.0, tol)
+    return _result(_TRIPLE, slack, (1.0 + _TETRAHEDRON @ moved) / 4.0)
 
 
-def feasible_quad(
-    c_xy: float, c_xz: float, c_wy: float, c_wz: float, tol: float = 1e-9
-) -> FeasibilityResult:
+def feasible_quad(c_xy: float, c_xz: float, c_wy: float, c_wz: float) -> FeasibilityResult:
     """Does any joint distribution over (w, x, y, z) in {-1,+1}^4 have these
-    four cross correlations (the CHSH set)?  The witness puts |h.c|/4 on
-    sign(h.c) h for each Hadamard row h, at the target moved onto the violated
-    CHSH facet if any, and splits the mass left over between +h_0 and -h_0."""
+    four cross correlations (the CHSH set), within ``FEASIBILITY_TOL``?  The
+    witness puts |h.c|/4 on sign(h.c) h for each Hadamard row h, at the target
+    moved onto the violated CHSH facet if any, and splits the mass left over
+    between +h_0 and -h_0."""
     c = _targets([c_xy, c_xz, c_wy, c_wz])
     chsh = _CHSH @ c
     slack = max(0.0, float(chsh.max() - 2.0) / 4.0)
     mu = _HADAMARD @ (c - slack * _CHSH[np.argmax(chsh)]) / 4.0
     weights = np.concatenate([np.maximum(mu, 0.0), np.maximum(-mu, 0.0)])
     weights[[0, 4]] += (1.0 - np.abs(mu).sum()) / 2.0
-    return _result(_QUAD, slack, weights, tol)
+    return _result(_QUAD, slack, weights)
 
 
 # A value source maps {symbol: angle array} to {pair key: value array},
@@ -408,10 +408,7 @@ def _grid(center: float, half_width: float, step: float) -> np.ndarray:
 
 
 def falsification_search(
-    version: str,
-    value_source: ValueSource,
-    grid_step: float = math.pi / 180.0,
-    refinement: int = 10,
+    version: str, value_source: ValueSource, grid_step: float = math.pi / 180.0
 ) -> SearchOutcome:
     """Scan angle configurations for the strongest inequality falsification.
 
@@ -421,8 +418,9 @@ def falsification_search(
     pinned to zero (theta_P for V3, theta_P' for V4) without loss.  As each
     pair's value depends only on its own two angles, a scan of G angles per
     axis is one value-source call of G x G points, for V4 as for V3.  A
-    coarse full-circle scan at ``grid_step`` is followed by one local
-    refinement at ``grid_step / refinement``.
+    coarse full-circle scan at ``grid_step`` is followed by one local scan
+    at ``grid_step / SEARCH_REFINEMENT`` over one coarse step around its best
+    point.
 
     Returns a non-found outcome with a reason when no configuration has all
     required correlations defined.
@@ -435,7 +433,7 @@ def falsification_search(
     coarse = _scan(spec, value_source, [full] * len(spec.free))
     if coarse is None:
         return SearchOutcome(version=version, found=False, reason=spec.reason)
-    fine = [_grid(t, grid_step, grid_step / refinement) for t in coarse[1]]
+    fine = [_grid(t, grid_step, grid_step / SEARCH_REFINEMENT) for t in coarse[1]]
     refined = _scan(spec, value_source, fine)
     value, best = refined if refined is not None else coarse
     angles = {**dict(zip(spec.free, best)), spec.pinned: 0.0}

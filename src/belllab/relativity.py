@@ -94,8 +94,6 @@ class SpacetimeEvent:
     x: float
     t: float
 
-    C = 1.0
-
 
 class IntervalType(enum.Enum):
     SPACELIKE = "spacelike"
@@ -104,10 +102,10 @@ class IntervalType(enum.Enum):
 
 
 def interval_type(e1: SpacetimeEvent, e2: SpacetimeEvent) -> IntervalType:
-    """Classify the separation by the sign of dx^2 - c^2 dt^2."""
+    """Classify the separation by the sign of dx^2 - dt^2 (c = 1)."""
     dx = e2.x - e1.x
     dt = e2.t - e1.t
-    s = dx * dx - SpacetimeEvent.C**2 * dt * dt
+    s = dx * dx - dt * dt
     if s > 0:
         return IntervalType.SPACELIKE
     if s < 0:
@@ -212,10 +210,6 @@ class HypothesisSet:
         )
 
     @classmethod
-    def of(cls, *hypotheses: Hypothesis) -> "HypothesisSet":
-        return cls(frozenset(hypotheses))
-
-    @classmethod
     def parse(cls, text: str) -> "HypothesisSet":
         flags = set()
         for token in text.replace("+", ",").split(","):
@@ -227,9 +221,6 @@ class HypothesisSet:
                 raise ValueError(f"unknown hypothesis: {token!r}")
             flags.add(_HYPOTHESIS_ALIASES[key])
         return cls(frozenset(flags))
-
-    def __contains__(self, h: Hypothesis) -> bool:
-        return h in self.flags
 
     @property
     def weak_realism(self) -> bool:
@@ -263,18 +254,15 @@ class StatusKind(enum.Enum):
 class CorrelationStatus:
     """Definability verdict for one correlation under a hypothesis set.
 
-    ``value`` is set for definite statuses (DEFINED and the lemma's zero).
-    For BOUNDED, ``bound_lo``/``bound_hi`` delimit the interval guaranteed
-    to lie between liminf and limsup of the running mean (always [0, 0]
-    here: the parity argument certifies liminf <= 0 <= limsup and nothing
-    more).  ``justification`` names the principle that decided the status.
+    ``value`` is set exactly for the definite statuses, DEFINED and the
+    lemma's zero.  A BOUNDED pair has no value: the parity argument
+    certifies only liminf <= 0 <= limsup of its running mean.
+    ``justification`` names the principle that decided the status.
     """
 
     pair: tuple[str, str]
     kind: StatusKind
     value: float | None = None
-    bound_lo: float | None = None
-    bound_hi: float | None = None
     justification: str = ""
 
     @property
@@ -284,16 +272,6 @@ class CorrelationStatus:
     @property
     def definite(self) -> bool:
         return self.value is not None
-
-    def to_dict(self) -> dict:
-        return {
-            "symbol": self.symbol,
-            "status": self.kind.value,
-            "value": self.value,
-            "lo": self.bound_lo,
-            "hi": self.bound_hi,
-            "justification": self.justification,
-        }
 
 
 _PRIMED = (SYM_EP, SYM_PP)
@@ -335,6 +313,20 @@ def _rule(h: HypothesisSet, a: str, b: str) -> tuple[StatusKind, int, str]:
     return StatusKind.UNDEFINED, 0, "no-value-transfer-principle"
 
 
+def _value(h: HypothesisSet, a: str, b: str, cos_d):
+    """(kind, value, principle) of a pair at cos(delta), a float or an array.
+
+    The value is +/-cos(delta) for a DEFINED pair and the lemma's zero at
+    orthogonal axes; it is NaN wherever no definite value exists.
+    """
+    kind, sign, why = _rule(h, a, b)
+    if kind is StatusKind.DEFINED:
+        return kind, cos_d if sign > 0 else -cos_d, why
+    if kind is StatusKind.ZERO_BY_NO_CORRELATION:
+        return kind, np.where(_orthogonal(cos_d), 0.0, np.nan), why
+    return kind, np.full_like(cos_d, np.nan), why
+
+
 class DefinabilityEngine:
     """Decides status and value of each correlation under fixed hypotheses."""
 
@@ -347,19 +339,14 @@ class DefinabilityEngine:
         for symbol in (a, b):
             if symbol not in angles:
                 raise KeyError(f"no angle supplied for axis {symbol!r}")
-        pair = (a, b)
         cos_d = math.cos((as_angle(angles[a]) - as_angle(angles[b])).radians)
-        kind, sign, why = _rule(self.hypotheses, a, b)
-        if kind is StatusKind.ZERO_BY_NO_CORRELATION and not _orthogonal(cos_d):
+        kind, value, why = _value(self.hypotheses, a, b, cos_d)
+        value = float(value)
+        if not math.isnan(value):
+            return CorrelationStatus((a, b), kind, value, why)
+        if kind is StatusKind.ZERO_BY_NO_CORRELATION:  # axes not orthogonal
             kind, why = StatusKind.BOUNDED, "parity-straddle"
-        value = bound = None
-        if kind is StatusKind.DEFINED:
-            value = cos_d if sign > 0 else -cos_d
-        elif kind is StatusKind.ZERO_BY_NO_CORRELATION:
-            value = 0.0
-        elif kind is StatusKind.BOUNDED:
-            bound = 0.0
-        return CorrelationStatus(pair, kind, value, bound, bound, why)
+        return CorrelationStatus((a, b), kind, None, why)
 
     def statuses(
         self,
@@ -398,14 +385,7 @@ class DefinabilityEngine:
         for i, a in enumerate(symbols):
             for b in symbols[i + 1:]:
                 cos_d = np.cos(arrays[a] - arrays[b])
-                kind, sign, _ = _rule(self.hypotheses, a, b)
-                if kind is StatusKind.DEFINED:
-                    value = cos_d if sign > 0 else -cos_d
-                elif kind is StatusKind.ZERO_BY_NO_CORRELATION:
-                    value = np.where(_orthogonal(cos_d), 0.0, np.nan)
-                else:
-                    value = np.full_like(cos_d, np.nan)
-                out[pair_symbol(a, b)] = value
+                out[pair_symbol(a, b)] = _value(self.hypotheses, a, b, cos_d)[1]
         return out
 
 
@@ -457,7 +437,8 @@ def no_correlation_check(
     """Estimate <E,E'> for a model and test it against zero.
 
     CONSISTENT requires 0 in the estimate's checkpoint interval at the
-    tolerance (default 4/sqrt(N)), so |mean| <= tolerance; anything else marks
+    tolerance (default ``estimate.default_tol``, 4/sqrt(N)), so
+    |mean| <= tolerance; anything else marks
     the model as an EACP-violation witness, for a zero-mean model on at most
     a fraction ``estimate.alpha(tolerance)`` of seeds.  Non-orthogonal axes
     are allowed but flagged, since the zero prediction only covers the
@@ -466,10 +447,10 @@ def no_correlation_check(
     theta_e = as_angle(theta_e)
     theta_ep = as_angle(theta_ep)
     theta_p = as_angle(theta_p)
-    if tolerance is None:
-        tolerance = 4.0 / math.sqrt(n_pairs)
     block = Block({SYM_E: theta_e, SYM_EP: theta_ep, SYM_P: theta_p}, count=n_pairs)
     (est,) = correlate_block(model, block, seed, [(SYM_E, SYM_EP)])
+    if tolerance is None:
+        tolerance = est.default_tol
     lo, hi = est.interval(tolerance)
     ok = lo <= 0.0 <= hi
     return NoCorrelationReport(

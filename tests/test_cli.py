@@ -125,6 +125,36 @@ class TestRun:
         with pytest.raises(ConfigError, match=f"limit of {limit} configurations"):
             ScenarioConfig(scenario="lhv-sweep", grid_step=math.pi / limit)
 
+    def test_library_config_rejects_fields_its_scenario_does_not_read(self):
+        from belllab.relativity import HypothesisSet
+
+        # one value per field, keyed by the config key it stands for
+        fields = {
+            **{f"angles.{s}": {"angles": {s: 0.5}} for s in SYMBOLS},
+            **{f"events.{e}": {"events": {e: 0.5}} for e in cli._DEFAULT_EVENTS},
+            "hypotheses": {"hypotheses": HypothesisSet.parse("WR,Locality")},
+            "model": {"model": "lhv-sign"},
+            "model.path": {"model_path": "missing.txt"},
+            "target": {"target": [0.5, 0.5, 0.0]},
+            "grid-step": {"grid_step": 0.5},
+            "tol": {"tolerance": 0.5},
+        }
+        rejected = 0
+        for scenario, keys in cli._SCENARIO_KEYS.items():
+            for key, kw in fields.items():
+                if key in keys:
+                    continue
+                with pytest.raises(ConfigError, match=f"{key!r} is not used by scenario"):
+                    ScenarioConfig(scenario, n_pairs=1000, **kw)
+                rejected += 1
+        assert rejected > 50
+
+    def test_library_config_rejects_model_path_without_file_replay(self):
+        for scenario, model in (("no-correlation", None), ("lhv-sweep", "lhv"),
+                                ("v3-eacp", "collapse")):
+            with pytest.raises(ConfigError, match="model.path is read only by file-replay"):
+                ScenarioConfig(scenario, model=model, model_path="missing.txt")
+
     def test_undefined_hypotheses_raise(self):
         from belllab.relativity import HypothesisSet, UndefinedCorrelationError
 
@@ -195,6 +225,10 @@ class TestMain:
                          id="model-unknown"),
             pytest.param("scenario = v3-eacp\nmodel = file-replay\n", "model.path",
                          id="replay-without-path"),
+            pytest.param("scenario = no-correlation\nmodel.path = missing.txt\n",
+                         "model.path", id="path-with-default-model"),
+            pytest.param("scenario = lhv-sweep\nmodel = lhv\nmodel.path = missing.txt\n",
+                         "model.path", id="path-with-lhv-model"),
         ],
     )
     def test_bad_model_is_a_config_error(self, lines, key, tmp_path, capsys):
@@ -471,6 +505,16 @@ class TestConfigParsing:
         cfg.write_text("scenario = polytope\nseed = abc\n")
         assert main(["--config", str(cfg)]) == 2
         capsys.readouterr()
+
+
+@pytest.mark.parametrize("scenario", sorted(cli.SCENARIOS))
+def test_analytic_rows_are_definite_and_carry_no_bounds(scenario):
+    # a correlation that is not definite ends the run with exit 3, so no
+    # bounded or undefined status ever reaches a row
+    for row in run(small(scenario, n_pairs=1000)).correlations:
+        if row["source"] == "analytic":
+            assert row["status"] in ("defined", "zero-by-no-correlation"), row
+            assert row["lo"] is None and row["hi"] is None, row
 
 
 def test_no_scenario_loads_scipy(tmp_path):

@@ -119,8 +119,8 @@ class TestFindObserver:
 
 class TestHypothesisSet:
     def test_qm_always_present(self):
-        assert Hypothesis.QM in HypothesisSet.of()
-        assert Hypothesis.QM in HypothesisSet.parse("WR,Locality")
+        assert HypothesisSet(frozenset()).flags == {Hypothesis.QM}
+        assert Hypothesis.QM in HypothesisSet.parse("WR,Locality").flags
 
     def test_parse_aliases(self):
         h = HypothesisSet.parse("weak-realism, locality")
@@ -228,7 +228,7 @@ class TestDefinableCorrelations:
         assert sts["<E',P'>"].kind is StatusKind.UNDEFINED
         # without FWP even orthogonal same-side axes are merely bounded
         assert sts["<E,E'>"].kind is StatusKind.BOUNDED
-        assert sts["<E,E'>"].bound_lo == 0.0 and sts["<E,E'>"].bound_hi == 0.0
+        assert sts["<E,E'>"].value is None and not sts["<E,E'>"].definite
         assert sts["<P,P'>"].kind is StatusKind.BOUNDED
 
     def test_zero_status_needs_eacp_fwp_and_orthogonality(self):
