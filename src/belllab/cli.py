@@ -24,6 +24,8 @@ import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -94,23 +96,28 @@ _MAX_PAIRS_PER_RUN = 10**9
 _BLOCKS = {"v3-local": 2, "v4-chsh": 4, "v3-eacp": 1, "no-correlation": 1}
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioConfig:
-    """Inputs of one scenario run; None fields fall back per scenario."""
+    """Inputs of one scenario run; None fields fall back per scenario.  Frozen,
+    with ``angles`` and ``events`` as read-only copies and ``target`` a tuple,
+    so the checks made on construction hold for the object's whole life."""
 
     scenario: str
     seed: int = 0
     n_pairs: int | None = None
-    angles: dict[str, float] = field(default_factory=dict)
+    angles: Mapping[str, float] = field(default_factory=dict)
     hypotheses: HypothesisSet | None = None
     model: str | None = None
     model_path: str | None = None
-    target: list[float] | None = None
-    events: dict[str, float] = field(default_factory=dict)
+    target: Sequence[float] | None = None
+    events: Mapping[str, float] = field(default_factory=dict)
     grid_step: float | None = None
     tolerance: float | None = None
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "angles", MappingProxyType(dict(self.angles)))
+        object.__setattr__(self, "events", MappingProxyType(dict(self.events)))
+        object.__setattr__(self, "target", None if self.target is None else tuple(self.target))
         if self.scenario not in SCENARIOS:
             raise ConfigError(
                 f"unknown scenario {self.scenario!r}; "

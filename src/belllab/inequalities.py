@@ -297,11 +297,11 @@ def feasible_quad(c_xy: float, c_xz: float, c_wy: float, c_wz: float) -> Feasibi
     return _result(_QUAD, slack, weights)
 
 
-# A value source maps {symbol: angle array} to {pair key: value array},
-# with NaN wherever no definite value exists under the source's hypotheses.
-# Each pair's value must depend only on that pair's two angles, as in
-# ``DefinabilityEngine.values``; ``falsification_search`` relies on it to
-# maximize each term of an objective over its own axis.
+# A value source maps {symbol: angle array}, broadcast-compatible arrays, to
+# {pair key: value array}, each of their common shape and NaN wherever no
+# definite value exists under the source's hypotheses.  Each pair's value must
+# depend only on that pair's two angles, as in ``DefinabilityEngine.values``;
+# ``falsification_search`` relies on it to maximize each term over its axis.
 ValueSource = Callable[[Mapping[str, np.ndarray]], Mapping[str, np.ndarray]]
 
 
@@ -379,16 +379,14 @@ def _scan(
 ) -> tuple[float, tuple[float, ...]] | None:
     """Best objective over the product of ``grids``, one per ``spec.free`` axis.
 
-    One value-source call covers a rows x shared mesh, with every row axis
-    (all of equal length) down the rows.  No term reads another's row axis,
-    so each is maximized over its rows alone.  None when nothing is defined.
+    One value-source call covers a rows x shared mesh: row axes (all of equal
+    length) as columns, the shared axis as a row.  No term reads another's row
+    axis, so each is maximized over its rows alone.  None when nothing is defined.
     """
     *row_grids, shared = grids
-    shape = (len(row_grids[0]), len(shared))
-    angles = {spec.pinned: np.zeros(shape),
-              spec.shared: np.broadcast_to(shared, shape)}
+    angles = {spec.pinned: np.zeros((1, 1)), spec.shared: shared[None, :]}
     for (row, _, _), grid in zip(spec.terms, row_grids):
-        angles[row] = np.broadcast_to(grid[:, None], shape)
+        angles[row] = grid[:, None]
     values = value_source(angles)
     terms = [fn(*(values[pair_symbol(*p)] for p in pairs))
              for _, pairs, fn in spec.terms]
@@ -417,18 +415,21 @@ def falsification_search(
     the values depend only on angle differences, one reference angle is
     pinned to zero (theta_P for V3, theta_P' for V4) without loss.  As each
     pair's value depends only on its own two angles, a scan of G angles per
-    axis is one value-source call of G x G points, for V4 as for V3.  A
+    axis is one value-source call on a G x G mesh, for V4 as for V3.  A
     coarse full-circle scan at ``grid_step`` is followed by one local scan
     at ``grid_step / SEARCH_REFINEMENT`` over one coarse step around its best
     point.
 
     Returns a non-found outcome with a reason when no configuration has all
-    required correlations defined.
+    required correlations defined.  Raises ValueError for an unknown version
+    or a ``grid_step`` that is not positive and finite.
     """
     version = version.upper()
     if version not in _SEARCH_SPECS:
         raise ValueError(f"version must be 'V3' or 'V4', got {version!r}")
     spec = _SEARCH_SPECS[version]
+    if not 0 < grid_step < math.inf:  # also rejects NaN
+        raise ValueError(f"grid_step must be positive and finite, got {grid_step!r}")
     full = np.arange(-math.pi + grid_step, math.pi + grid_step / 2, grid_step)
     coarse = _scan(spec, value_source, [full] * len(spec.free))
     if coarse is None:

@@ -376,16 +376,18 @@ class DefinabilityEngine:
     def values(self, angles: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:
         """Vectorized definite values for every pair of supplied axes.
 
-        Entries are NaN where no definite value exists; suitable as the
-        value source of ``falsification_search``.
+        Each pair's value is computed on its two axes' broadcast shape and
+        returned as a read-only view of the common shape, NaN where none is
+        definite; suitable as the value source of ``falsification_search``.
         """
         symbols = [s for s in (SYM_E, SYM_EP, SYM_P, SYM_PP) if s in angles]
         arrays = {s: np.asarray(angles[s], dtype=np.float64) for s in symbols}
+        shape = np.broadcast_shapes(*(x.shape for x in arrays.values()))
         out: dict[str, np.ndarray] = {}
         for i, a in enumerate(symbols):
             for b in symbols[i + 1:]:
-                cos_d = np.cos(arrays[a] - arrays[b])
-                out[pair_symbol(a, b)] = _value(self.hypotheses, a, b, cos_d)[1]
+                _, value, _ = _value(self.hypotheses, a, b, np.cos(arrays[a] - arrays[b]))
+                out[pair_symbol(a, b)] = np.broadcast_to(value, shape)
         return out
 
 

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -154,6 +155,32 @@ class TestRun:
                                 ("v3-eacp", "collapse")):
             with pytest.raises(ConfigError, match="model.path is read only by file-replay"):
                 ScenarioConfig(scenario, model=model, model_path="missing.txt")
+
+    def test_library_config_cannot_skip_its_checks_after_construction(self):
+        cfg = ScenarioConfig("polytope")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.tolerance = 0.5
+        with pytest.raises(TypeError):
+            cfg.angles["E"] = 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.n_pairs = -5
+        result = run(cfg)
+        assert result.n_pairs == cli.DEFAULT_PAIRS and result.correlations
+
+    def test_library_config_pairs_cannot_be_zeroed_after_construction(self):
+        cfg = ScenarioConfig("v4-chsh", n_pairs=1000)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.n_pairs = 0
+        assert run(cfg).n_pairs == 1000
+
+    def test_library_config_keeps_copies_of_its_inputs(self):
+        angles, target = {"E": 1.0}, [0.5, 0.5, 0.0]
+        cfg = ScenarioConfig("v3-local", n_pairs=1000, angles=angles)
+        angles["E"] = math.nan
+        assert dict(cfg.angles) == {"E": 1.0}
+        cfg = ScenarioConfig("polytope", target=target)
+        target[0] = 2.0
+        assert cfg.target == (0.5, 0.5, 0.0)
 
     def test_undefined_hypotheses_raise(self):
         from belllab.relativity import HypothesisSet, UndefinedCorrelationError

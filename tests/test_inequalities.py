@@ -423,6 +423,12 @@ class TestFalsificationSearch:
         with pytest.raises(ValueError, match="version"):
             falsification_search("V5", engine.values)
 
+    @pytest.mark.parametrize("step", [0.0, -0.1, math.nan, math.inf, -math.inf])
+    def test_bad_grid_step(self, step):
+        engine = DefinabilityEngine(HypothesisSet.parse("WR,Locality"))
+        with pytest.raises(ValueError, match="grid_step must be positive and finite"):
+            falsification_search("V3", engine.values, step)
+
 
 # Reference search by brute force: the whole objective at every
 # configuration of the free axes, the last two meshed per value-source call
@@ -492,3 +498,41 @@ def test_search_matches_brute_force_exactly(hypotheses, version, step):
         assert out.violation == want
         excess = out.report.s - 2.0 if version == "V4" else -out.report.slack
         assert excess == out.violation
+
+
+# (row axes, shared axis, pinned axis) of each search.
+SEARCH_AXES = {"V3": ((SYM_E,), SYM_EP, SYM_P), "V4": ((SYM_E, SYM_EP), SYM_P, SYM_PP)}
+
+
+@pytest.mark.parametrize("version", ["V3", "V4"])
+def test_scans_pass_each_axis_at_its_own_shape(version):
+    engine = DefinabilityEngine(HypothesisSet.parse("WR,Locality"))
+    shapes = []
+
+    def spy(angles):
+        shapes.append({k: np.shape(v) for k, v in angles.items()})
+        return engine.values(angles)
+
+    step = math.pi / 36
+    assert falsification_search(version, spy, step).found
+    rows, shared, pinned = SEARCH_AXES[version]
+    coarse, fine, final = shapes
+    for scan, g in ((coarse, 72), (fine, len(inequalities._grid(0.0, step, step / 10)))):
+        assert scan == {**dict.fromkeys(rows, (g, 1)), shared: (1, g), pinned: (1, 1)}
+    assert final == dict.fromkeys((*rows, shared, pinned), (1,))
+
+
+@pytest.mark.parametrize("step", [math.pi / 36, math.pi / 180], ids=["pi/36", "pi/180"])
+@pytest.mark.parametrize("version", ["V3", "V4"])
+@pytest.mark.parametrize("hypotheses", HYPOTHESIS_SUBSETS, ids=lambda h: h or "none")
+def test_search_is_bit_identical_to_a_full_mesh_source(hypotheses, version, step):
+    # The reference source broadcasts every axis to the whole mesh, so each
+    # pair is computed at every mesh point.
+    engine = DefinabilityEngine(HypothesisSet.parse(hypotheses))
+
+    def full_mesh(angles):
+        return engine.values(dict(zip(angles, np.broadcast_arrays(*angles.values()))))
+
+    got = falsification_search(version, engine.values, step).to_dict()
+    want = falsification_search(version, full_mesh, step).to_dict()
+    assert repr(got) == repr(want)  # repr: exact floats, and NaN equals NaN

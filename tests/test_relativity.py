@@ -288,6 +288,21 @@ class TestDefinableCorrelations:
                         assert vec == pytest.approx(st.value, abs=1e-12), (hyp, a, b, i, j)
         assert seen == set(StatusKind)
 
+    def test_values_on_mixed_shapes_match_the_full_mesh(self):
+        # Steps of pi/4 put orthogonal axes at many points, so the lemma's
+        # zero is among the values compared.
+        steps = np.arange(-4, 4) * (math.pi / 4)
+        angles = {SYM_E: steps[:, None], SYM_EP: steps[None, :],
+                  SYM_P: np.zeros((1, 1)), SYM_PP: steps}
+        full = dict(zip(angles, np.broadcast_arrays(*angles.values())))
+        for hyp in HYPOTHESIS_SUBSETS:
+            engine = DefinabilityEngine(HypothesisSet.parse(hyp))
+            got, want = engine.values(angles), engine.values(full)
+            assert got.keys() == want.keys() == {pair_symbol(a, b) for a, b in SIX_PAIRS}
+            for key, value in got.items():
+                assert value.shape == (8, 8) and not value.flags.writeable
+                assert np.array_equal(value, want[key], equal_nan=True), (hyp, key)
+
     def test_value_or_raise(self):
         engine = DefinabilityEngine(HypothesisSet.parse("WR,EACP"))
         with pytest.raises(UndefinedCorrelationError, match="<E',P'>"):
