@@ -45,8 +45,8 @@ from .realism import (
     FileReplay,
     ReplayFormatError,
     UnsupportedAxisError,
-    assign_chunks,
     correlate_block,
+    disagreement_chunks,
     model_from_spec,
 )
 from .relativity import (
@@ -458,9 +458,9 @@ def _sweep_configurations(step: float) -> int:
 def _product_sums(model, block: Block, seed: int, pairs) -> list[int]:
     """Exact product sum of each axis pair over a block, added chunk by chunk."""
     sums = [0] * len(pairs)
-    for chunk in assign_chunks(model, block, seed):
-        for i, (a, b) in enumerate(pairs):
-            sums[i] += product_sum(chunk[a], chunk[b])
+    for masks in disagreement_chunks(model, block, seed, pairs):
+        for i, differ in enumerate(masks):
+            sums[i] += product_sum(differ)
     return sums
 
 
@@ -622,7 +622,7 @@ def parse_config_file(path: "str | Path") -> dict[str, str]:
     out: dict[str, str] = {}
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: NUL in path, not UTF-8
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()

@@ -167,9 +167,10 @@ class Block:
         object.__setattr__(self, "axes", axes)
 
 
-def product_sum(u: np.ndarray, v: np.ndarray) -> int:
-    """Exact sum of u*v over +/-1 arrays: agreements minus disagreements."""
-    return u.size - 2 * int(np.count_nonzero(u != v))
+def product_sum(differ: np.ndarray) -> int:
+    """Exact sum of u*v over +/-1 arrays, given the mask ``differ = u != v``:
+    agreements minus disagreements."""
+    return differ.size - 2 * int(np.count_nonzero(differ))
 
 
 def checkpoints(n: int) -> list[int]:
@@ -221,9 +222,10 @@ class CorrelationEstimate:
 class RunningCorrelation:
     """``correlate`` of two length-``n`` sequences fed in consecutive chunks.
 
-    Only exact integers carry over from chunk to chunk: the product sum and,
-    for each checkpoint a chunk reaches, one prefix sum.  The checkpoints
-    depend on n alone, so the estimate does not depend on the split.
+    Each chunk is fed as its disagreement mask, and only exact integers carry
+    over from chunk to chunk: the product sum and, for each checkpoint a
+    chunk reaches, one prefix sum.  The checkpoints depend on n alone, so
+    the estimate does not depend on the split.
     """
 
     def __init__(self, n: int) -> None:
@@ -231,13 +233,16 @@ class RunningCorrelation:
         self.partial_sums: list[int] = []
         self._pending = checkpoints(n)[::-1]  # the next one last
 
-    def add(self, u: np.ndarray, v: np.ndarray) -> None:
-        """Feed the next stretch of both sequences as +/-1 int8 arrays."""
-        start, self.seen = self.seen, self.seen + u.size
-        while self._pending and self._pending[-1] <= self.seen:
+    def add(self, differ: np.ndarray) -> None:
+        """Feed the next stretch as a bool mask, True where u_i != v_i."""
+        start, seen = self.seen, self.seen + differ.size
+        if seen > self.n:
+            raise ValueError(f"{seen} of {self.n} values fed")
+        self.seen = seen
+        while self._pending and self._pending[-1] <= seen:
             k = self._pending.pop() - start
-            self.partial_sums.append(self.total + product_sum(u[:k], v[:k]))
-        self.total += product_sum(u, v)
+            self.partial_sums.append(self.total + product_sum(differ[:k]))
+        self.total += product_sum(differ)
 
     def estimate(self) -> CorrelationEstimate:
         if self.seen != self.n:
@@ -258,5 +263,5 @@ def correlate(u: OutcomeSequence, v: OutcomeSequence) -> CorrelationEstimate:
     if len(v) != n:
         raise ValueError(f"length mismatch: {n} vs {len(v)}")
     running = RunningCorrelation(n)
-    running.add(u.values, v.values)
+    running.add(u.values != v.values)
     return running.estimate()

@@ -94,7 +94,7 @@ def sica_v3_check(
     Computed from exact integer sums; non-negative for every actual triple.
     """
     n, (xa, ya, za) = _values(x, y, z)
-    return sica_v3_slack(n, product_sum(xa, ya), product_sum(xa, za), product_sum(ya, za))
+    return sica_v3_slack(n, product_sum(xa != ya), product_sum(xa != za), product_sum(ya != za))
 
 
 def sica_v4_check(
@@ -105,8 +105,8 @@ def sica_v4_check(
     Computed from exact integer sums; non-negative for every actual quadruple.
     """
     n, (wa, xa, ya, za) = _values(w, x, y, z)
-    s_xy, s_xz = product_sum(xa, ya), product_sum(xa, za)
-    return sica_v4_margin(n, s_xy, s_xz, product_sum(wa, ya), product_sum(wa, za))
+    s_xy, s_xz = product_sum(xa != ya), product_sum(xa != za)
+    return sica_v4_margin(n, s_xy, s_xz, product_sum(wa != ya), product_sum(wa != za))
 
 
 def _check_corr(name: str, value: float) -> float:

@@ -18,6 +18,11 @@ Philox stream, and a Born draw is one raw uint64 word w compared as an
 integer, bit for bit the test on its uniform double (w >> 11) * 2**-53.
 That test never reads the low 11 bits, so a fair coin from bit 0 of the
 same word is exactly independent of it: a singlet pair reads one word.
+
+Bob's outcome is -a where his Born draw keeps the prepared sign and a
+elsewhere, so a*b = -1 exactly where the draw keeps it, whatever Alice's
+coin a is: the coin cancels in every product, and the Born test alone
+gives the count of disagreements a correlation needs (``disagreements``).
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ def twisted_malus(theta1: "Angle | float", theta2: "Angle | float") -> float:
 # Every operand of a uint64 array is np.uint64: numpy 1.x promotes uint64
 # mixed with a signed integer to float64.
 _SHIFT = np.uint64(11)  # w >> 11 keeps the 53 bits a uniform double holds
+_CERTAIN = np.uint64(2**53)  # born_threshold(1): every word passes
 _HALF = np.uint64(2**63)
 _BIT0 = np.uint8(1)
 _WORD = 2**64 - 1
@@ -92,45 +98,81 @@ def parity_coins(words: np.ndarray) -> np.ndarray:
     return np.int8(1) - np.int8(2) * (words.astype(np.uint8) & _BIT0).view(np.int8)
 
 
-def born_outcomes(signs: np.ndarray, delta: float, words: np.ndarray) -> np.ndarray:
-    """Measure prepared states |sign> along an axis ``delta`` away.
+def born_same(words: np.ndarray, p: float) -> np.ndarray:
+    """True where a Born draw keeps the prepared sign, with probability p.
 
-    The outcome is the sign with probability (1 + cos(delta)) / 2, one word
-    per pair; eigenstates stay exact, since p = 1 keeps every sign and p = 0
-    flips every one.
+    The test ``w >> 11 < born_threshold(p)`` is ``w < born_threshold(p) << 11``
+    for an integer threshold, so no shifted copy of the words is made.  At
+    p = 1 the shifted threshold would be 2**64, so every word passes there;
+    at p = 0 it is 0, which no word is below.
     """
-    signs = np.asarray(signs, dtype=np.int8)
-    same = words >> _SHIFT < born_threshold((1.0 + math.cos(delta)) / 2.0)
-    return np.where(same, signs, -signs)
+    threshold = born_threshold(p)
+    if threshold == _CERTAIN:
+        return np.ones(words.shape, dtype=bool)
+    return words < threshold << _SHIFT
 
 
-class SingletSource:
+def keep_probability(delta: float) -> float:
+    """(1 + cos(delta)) / 2: how often measuring |s> along an axis ``delta``
+    away from its own gives s again."""
+    return (1.0 + math.cos(delta)) / 2.0
+
+
+class BornFlipModel:
+    """``assign`` and ``disagreements`` of a model whose ``_draw(block, seed,
+    span)`` gives the span's words, shape (count, W), and its flips.
+
+    The flips map the reference axis to None and every other axis to a mask,
+    True where that axis's outcome is the negation of the reference's.  The
+    reference's outcome is the fair coin of bit 0 of each pair's first word.
+    """
+
+    def assign(self, block: Block, seed: int, span: slice) -> dict[str, np.ndarray]:
+        """The outcomes keyed by axis symbol, as int8 arrays."""
+        w, flips = self._draw(block, seed, span)
+        coins = parity_coins(w[:, 0])
+        flipped = -coins
+        return {s: coins if f is None else np.where(f, flipped, coins) for s, f in flips.items()}
+
+    def disagreements(self, block: Block, seed: int, span: slice, pairs) -> list[np.ndarray]:
+        """``u != v`` for each axis pair, from the flips alone: the coin cancels."""
+        w, flips = self._draw(block, seed, span)
+        masks = []
+        for a, b in pairs:
+            fa, fb = flips[a], flips[b]
+            if fa is None and fb is None:  # the reference axis with itself
+                masks.append(np.zeros(len(w), dtype=bool))
+            elif fa is None or fb is None:
+                masks.append(fb if fa is None else fa)
+            else:
+                masks.append(fa ^ fb)
+        return masks
+
+
+class SingletSource(BornFlipModel):
     """Singlet pairs measured along a block's one Alice and one Bob axis.
 
     Stateless: a block's outcomes depend only on (seed, block), and pair i
     reads word i of the block's stream: Alice's coin is its bit 0 and Bob's
-    Born draw its top 53 bits.
+    Born draw its top 53 bits.  Alice's outcome a leaves Bob's particle in
+    |-a> along her axis, so Bob's outcome is -a where the draw keeps that
+    sign: corr = -cos(delta) with unbiased marginals.
     """
+
+    def _draw(self, block: Block, seed: int, span: slice) -> tuple[np.ndarray, dict]:
+        """The span's words and flips, Alice's axis the reference."""
+        symbol = {side_of_symbol(s): s for s in block.axes}
+        if len(block.axes) != 2 or len(symbol) != 2:
+            raise ValueError("a singlet block needs one Alice axis and one Bob axis")
+        alice, bob = symbol[Side.ALICE], symbol[Side.BOB]
+        w = pair_uniforms(block, seed, span, 1)
+        delta = block.axes[alice].radians - block.axes[bob].radians
+        return w, {alice: None, bob: born_same(w[:, 0], keep_probability(delta))}
 
     def sample_pairs(
         self, block: Block, seed: int, span: slice = slice(None)
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Measure the block's pairs in ``span`` along its Alice and Bob axes.
-
-        Returns int8 arrays (a, b).  Alice's outcome is a fair coin and leaves
-        Bob's particle in |-a> along her axis, so corr = -cos(delta) with
-        unbiased marginals.
-        """
-        sides = {side_of_symbol(s): theta.radians for s, theta in block.axes.items()}
-        if len(block.axes) != 2 or len(sides) != 2:
-            raise ValueError("a singlet block needs one Alice axis and one Bob axis")
-        w = pair_uniforms(block, seed, span, 1)[:, 0]
-        a = parity_coins(w)
-        b = born_outcomes(-a, sides[Side.ALICE] - sides[Side.BOB], w)
+        """Measure the block's pairs in ``span``: int8 arrays (a, b) of the
+        Alice and the Bob axis."""
+        a, b = self.assign(block, seed, span).values()  # Alice's first
         return a, b
-
-    def assign(self, block: Block, seed: int, span: slice) -> dict[str, np.ndarray]:
-        """``sample_pairs`` keyed by axis symbol, as a ``realism`` model assigns."""
-        a, b = self.sample_pairs(block, seed, span)
-        symbol = {side_of_symbol(s): s for s in block.axes}
-        return {symbol[Side.ALICE]: a, symbol[Side.BOB]: b}

@@ -19,9 +19,18 @@ same value it would have gotten counterfactually).  Three models ship:
 * ``FileReplay`` -- verbatim +/-1 tuples from a text file, for adversarial
   and regression vectors.
 
-``assign_chunks`` runs a model (or ``quantum.SingletSource``) over a block
-``CHUNK_PAIRS`` pairs at a time; ``generate_block`` returns one whole
-``OutcomeSequence`` per block axis, keyed by symbol.  Whether an axis's
+Every model (and ``quantum.SingletSource``) has two methods over a span
+of a block's pairs: ``assign`` gives the outcomes keyed by symbol, and
+``disagreements`` gives, for each axis pair, the mask u != v that a
+correlation counts.  ``CollapseSequential`` takes its masks from the Born
+tests alone: E is -P exactly where the E draw keeps the sign -P that the
+P coin prepares, so <P,E> and <P,E'> need no coin and <E,E'> is the XOR
+of the two tests; ``assign`` builds its outcomes from the same tests
+(``quantum.BornFlipModel``).  ``LHVSign`` and ``FileReplay`` compare
+their assigned outcomes.  ``assign_chunks`` and ``disagreement_chunks`` run a model over
+a block ``CHUNK_PAIRS`` pairs at a time; ``generate_block`` returns one
+whole ``OutcomeSequence`` per block axis, keyed by symbol, and
+``correlate_block`` reduces the masks to estimates.  Whether an axis's
 value needs Weak Realism (a primed axis is never the measured one) is
 decided by the definability engine in ``relativity``.
 
@@ -54,7 +63,7 @@ from .core import (
     as_angle,
     side_of_symbol,
 )
-from .quantum import born_outcomes, fair_coins, pair_uniforms, parity_coins
+from .quantum import BornFlipModel, born_same, fair_coins, keep_probability, pair_uniforms
 
 __all__ = [
     "CHUNK_PAIRS",
@@ -65,6 +74,7 @@ __all__ = [
     "UnsupportedAxisError",
     "assign_chunks",
     "correlate_block",
+    "disagreement_chunks",
     "generate_block",
     "lhv_outcomes",
     "model_from_spec",
@@ -96,7 +106,16 @@ def lhv_outcomes(phases: np.ndarray, theta: "Angle | float", side: Side) -> np.n
     return out if side is Side.ALICE else -out
 
 
-class LHVSign:
+class _ComparedOutcomes:
+    """``disagreements`` by comparing the outcomes ``assign`` gives."""
+
+    def disagreements(self, block: Block, seed: int, span: slice, pairs) -> list[np.ndarray]:
+        """``u != v`` for each axis pair of the block's pairs in ``span``."""
+        chunk = self.assign(block, seed, span)
+        return [chunk[a] != chunk[b] for a, b in pairs]
+
+
+class LHVSign(_ComparedOutcomes):
     """Local hidden-variable model; defines every axis on both sides from
     one phase word of the block's stream per pair (``lhv_outcomes``)."""
 
@@ -110,7 +129,7 @@ class LHVSign:
         }
 
 
-class CollapseSequential:
+class CollapseSequential(BornFlipModel):
     """Nonlocal measure-P-first model; supports axes {E, E', P} only.
 
     There is no prescription for a second counterfactual on the collapsing
@@ -119,7 +138,9 @@ class CollapseSequential:
 
     name = "collapse-sequential"
 
-    def assign(self, block: Block, seed: int, span: slice) -> dict[str, np.ndarray]:
+    def _draw(self, block: Block, seed: int, span: slice) -> tuple[np.ndarray, dict]:
+        """The span's words and flips, P the reference: E is -P where the
+        E draw keeps the sign -P that measuring P prepares."""
         if SYM_PP in block.axes:
             raise UnsupportedAxisError(
                 "collapse-sequential defines no second axis on the P side"
@@ -128,17 +149,18 @@ class CollapseSequential:
             raise UnsupportedAxisError("collapse-sequential requires a P axis")
         theta_p = block.axes[SYM_P].radians
         w = pair_uniforms(block, seed, span, 2)  # the P coin and E draw, E' draw
-        p = parity_coins(w[:, 0])
-        out: dict[str, np.ndarray] = {SYM_P: p}
-        prepared = -p  # far particle collapses to the opposite sign along theta_p
+        flips: dict = {SYM_P: None}
         for column, symbol in ((0, SYM_E), (1, SYM_EP)):
             if symbol in block.axes:
                 delta = block.axes[symbol].radians - theta_p
-                out[symbol] = born_outcomes(prepared, delta, w[:, column])
-        return out
+                flips[symbol] = born_same(w[:, column], keep_probability(delta))
+        return w, flips
+
+    # a name of this class's own, as bench/tracer.py wraps each model's assign
+    assign = BornFlipModel.assign
 
 
-class FileReplay:
+class FileReplay(_ComparedOutcomes):
     """Replay +/-1 tuples from a plain-text vector file.
 
     Line 1 is a header of ``symbol=angle`` tokens (angles in radians,
@@ -240,12 +262,23 @@ def assign_chunks(model, block: Block, seed: int) -> Iterator[dict[str, np.ndarr
         yield model.assign(block, seed, slice(lo, lo + CHUNK_PAIRS))
 
 
+def disagreement_chunks(model, block: Block, seed: int, pairs) -> Iterator[list[np.ndarray]]:
+    """``model.disagreements`` over consecutive ``CHUNK_PAIRS``-pair spans of a
+    block: one bool mask per axis pair and chunk, True where the outcomes differ."""
+    for lo in range(0, block.count, CHUNK_PAIRS):
+        yield model.disagreements(block, seed, slice(lo, lo + CHUNK_PAIRS), pairs)
+
+
 def correlate_block(model, block: Block, seed: int, pairs) -> list[CorrelationEstimate]:
-    """``correlate`` of each axis pair over a block, without holding the block."""
+    """``correlate`` of each axis pair over a block, without holding the block.
+
+    Each chunk adds only its disagreement masks to the running estimates, so
+    a seeded model need not build the outcomes themselves.
+    """
     running = [RunningCorrelation(block.count) for _ in pairs]
-    for chunk in assign_chunks(model, block, seed):
-        for estimate, (a, b) in zip(running, pairs):
-            estimate.add(chunk[a], chunk[b])
+    for masks in disagreement_chunks(model, block, seed, pairs):
+        for estimate, differ in zip(running, masks):
+            estimate.add(differ)
     return [estimate.estimate() for estimate in running]
 
 

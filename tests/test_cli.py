@@ -482,14 +482,14 @@ def test_work_budget_counts_the_blocks_each_scenario_draws(
 ):
     # the fail-fast budget multiplies pairs by these block counts
     blocks = []
-    real = realism.assign_chunks
+    real = realism.disagreement_chunks
 
-    def counting(model, block, seed):
+    def counting(model, block, seed, pairs):
         blocks.append(block)
-        return real(model, block, seed)
+        return real(model, block, seed, pairs)
 
-    monkeypatch.setattr(realism, "assign_chunks", counting)
-    monkeypatch.setattr(cli, "assign_chunks", counting)
+    monkeypatch.setattr(realism, "disagreement_chunks", counting)
+    monkeypatch.setattr(cli, "disagreement_chunks", counting)
     argv = ["--scenario", scenario, "--pairs", "10"]
     assert main(argv + (["--grid-step", step] if step else [])) == 0
     if scenario == "lhv-sweep":
@@ -513,6 +513,17 @@ class TestConfigParsing:
         cfg.write_text("scenario polytope\n")
         with pytest.raises(ConfigError, match="key = value"):
             parse_config_file(cfg)
+
+    def test_text_that_is_not_utf8_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_bytes(b"\xff\xfe")
+        assert main(["--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error: cannot read config" in err and "Traceback" not in err
+
+    def test_a_nul_in_the_path_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="cannot read config"):
+            parse_config_file("c\x00.cfg")
 
     def test_bad_target(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"
@@ -597,11 +608,12 @@ def test_polytope_on_boundary_targets_exits_0(tmp_path, capsys, target, feasible
 _FUZZ_NUMBER = st.floats() | st.sampled_from([math.pi, -math.pi, 1e308, 5e-324])
 # Replay files under the test's tmp_path, by name; "." is the directory itself.
 _FUZZ_REPLAYS = {
-    "valid.txt": "E=2.356194490192345 E'=-2.356194490192345 P=0.0\n"
-                 + "1 -1 -1\n-1 1 1\n" * 250,
-    "malformed.txt": "E=0.0 P=0.0\n1 2\n",
-    "infinite-angle.txt": "E=inf E'=0.0 P=0.0\n1 1 1\n",
-    "empty.txt": "",
+    "valid.txt": b"E=2.356194490192345 E'=-2.356194490192345 P=0.0\n"
+                 + b"1 -1 -1\n-1 1 1\n" * 250,
+    "malformed.txt": b"E=0.0 P=0.0\n1 2\n",
+    "infinite-angle.txt": b"E=inf E'=0.0 P=0.0\n1 1 1\n",
+    "empty.txt": b"",
+    "not-utf8.txt": b"E=0.0 P=0.0\n1 \xff\n",
 }
 # A strategy for the text of each config key the fuzz test sets.
 _FUZZ_VALUES = {
@@ -648,14 +660,16 @@ def test_main_keeps_the_exit_code_contract(tmp_path, scenario, pairs, step, seed
     keys = data.draw(st.sets(st.sampled_from(own), max_size=4))
     keys |= data.draw(st.sets(st.sampled_from(sorted(_FUZZ_VALUES)), max_size=1))
     if keys:
-        for name, text in _FUZZ_REPLAYS.items():
-            (tmp_path / name).write_text(text)
+        for name, content in _FUZZ_REPLAYS.items():
+            (tmp_path / name).write_bytes(content)
         lines = []
         for key in sorted(keys):
             value = data.draw(_FUZZ_VALUES[key], label=key)
             lines.append(f"{key} = {tmp_path / value if key == 'model.path' else value}\n")
+        # raw bytes after the keys, often not UTF-8
+        raw = data.draw(st.just(b"") | st.binary(max_size=6), label="raw bytes")
         config = tmp_path / "fuzz.cfg"
-        config.write_text("".join(lines))
+        config.write_bytes("".join(lines).encode() + raw)
         argv += ["--config", str(config)]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

@@ -133,19 +133,26 @@ class TestRunningCorrelation:
         cuts = sorted(rnd.choices(range(n + 1), k=rnd.randint(0, 8)))  # may repeat
         running = RunningCorrelation(n)
         for lo, hi in zip([0, *cuts], [*cuts, n]):
-            running.add(seq(values).values[lo:hi], seq(v).values[lo:hi])
+            running.add(seq(values).values[lo:hi] != seq(v).values[lo:hi])
         est = running.estimate()
         assert est == correlate(seq(values), seq(v))
         assert (est.sum_products, est.partial_sums) == reference_estimate(values, v)
 
     def test_fed_length_must_match(self):
         running = RunningCorrelation(3)
-        running.add(seq([1, 1]).values, seq([1, -1]).values)
+        running.add(seq([1, 1]).values != seq([1, -1]).values)
         with pytest.raises(ValueError, match="2 of 3"):
             running.estimate()
-        running.add(seq([1, 1]).values, seq([1, 1]).values)
         with pytest.raises(ValueError, match="4 of 3"):
-            running.estimate()
+            running.add(np.zeros(2, dtype=bool))
+        running.add(np.zeros(1, dtype=bool))
+        assert running.estimate() == correlate(seq([1, 1, 1]), seq([1, -1, 1]))
+
+    def test_a_stretch_past_n_is_rejected_when_fed(self):
+        running = RunningCorrelation(3)
+        with pytest.raises(ValueError, match="5 of 3 values fed"):
+            running.add(np.ones(5, dtype=bool))
+        assert (running.seen, running.total, running.partial_sums) == (0, 0, [])
 
 
 class TestOutcomeSequence:

@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 from belllab.core import SYM_E, SYM_EP, SYM_P, Block, Side
 from belllab.quantum import (
     SingletSource,
-    born_outcomes,
+    born_same,
     born_threshold,
     fair_coins,
+    keep_probability,
     pair_uniforms,
     parity_coins,
     twisted_malus,
@@ -33,7 +34,7 @@ def prepared(seed, signs, axis_angle, theta, index=0):
     signs = np.asarray(signs)
     block = Block({SYM_E: theta}, count=signs.size, index=index)
     w = pair_uniforms(block, seed, slice(None), 1)[:, 0]
-    return born_outcomes(signs, theta - axis_angle, w)
+    return np.where(born_same(w, keep_probability(theta - axis_angle)), signs, -signs)
 
 
 class TestTwistedMalus:
@@ -197,7 +198,7 @@ def test_singlet_pair_reads_one_word():
     w = pair_uniforms(block, 9, slice(None), 1)[:, 0]
     a, b = SingletSource().sample_pairs(block, 9)
     assert np.array_equal(a, np.where(w & np.uint64(1), -1, 1))
-    assert np.array_equal(b, born_outcomes(-a, 0.3 - -1.2, w))
+    assert np.array_equal(b, np.where(born_same(w, keep_probability(0.3 - -1.2)), -a, a))
 
 
 @pytest.mark.parametrize("p", [0.5, math.cos(3 * math.pi / 8) ** 2])
@@ -238,12 +239,27 @@ def test_born_threshold_is_the_double_comparison():
     assert born_threshold(1.0) == 2**53 and born_threshold(0.0) == 0
 
 
+@pytest.mark.parametrize("t", [0, 1, 2**52, 2**53 - 1, 2**53])
+def test_born_same_is_the_shifted_test(t):
+    # w >> 11 < T exactly when w < T * 2**11; the words on either side of
+    # T * 2**11 and both ends of the range, with p = T / 2**53 exact
+    p = t / 2**53
+    assert born_threshold(p) == t
+    words = [t * 2**11 - 1, t * 2**11, 0, 2**64 - 1]
+    words = np.array([w for w in words if 0 <= w < 2**64], dtype=np.uint64)
+    want = words >> np.uint64(11) < np.uint64(t)
+    assert np.array_equal(born_same(words, p), want)
+    columns = np.stack([words[::-1], words], axis=1)  # strided, as models pass them
+    assert np.array_equal(born_same(columns[:, 1], p), want)
+    assert born_same(words, 1.0).all() and not born_same(words, 0.0).any()
+
+
 def test_draws_keep_their_integer_dtypes():
     words = pair_uniforms(Block({SYM_E: 0.0}, count=64), 5, slice(None), 3)
     assert words.dtype == np.uint64
     assert fair_coins(words[:, 0]).dtype == np.int8
     assert parity_coins(words[:, 0]).dtype == np.int8
-    assert born_outcomes(fair_coins(words[:, 0]), 0.3, words[:, 1]).dtype == np.int8
+    assert born_same(words[:, 1], 0.3).dtype == bool
     assert born_threshold(0.25).dtype == np.uint64
     a, b = measure(5, 0.2, 1.3, 64)
     assert a.dtype == b.dtype == np.int8

@@ -1,23 +1,26 @@
 """Streamed blocks give the same results at every chunk size.
 
-Every sampled scenario runs its blocks through ``realism.assign_chunks`` in
-chunks of ``realism.CHUNK_PAIRS`` pairs.  Philox is counter-based, so a
+Every sampled scenario runs its blocks through ``realism.disagreement_chunks``
+in chunks of ``realism.CHUNK_PAIRS`` pairs.  Philox is counter-based, so a
 chunk reads the same draws as the one-shot block, and the reductions carry
 exact integer sums from chunk to chunk: nothing here may depend on where
 the chunks split.
 """
 
+import itertools
 import json
 import math
+import tempfile
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from belllab import cli, realism
-from belllab.core import SYM_E, SYM_EP, SYM_P, SYM_PP, Block, correlate
+from belllab.core import SYM_E, SYM_EP, SYM_P, SYM_PP, Block, checkpoints, correlate
 from belllab.inequalities import (
     V3_PAIRS,
     V4_PAIRS,
@@ -136,3 +139,63 @@ def test_file_replay_longer_than_a_chunk_is_parsed_once(tmp_path, monkeypatch):
     monkeypatch.setattr(realism, "CHUNK_PAIRS", 7)
     assert cli.to_json(cli.run(cfg)) == one_chunk
     assert len(reads) == 1  # 29 chunks of one block
+
+
+# Gaps whose Born probability (1 + cos(gap)) / 2 is exactly 1, 1/2 and 0,
+# and any other gap.
+GAPS = st.sampled_from([0.0, math.pi / 2, math.pi]) | st.floats(-math.tau, math.tau)
+MASK_MODELS = ["singlet", "collapse-E", "collapse-E'", "collapse-both", "lhv", "replay"]
+
+
+def mask_model(kind, angles, n, seed, directory):
+    """A model of ``kind`` and a block it defines, with the given angles."""
+    if kind == "singlet":
+        return SingletSource(), Block({SYM_EP: angles[0], SYM_PP: angles[1]}, count=n)
+    if kind.startswith("collapse"):
+        symbols = {"collapse-E": [SYM_E], "collapse-E'": [SYM_EP]}.get(kind, [SYM_E, SYM_EP])
+        axes = {SYM_P: angles[0], **dict(zip(symbols, angles[1:]))}
+        return CollapseSequential(), Block(axes, count=n, index=2)
+    axes = dict(zip((SYM_E, SYM_EP, SYM_P, SYM_PP), angles))
+    block = Block(axes, count=n, index=5)
+    if kind == "lhv":
+        return LHVSign(), block
+    # replay the LHV outcomes of another seed, header angles as the block has them
+    source = generate_block(LHVSign(), block, seed ^ 1)
+    header = " ".join(f"{s}={theta.radians!r}" for s, theta in block.axes.items())
+    rows = zip(*(source[s].values for s in block.axes))
+    path = Path(directory) / "vectors.txt"
+    path.write_text(header + "\n" + "".join(" ".join(map(str, r)) + "\n" for r in rows))
+    return FileReplay(path), block
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    kind=st.sampled_from(MASK_MODELS),
+    base=st.floats(-math.pi, math.pi),
+    gaps=st.lists(GAPS, min_size=3, max_size=3),
+    n=st.integers(1, 300) | st.integers(2**16 - 3, 2**16 + 40),
+    chunk=st.sampled_from([1, 7, 2**16]),
+    seed=st.integers(0, 2**64 - 1),
+    data=st.data(),
+)
+def test_disagreements_are_where_the_assigned_outcomes_differ(
+    kind, base, gaps, n, chunk, seed, data
+):
+    angles = [base, *(base + gap for gap in gaps)]
+    with tempfile.TemporaryDirectory() as directory:
+        model, block = mask_model(kind, angles, n, seed, directory)
+        whole = generate_block(model, block, seed)
+        pairs = list(itertools.product(block.axes, repeat=2))  # every ordered pair
+        # the chunk holding a drawn pair, and one that crosses a checkpoint
+        starts = {data.draw(st.integers(0, n - 1), label="pair") // chunk * chunk}
+        starts |= {(t - 1) // chunk * chunk for t in checkpoints(n)[-2:]}
+        for lo in starts:
+            span = slice(lo, lo + chunk)
+            masks = model.disagreements(block, seed, span, pairs)
+            for (a, b), mask in zip(pairs, masks):
+                want = whole[a].values[span] != whole[b].values[span]
+                assert mask.dtype == bool and np.array_equal(mask, want), (a, b, lo)
+        if n // chunk < 400:
+            with mock.patch.object(realism, "CHUNK_PAIRS", chunk):
+                streamed = correlate_block(model, block, seed, pairs)
+            assert streamed == [correlate(whole[a], whole[b]) for a, b in pairs]
