@@ -14,10 +14,11 @@ with the opposite sign along the measured axis; measuring that prepared
 state |s> along an axis at angle t has outcome expectation s*cos(t - a).
 
 Randomness is counter-based (Salmon et al., SC'11): each block is its own
-Philox stream, and a Born draw is one raw uint64 word w compared as an
-integer, bit for bit the test on its uniform double (w >> 11) * 2**-53.
-That test never reads the low 11 bits, so a fair coin from bit 0 of the
-same word is exactly independent of it: a singlet pair reads one word.
+Philox stream, read as 32-bit lanes, two to a word.  A Born draw compares
+the top 31 bits of a lane, l >> 1, with ceil(p * 2**31) as integers, the
+test on the double (l >> 1) * 2**-31; p resolves to 2**-31.  That test
+never reads bit 0, so a fair coin from bit 0 of the same lane is exactly
+independent of it: a singlet pair reads one lane.
 
 Bob's outcome is -a where his Born draw keeps the prepared sign and a
 elsewhere, so a*b = -1 exactly where the draw keeps it, whatever Alice's
@@ -42,11 +43,10 @@ def twisted_malus(theta1: "Angle | float", theta2: "Angle | float") -> float:
     return -math.cos(float(as_angle(theta1).radians) - float(as_angle(theta2).radians))
 
 
-# Every operand of a uint64 array is np.uint64: numpy 1.x promotes uint64
-# mixed with a signed integer to float64.
-_SHIFT = np.uint64(11)  # w >> 11 keeps the 53 bits a uniform double holds
-_CERTAIN = np.uint64(2**53)  # born_threshold(1): every word passes
-_HALF = np.uint64(2**63)
+# Every operand of a uint32 array is np.uint32: numpy 1.x promotes an
+# unsigned array mixed with a signed integer to a wider or a float type.
+_ONE = np.uint32(1)
+_HALF = np.uint32(2**31)  # also born_threshold(1), which every lane passes
 _BIT0 = np.uint8(1)
 _WORD = 2**64 - 1
 _local = threading.local()  # each thread's own Philox and its state template
@@ -65,51 +65,54 @@ def _philox(key: int, counter: int) -> np.random.Philox:
     return _local.bg
 
 
-def pair_uniforms(block: Block, seed: int, span: slice, words: int) -> np.ndarray:
-    """Raw Philox words for the block's pairs in ``span``, shape (count, words).
+def pair_uniforms(block: Block, seed: int, span: slice, lanes: int) -> np.ndarray:
+    """Philox lanes for the block's pairs in ``span``, uint32 shape (count, lanes).
 
-    The block's stream has key ``seed | block.index << 64``.  Pair i reads
-    its words ``words*i`` to ``words*i + words - 1``, and word j is word
-    j % 4 of counter block j // 4, so a pair's words never depend on how
-    the block is chunked, and blocks with different indices share none.
+    The block's stream has key ``seed | block.index << 64``; lane 2j is the
+    low half of its word j and lane 2j + 1 the high half, whatever the host's
+    byte order (the little-endian view costs no copy on such a host), and
+    word j is word j % 4 of counter block j // 4.  Pair i reads lanes
+    ``lanes*i`` to ``lanes*i + lanes - 1``, so a pair's lanes never depend on
+    how the block is chunked, and blocks with different indices share none.
     """
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
     lo, hi, _ = span.indices(block.count)
-    first, count = lo * words, max(hi - lo, 0)
-    raw = _philox(seed | block.index << 64, first // 4).random_raw(first % 4 + count * words)
-    return raw[first % 4 :].reshape(count, words)
+    first, size = lo * lanes, max(hi - lo, 0) * lanes
+    raw = _philox(seed | block.index << 64, first // 8).random_raw((first % 8 + size + 1) // 2)
+    halves = raw.astype("<u8", copy=False).view("<u4").astype(np.uint32, copy=False)
+    return halves[first % 8 :][:size].reshape(-1, lanes)
 
 
-def born_threshold(p: float) -> np.uint64:
-    """``ceil(p * 2**53)``: ``w >> 11`` is below it exactly when the double
-    ``(w >> 11) * 2**-53`` is below p, so p = 1 always passes and p = 0 never."""
-    return np.uint64(math.ceil(p * 2**53))
+def born_threshold(p: float) -> np.uint32:
+    """``ceil(p * 2**31)``: ``l >> 1`` is below it exactly when the double
+    ``(l >> 1) * 2**-31`` is below p, so p = 1 always passes and p = 0 never."""
+    return np.uint32(math.ceil(p * 2**31))
 
 
-def fair_coins(words: np.ndarray) -> np.ndarray:
-    """+1 where a word's top bit is clear (the double test u < 0.5), else -1."""
-    return (words < _HALF).view(np.int8) * np.int8(2) - np.int8(1)
+def fair_coins(lanes: np.ndarray) -> np.ndarray:
+    """+1 where a lane's top bit is clear (the double test u < 0.5), else -1."""
+    return (lanes < _HALF).view(np.int8) * np.int8(2) - np.int8(1)
 
 
-def parity_coins(words: np.ndarray) -> np.ndarray:
-    """+1 where a word's bit 0 is clear, else -1: a fair coin that a Born draw
-    on the same word (``w >> 11``) never sees."""
-    return np.int8(1) - np.int8(2) * (words.astype(np.uint8) & _BIT0).view(np.int8)
+def parity_coins(lanes: np.ndarray) -> np.ndarray:
+    """+1 where a lane's bit 0 is clear, else -1: a fair coin that a Born draw
+    on the same lane (``l >> 1``) never sees."""
+    return np.int8(1) - np.int8(2) * (lanes.astype(np.uint8) & _BIT0).view(np.int8)
 
 
-def born_same(words: np.ndarray, p: float) -> np.ndarray:
+def born_same(lanes: np.ndarray, p: float) -> np.ndarray:
     """True where a Born draw keeps the prepared sign, with probability p.
 
-    The test ``w >> 11 < born_threshold(p)`` is ``w < born_threshold(p) << 11``
-    for an integer threshold, so no shifted copy of the words is made.  At
-    p = 1 the shifted threshold would be 2**64, so every word passes there;
-    at p = 0 it is 0, which no word is below.
+    The test ``l >> 1 < born_threshold(p)`` is ``l < born_threshold(p) << 1``
+    for an integer threshold, so no shifted copy of the lanes is made.  At
+    p = 1 the shifted threshold would be 2**32, so every lane passes there;
+    at p = 0 it is 0, which no lane is below.
     """
     threshold = born_threshold(p)
-    if threshold == _CERTAIN:
-        return np.ones(words.shape, dtype=bool)
-    return words < threshold << _SHIFT
+    if threshold == _HALF:
+        return np.ones(lanes.shape, dtype=bool)
+    return lanes < threshold << _ONE
 
 
 def keep_probability(delta: float) -> float:
@@ -120,11 +123,11 @@ def keep_probability(delta: float) -> float:
 
 class BornFlipModel:
     """``assign`` and ``disagreements`` of a model whose ``_draw(block, seed,
-    span)`` gives the span's words, shape (count, W), and its flips.
+    span)`` gives the span's lanes, shape (count, k), and its flips.
 
     The flips map the reference axis to None and every other axis to a mask,
     True where that axis's outcome is the negation of the reference's.  The
-    reference's outcome is the fair coin of bit 0 of each pair's first word.
+    reference's outcome is the fair coin of bit 0 of each pair's first lane.
     """
 
     def assign(self, block: Block, seed: int, span: slice) -> dict[str, np.ndarray]:
@@ -153,14 +156,14 @@ class SingletSource(BornFlipModel):
     """Singlet pairs measured along a block's one Alice and one Bob axis.
 
     Stateless: a block's outcomes depend only on (seed, block), and pair i
-    reads word i of the block's stream: Alice's coin is its bit 0 and Bob's
-    Born draw its top 53 bits.  Alice's outcome a leaves Bob's particle in
+    reads lane i of the block's stream: Alice's coin is its bit 0 and Bob's
+    Born draw its top 31 bits.  Alice's outcome a leaves Bob's particle in
     |-a> along her axis, so Bob's outcome is -a where the draw keeps that
     sign: corr = -cos(delta) with unbiased marginals.
     """
 
     def _draw(self, block: Block, seed: int, span: slice) -> tuple[np.ndarray, dict]:
-        """The span's words and flips, Alice's axis the reference."""
+        """The span's lanes and flips, Alice's axis the reference."""
         symbol = {side_of_symbol(s): s for s in block.axes}
         if len(block.axes) != 2 or len(symbol) != 2:
             raise ValueError("a singlet block needs one Alice axis and one Bob axis")

@@ -6,14 +6,14 @@ that axis is the one actually measured (and the measured axis gets the
 same value it would have gotten counterfactually).  Three models ship:
 
 * ``LHVSign`` -- a local hidden-variable instance.  Each pair carries a
-  uniform planar angle lam, a uint64 fraction of a turn; along an axis at
+  uniform planar angle lam, a uint32 fraction of a turn; along an axis at
   angle t Alice gets +1 iff lam - t is in [-pi/2, pi/2) mod 2*pi (the sign
   of cos), Bob the negation.  Two-point functions are piecewise linear in
   the gap d = |t1 - t2|: 1 - 2d/pi on the same side, -(1 - 2d/pi) across.
 * ``CollapseSequential`` -- a nonlocal, measure-P-first rule: P is a fair
   coin, then both Alice-side values are drawn independently from the state
-  the P measurement prepares; the P coin (bit 0) and the E draw (the top 53
-  bits) share one word, and E' reads a second.  Same-side correlations come
+  the P measurement prepares; the P coin (bit 0) and the E draw (the top 31
+  bits) share one lane, and E' reads a second.  Same-side correlations come
   out as cos(tE - tP) * cos(tE' - tP), generally nonzero, which is what
   makes the model useful as a violation witness.
 * ``FileReplay`` -- verbatim +/-1 tuples from a text file, for adversarial
@@ -35,10 +35,11 @@ value needs Weak Realism (a primed axis is never the measured one) is
 decided by the definability engine in ``relativity``.
 
 The seeded models read their draws from the block's own Philox stream,
-as ``SingletSource`` does (``quantum.pair_uniforms``): ``LHVSign`` one word
-per pair and ``CollapseSequential`` two.  So an assignment is a pure
-function of (seed, block), the same in any chunking, no two blocks share a
-draw, and blocks can be generated in any order.
+as ``SingletSource`` does (``quantum.pair_uniforms``): ``LHVSign`` one
+32-bit lane per pair and ``CollapseSequential`` two, one Philox word.  So
+an assignment is a pure function of (seed, block), the same in any
+chunking, no two blocks share a draw, and blocks can be generated in any
+order.
 """
 
 from __future__ import annotations
@@ -92,17 +93,17 @@ class ReplayFormatError(ValueError):
 def lhv_outcomes(phases: np.ndarray, theta: "Angle | float", side: Side) -> np.ndarray:
     """Vectorized hidden-variable outcomes along one axis.
 
-    A uint64 phase word w is the hidden angle lam = w / 2**64 of a turn.  The
+    A uint32 phase lane l is the hidden angle lam = l / 2**32 of a turn.  The
     outcome is +1 iff lam - t lies in [-pi/2, pi/2) mod 2*pi, decided exactly
-    modulo 2**64 by the top bit of w - start; Bob's side is negated, so
+    modulo 2**32 by the top bit of l - start; Bob's side is negated, so
     equal-angle opposite-side values cancel on every pair.
     """
-    if not isinstance(phases, np.ndarray) or phases.dtype != np.uint64:
-        raise TypeError("phases must be a uint64 array of phase words")
-    # Python ints until one np.uint64 meets the array, whose subtraction wraps
-    # silently (numpy 1.x makes float64 of uint64 mixed with a signed int)
-    start = (round(as_angle(theta).radians / math.tau * 2**64) - 2**62) % 2**64
-    out = fair_coins(phases - np.uint64(start))
+    if not isinstance(phases, np.ndarray) or phases.dtype != np.uint32:
+        raise TypeError("phases must be a uint32 array of phase lanes")
+    # Python ints until one np.uint32 meets the array, whose subtraction wraps
+    # silently (numpy 1.x widens uint32 mixed with a signed int)
+    start = (round(as_angle(theta).radians / math.tau * 2**32) - 2**30) % 2**32
+    out = fair_coins(phases - np.uint32(start))
     return out if side is Side.ALICE else -out
 
 
@@ -117,7 +118,7 @@ class _ComparedOutcomes:
 
 class LHVSign(_ComparedOutcomes):
     """Local hidden-variable model; defines every axis on both sides from
-    one phase word of the block's stream per pair (``lhv_outcomes``)."""
+    one phase lane of the block's stream per pair (``lhv_outcomes``)."""
 
     name = "lhv-sign"
 
@@ -139,7 +140,7 @@ class CollapseSequential(BornFlipModel):
     name = "collapse-sequential"
 
     def _draw(self, block: Block, seed: int, span: slice) -> tuple[np.ndarray, dict]:
-        """The span's words and flips, P the reference: E is -P where the
+        """The span's lanes and flips, P the reference: E is -P where the
         E draw keeps the sign -P that measuring P prepares."""
         if SYM_PP in block.axes:
             raise UnsupportedAxisError(
@@ -251,7 +252,7 @@ class FileReplay(_ComparedOutcomes):
 CounterfactualModel = LHVSign | CollapseSequential | FileReplay
 
 # Pairs drawn, assigned and reduced at a time: memory depends on this, not
-# on the block size.  A chunk's Philox draws take 2 MiB.
+# on the block size.  A chunk's Philox draws take at most 512 KiB.
 CHUNK_PAIRS = 2**16
 
 

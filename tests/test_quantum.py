@@ -4,9 +4,10 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from belllab import realism
 from belllab.core import SYM_E, SYM_EP, SYM_P, Block, Side
 from belllab.quantum import (
     SingletSource,
@@ -30,7 +31,7 @@ def measure(seed, theta_a, theta_b, count, index=0):
 
 def prepared(seed, signs, axis_angle, theta, index=0):
     """Measure prepared states |sign> along ``axis_angle`` at ``theta``,
-    one word each from the stream of the block with ``index``."""
+    one lane each from the stream of the block with ``index``."""
     signs = np.asarray(signs)
     block = Block({SYM_E: theta}, count=signs.size, index=index)
     w = pair_uniforms(block, seed, slice(None), 1)[:, 0]
@@ -124,53 +125,67 @@ class TestDeterminism:
             pair_uniforms(block, 2**64, slice(None), 1)
 
 
+def split_lanes(raw):
+    """A word array's 32-bit lanes, the low half of each word first."""
+    return np.stack([raw & 0xFFFFFFFF, raw >> 32], axis=1).ravel().astype(np.uint32)
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     seed=st.integers(0, 2**64 - 1),
     index=st.integers(0, 2**64 - 1),
-    words=st.sampled_from([1, 2, 3]),
+    lanes=st.sampled_from([1, 2, 3]),
     count=st.integers(1, 50),
     data=st.data(),
 )
-def test_pair_uniforms_reads_the_blocks_words_in_order(seed, index, words, count, data):
+def test_pair_uniforms_reads_the_blocks_words_in_order(seed, index, lanes, count, data):
+    # lane 2j is the low half of word j and lane 2j + 1 its high half; an
+    # odd lo with an odd lane count starts the span mid-word
     lo = data.draw(st.integers(0, count), label="lo")
     hi = data.draw(st.integers(lo, count), label="hi")
     block = Block({SYM_E: 0.0}, count=count, index=index)
-    got = pair_uniforms(block, seed, slice(lo, hi), words)
-    stream = np.random.Philox(key=seed | index << 64).random_raw(words * count)
-    assert got.dtype == np.uint64
-    assert np.array_equal(got, stream.reshape(count, words)[lo:hi])
+    got = pair_uniforms(block, seed, slice(lo, hi), lanes)
+    raw = np.random.Philox(key=seed | index << 64).random_raw((lanes * count + 1) // 2)
+    stream = split_lanes(raw)[: lanes * count]
+    assert got.dtype == np.uint32
+    assert np.array_equal(got, stream.reshape(count, lanes)[lo:hi])
 
 
-def reference_words(block, seed, lo, hi, words):
-    """The words of pairs lo..hi-1 from a freshly keyed np.random.Philox."""
-    first = lo * words
+def reference_lanes(block, seed, lo, hi, lanes):
+    """The lanes of pairs lo..hi-1, split from a freshly keyed np.random.Philox."""
+    first = lo * lanes
     bg = np.random.Philox(key=seed | block.index << 64)
-    bg.advance(first // 4)
-    return bg.random_raw(first % 4 + (hi - lo) * words)[first % 4 :].reshape(-1, words)
+    bg.advance(first // 8)  # a counter block is 4 words, 8 lanes
+    skip = first % 8
+    raw = bg.random_raw((skip + (hi - lo) * lanes + 1) // 2)
+    return split_lanes(raw)[skip : skip + (hi - lo) * lanes].reshape(-1, lanes)
 
 
 @settings(max_examples=200, deadline=None)
 @given(
     seed=st.integers(0, 2**64 - 1),
     index=st.integers(0, 2**64 - 1),
-    words=st.integers(1, 5),
+    lanes=st.integers(1, 5),
     lo=st.integers(0, 2**70) | st.integers(0, 64),
     length=st.integers(0, 9),
 )
-def test_pair_uniforms_matches_a_freshly_keyed_philox(seed, index, words, lo, length):
-    # offsets past 2**66 words carry into the counter's second 64-bit word
+# odd lo: spans that start inside a counter block, and mid-word at odd lanes
+@example(seed=13, index=5, lanes=1, lo=7, length=9)
+@example(seed=13, index=5, lanes=2, lo=3, length=9)
+@example(seed=13, index=5, lanes=3, lo=9, length=9)
+def test_pair_uniforms_matches_a_freshly_keyed_philox(seed, index, lanes, lo, length):
+    # offsets past 2**67 lanes carry into the counter's second 64-bit word
     block = Block({SYM_E: 0.0}, count=lo + length + 1, index=index)
-    got = pair_uniforms(block, seed, slice(lo, lo + length), words)
-    assert got.shape == (length, words)
-    assert np.array_equal(got, reference_words(block, seed, lo, lo + length, words))
+    got = pair_uniforms(block, seed, slice(lo, lo + length), lanes)
+    assert got.shape == (length, lanes)
+    assert np.array_equal(got, reference_lanes(block, seed, lo, lo + length, lanes))
 
 
 def test_threads_draw_their_own_words():
     # more threads than cores, switching often: a Philox shared between
     # threads would hand one thread's key or counter to another's draw
     blocks = [Block({SYM_E: 0.0}, count=5_000, index=i) for i in range(6)]
-    want = [reference_words(b, 11, 0, b.count, 2) for b in blocks]
+    want = [reference_lanes(b, 11, 0, b.count, 2) for b in blocks]
     failures = []
 
     def draw(k):
@@ -193,21 +208,21 @@ def test_threads_draw_their_own_words():
     assert failures == []
 
 
-def test_singlet_pair_reads_one_word():
+def test_singlet_pair_reads_one_lane():
     block = Block({SYM_E: 0.3, SYM_P: -1.2}, count=1_000, index=2)
     w = pair_uniforms(block, 9, slice(None), 1)[:, 0]
     a, b = SingletSource().sample_pairs(block, 9)
-    assert np.array_equal(a, np.where(w & np.uint64(1), -1, 1))
+    assert np.array_equal(a, np.where(w & np.uint32(1), -1, 1))
     assert np.array_equal(b, np.where(born_same(w, keep_probability(0.3 - -1.2)), -a, a))
 
 
 @pytest.mark.parametrize("p", [0.5, math.cos(3 * math.pi / 8) ** 2])
 def test_bit_0_coin_and_born_draw_of_one_word_are_independent(p):
-    # an exact 2x2 count over 2**20 words; chi-squared with one degree of
+    # an exact 2x2 count over 2**20 lanes; chi-squared with one degree of
     # freedom, 10.83 is its 0.1% point
     w = pair_uniforms(Block({SYM_E: 0.0}, count=2**20), 23, slice(None), 1)[:, 0]
     coin = parity_coins(w) > 0
-    draw = w >> np.uint64(11) < born_threshold(p)
+    draw = w >> np.uint32(1) < born_threshold(p)
     table = np.array([[np.count_nonzero(coin & draw), np.count_nonzero(coin & ~draw)],
                       [np.count_nonzero(~coin & draw), np.count_nonzero(~coin & ~draw)]])
     n = int(table.sum())
@@ -218,49 +233,49 @@ def test_bit_0_coin_and_born_draw_of_one_word_are_independent(p):
 
 
 def born_cases():
-    yield from (0.0, 2.0**-53, 0.5, 1.0 - 2.0**-53, 1.0)
+    yield from (0.0, 2.0**-53, 2.0**-31, 0.5, 1.0 - 2.0**-31, 1.0 - 2.0**-53, 1.0)
     for delta in np.linspace(-math.pi, math.pi, 100):
         yield (1.0 + math.cos(delta)) / 2.0
         yield (1.0 - math.cos(delta)) / 2.0
 
 
 def test_born_threshold_is_the_double_comparison():
-    rng_words = pair_uniforms(Block({SYM_E: 0.0}, count=1000), 3, slice(None), 1)[:, 0]
+    rng_lanes = pair_uniforms(Block({SYM_E: 0.0}, count=1000), 3, slice(None), 1)[:, 0]
     for p in born_cases():
         t = born_threshold(p)
-        assert isinstance(t, np.uint64)
-        # the words whose top 53 bits sit next to the threshold, low bits 0 and all 1
-        k = [max(min(int(t) + d, 2**53 - 1), 0) for d in (-2, -1, 0, 1)]
-        edge = np.array([x << 11 | low for x in k for low in (0, 2**11 - 1)], np.uint64)
-        words = np.concatenate([rng_words, edge])
-        by_int = (words >> np.uint64(11)) < t
-        by_double = (words >> np.uint64(11)) * 2.0**-53 < p
+        assert isinstance(t, np.uint32)
+        # the lanes whose top 31 bits sit next to the threshold, bit 0 clear and set
+        k = [max(min(int(t) + d, 2**31 - 1), 0) for d in (-2, -1, 0, 1)]
+        edge = np.array([x << 1 | low for x in k for low in (0, 1)], np.uint32)
+        lanes = np.concatenate([rng_lanes, edge])
+        by_int = (lanes >> np.uint32(1)) < t
+        by_double = (lanes >> np.uint32(1)) * 2.0**-31 < p
         assert np.array_equal(by_int, by_double), p
-    assert born_threshold(1.0) == 2**53 and born_threshold(0.0) == 0
+    assert born_threshold(1.0) == 2**31 and born_threshold(0.0) == 0
 
 
-@pytest.mark.parametrize("t", [0, 1, 2**52, 2**53 - 1, 2**53])
+@pytest.mark.parametrize("t", [0, 1, 2**30, 2**31 - 1, 2**31])
 def test_born_same_is_the_shifted_test(t):
-    # w >> 11 < T exactly when w < T * 2**11; the words on either side of
-    # T * 2**11 and both ends of the range, with p = T / 2**53 exact
-    p = t / 2**53
+    # l >> 1 < T exactly when l < T * 2; the lanes on either side of T * 2
+    # and both ends of the range, with p = T / 2**31 exact
+    p = t / 2**31
     assert born_threshold(p) == t
-    words = [t * 2**11 - 1, t * 2**11, 0, 2**64 - 1]
-    words = np.array([w for w in words if 0 <= w < 2**64], dtype=np.uint64)
-    want = words >> np.uint64(11) < np.uint64(t)
-    assert np.array_equal(born_same(words, p), want)
-    columns = np.stack([words[::-1], words], axis=1)  # strided, as models pass them
+    lanes = [t * 2 - 1, t * 2, 0, 2**32 - 1]
+    lanes = np.array([w for w in lanes if 0 <= w < 2**32], dtype=np.uint32)
+    want = lanes >> np.uint32(1) < np.uint32(t)
+    assert np.array_equal(born_same(lanes, p), want)
+    columns = np.stack([lanes[::-1], lanes], axis=1)  # strided, as models pass them
     assert np.array_equal(born_same(columns[:, 1], p), want)
-    assert born_same(words, 1.0).all() and not born_same(words, 0.0).any()
+    assert born_same(lanes, 1.0).all() and not born_same(lanes, 0.0).any()
 
 
 def test_draws_keep_their_integer_dtypes():
-    words = pair_uniforms(Block({SYM_E: 0.0}, count=64), 5, slice(None), 3)
-    assert words.dtype == np.uint64
-    assert fair_coins(words[:, 0]).dtype == np.int8
-    assert parity_coins(words[:, 0]).dtype == np.int8
-    assert born_same(words[:, 1], 0.3).dtype == bool
-    assert born_threshold(0.25).dtype == np.uint64
+    lanes = pair_uniforms(Block({SYM_E: 0.0}, count=64), 5, slice(None), 3)
+    assert lanes.dtype == np.uint32
+    assert fair_coins(lanes[:, 0]).dtype == np.int8
+    assert parity_coins(lanes[:, 0]).dtype == np.int8
+    assert born_same(lanes[:, 1], 0.3).dtype == bool
+    assert born_threshold(0.25).dtype == np.uint32
     a, b = measure(5, 0.2, 1.3, 64)
     assert a.dtype == b.dtype == np.int8
     block = Block({SYM_E: 0.2, SYM_EP: 1.0, SYM_P: 0.0}, count=64)
@@ -269,10 +284,34 @@ def test_draws_keep_their_integer_dtypes():
             np.dtype(np.int8)
         }
     phases = pair_uniforms(block, 5, slice(None), 1)[:, 0]
-    assert phases.dtype == np.uint64
+    assert phases.dtype == np.uint32
     for theta in (-math.pi / 2, 0.0, math.pi / 2, math.pi):
         for side in Side:
             assert lhv_outcomes(phases, theta, side).dtype == np.int8
+
+
+def test_lanes_thresholds_and_phase_offsets_stay_uint32(monkeypatch):
+    # numpy 1.x casts by value: a signed or too-wide operand would widen the
+    # lanes to int64 or float64 and the wrapping modular test would be lost
+    block = Block({SYM_E: 0.0, SYM_P: 1.0}, count=33)
+    for lanes in (1, 2, 3):
+        for lo in (0, 1, 5):
+            assert pair_uniforms(block, 5, slice(lo, None), lanes).dtype == np.uint32
+    for p in (0.0, 2.0**-31, 0.5, 1.0 - 2.0**-31, 1.0):
+        assert type(born_threshold(p)) is np.uint32
+    offsets = []
+
+    def spy(lanes):
+        offsets.append(lanes)
+        return fair_coins(lanes)
+
+    monkeypatch.setattr(realism, "fair_coins", spy)
+    phases = pair_uniforms(block, 5, slice(None), 1)[:, 0]
+    # starts of 0, below 2**31 and at or above it
+    for theta in (math.pi / 2, -math.pi / 2, 0.0, math.pi, 3.0, -3.0):
+        lhv_outcomes(phases, theta, Side.ALICE)
+    assert len(offsets) == 6
+    assert {a.dtype for a in offsets} == {np.dtype(np.uint32)}
 
 
 class TestCollapse:

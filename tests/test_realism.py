@@ -34,13 +34,13 @@ def lhv_block(angles, n, seed=0):
     return generate_block(LHVSign(), Block(angles, count=n), seed)
 
 
-TURN = 2**64  # phase words in one turn
+TURN = 2**32  # phase lanes in one turn
 
 
 def phases_of(lambdas):
-    """The phase words nearest to angles in radians: lam / 2*pi of a turn."""
-    words = [round(lam / math.tau * TURN) % TURN for lam in lambdas]
-    return np.array(words, dtype=np.uint64)
+    """The phase lanes nearest to angles in radians: lam / 2*pi of a turn."""
+    lanes = [round(lam / math.tau * TURN) % TURN for lam in lambdas]
+    return np.array(lanes, dtype=np.uint32)
 
 
 def lhv_outcome(lam, theta, side):
@@ -53,13 +53,14 @@ def collapse_sequential_assign(block, pair, theta_p, theta_e, theta_ep, seed):
 
     The scalar reference for ``CollapseSequential``: P is a fair coin; E
     and E' are independent measurements of the state |-P> prepared along
-    theta_p.  The pair reads words 2*pair and 2*pair + 1 of the block's
-    stream: P is bit 0 of the first, and E and E' compare the uniform
-    doubles u = (w >> 11) * 2**-53 of the first and the second.
+    theta_p.  The pair reads lanes 2*pair and 2*pair + 1 of the block's
+    stream, the low and the high half of word ``pair``: P is bit 0 of the
+    first, and E and E' compare the uniform doubles u = (l >> 1) * 2**-31 of
+    the first and the second.
     """
-    words = [int(w) for w in pair_uniforms(block, seed, slice(pair, pair + 1), 2)[0]]
-    u = [(w >> 11) * 2.0**-53 for w in words]
-    p = -1 if words[0] & 1 else 1
+    lanes = [int(w) for w in pair_uniforms(block, seed, slice(pair, pair + 1), 2)[0]]
+    u = [(w >> 1) * 2.0**-31 for w in lanes]
+    p = -1 if lanes[0] & 1 else 1
     e = -p if u[0] < (1.0 + math.cos(theta_e - theta_p)) / 2.0 else p
     ep = -p if u[1] < (1.0 + math.cos(theta_ep - theta_p)) / 2.0 else p
     return p, e, ep
@@ -82,20 +83,20 @@ class TestLhvOutcome:
         assert [lhv_outcome(l, 1.1, Side.BOB) for l in lambdas] == list(outs)
 
 
-def start_word(theta):
-    """The first phase word of the +1 half-turn along theta in (-pi, pi]:
+def start_lane(theta):
+    """The first phase lane of the +1 half-turn along theta in (-pi, pi]:
     theta - pi/2 as a fraction of a turn."""
     return (round(theta / math.tau * TURN) - TURN // 4) % TURN
 
 
-# the words on either side of each half-turn's edges at theta = +-pi/2
-EDGE_WORDS = [0, 1, 2**62 - 1, 2**62, 2**62 + 1, 2**63 - 1, 2**63, 2**63 + 1,
-              3 * 2**62 - 1, 3 * 2**62, 3 * 2**62 + 1, TURN - 1]
-words = st.lists(st.integers(0, TURN - 1), min_size=1, max_size=64)
+# the lanes on either side of each half-turn's edges at theta = +-pi/2
+EDGE_LANES = [0, 1, 2**30 - 1, 2**30, 2**30 + 1, 2**31 - 1, 2**31, 2**31 + 1,
+              3 * 2**30 - 1, 3 * 2**30, 3 * 2**30 + 1, TURN - 1]
+lanes = st.lists(st.integers(0, TURN - 1), min_size=1, max_size=64)
 
 
 def sign_of_cos(phases, theta):
-    """sign(cos(lam - theta)) for lam = w * 2*pi / 2**64, and where that
+    """sign(cos(lam - theta)) for lam = l * 2*pi / 2**32, and where that
     angle is at least 1e-9 rad from a zero of cos."""
     x = phases.astype(np.float64) * (math.tau / TURN) - theta
     r = np.remainder(x - math.pi / 2, math.pi)  # zeros of cos at r = 0 and pi
@@ -104,9 +105,9 @@ def sign_of_cos(phases, theta):
 
 class TestLhvPhaseKernel:
     @settings(max_examples=300, deadline=None)
-    @given(words, st.floats(-math.pi, math.pi))
+    @given(lanes, st.floats(-math.pi, math.pi))
     def test_is_the_sign_of_cos_away_from_its_zeros(self, ws, theta):
-        phases = np.array(ws, dtype=np.uint64)
+        phases = np.array(ws, dtype=np.uint32)
         want, far = sign_of_cos(phases, theta)
         for side, sign in ((Side.ALICE, 1), (Side.BOB, -1)):
             got = lhv_outcomes(phases, theta, side)
@@ -125,17 +126,17 @@ class TestLhvPhaseKernel:
     @pytest.mark.parametrize(
         "theta", [0.0, math.pi / 2, -math.pi / 2, math.pi, 0.3, -2.5, 3 * math.pi / 4]
     )
-    def test_the_plus_half_turn_is_start_to_start_plus_2_63(self, theta):
-        start = start_word(theta)
-        edges = [(start + d) % TURN for d in (-1, 0, 2**63 - 1, 2**63)]
-        phases = np.array(edges, dtype=np.uint64)
+    def test_the_plus_half_turn_is_start_to_start_plus_2_31(self, theta):
+        start = start_lane(theta)
+        edges = [(start + d) % TURN for d in (-1, 0, 2**31 - 1, 2**31)]
+        phases = np.array(edges, dtype=np.uint32)
         assert lhv_outcomes(phases, theta, Side.ALICE).tolist() == [-1, 1, 1, -1]
         assert lhv_outcomes(phases, theta, Side.BOB).tolist() == [1, -1, -1, 1]
 
     @settings(max_examples=100, deadline=None)
-    @given(words)
+    @given(lanes)
     def test_opposite_axes_negate_on_every_word(self, ws):
-        phases = np.array(ws + EDGE_WORDS, dtype=np.uint64)
+        phases = np.array(ws + EDGE_LANES, dtype=np.uint32)
         up = lhv_outcomes(phases, math.pi / 2, Side.ALICE)
         down = lhv_outcomes(phases, -math.pi / 2, Side.ALICE)
         assert np.array_equal(down, -up)
@@ -143,17 +144,17 @@ class TestLhvPhaseKernel:
 
     @pytest.mark.parametrize(
         "phases",
-        [np.array([0.5, 1.0]), np.array([1, 2]), np.array([1], dtype=np.uint32), [0, 1]],
-        ids=["float64", "int64", "uint32", "list"],
+        [np.array([0.5, 1.0]), np.array([1, 2]), np.array([1], dtype=np.uint64), [0, 1]],
+        ids=["float64", "int64", "uint64", "list"],
     )
-    def test_phases_must_be_uint64(self, phases):
-        with pytest.raises(TypeError, match="uint64"):
+    def test_phases_must_be_uint32(self, phases):
+        with pytest.raises(TypeError, match="uint32"):
             lhv_outcomes(phases, 0.0, Side.ALICE)
 
     @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf, np.array(math.nan)])
     def test_theta_must_be_finite(self, theta):
         with pytest.raises(ValueError, match="finite"):
-            lhv_outcomes(np.zeros(3, dtype=np.uint64), theta, Side.ALICE)
+            lhv_outcomes(np.zeros(3, dtype=np.uint32), theta, Side.ALICE)
 
 
 class TestLhvTwoPointFunction:

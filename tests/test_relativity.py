@@ -352,7 +352,7 @@ def test_opposite_orientation_splits_equality_probability_exactly():
     # with E'' the reversed orientation of E', each pair matches E against
     # exactly one of E', E'': Prob(E=E') + Prob(E=E'') = 1, pair by pair
     rng = np.random.default_rng(17)
-    phases = rng.integers(0, 2**64, 50_000, dtype=np.uint64)
+    phases = rng.integers(0, 2**32, 50_000, dtype=np.uint32)
     e = lhv_outcomes(phases, 0.0, Side.ALICE)
     ep = lhv_outcomes(phases, math.pi / 2, Side.ALICE)
     epp = lhv_outcomes(phases, math.pi / 2 + math.pi, Side.ALICE)
