@@ -27,9 +27,8 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from .core import SYM_E, SYM_EP, SYM_P, SYM_PP, Block, pair_symbol, product_sum
+from .core import ReplayFormatError, UnsupportedAxisError
 from .inequalities import (
     V3_PAIRS,
     V4_PAIRS,
@@ -39,15 +38,6 @@ from .inequalities import (
     feasible_triple,
     sica_v3_slack,
     sica_v4_margin,
-)
-from .quantum import SingletSource
-from .realism import (
-    FileReplay,
-    ReplayFormatError,
-    UnsupportedAxisError,
-    correlate_block,
-    disagreement_chunks,
-    model_from_spec,
 )
 from .relativity import (
     DefinabilityEngine,
@@ -61,10 +51,11 @@ from .relativity import (
 )
 
 # Not called since the sampled scenarios stream their blocks, but
-# bench/tracer.py wraps these names in this module.
+# bench/tracer.py wraps these names in this module (and generate_block, see
+# ``__getattr__``).  The sampled scenarios import quantum and realism, and so
+# numpy, themselves: observer-order and polytope run without them.
 from .core import correlate  # noqa: F401
 from .inequalities import sica_v3_check, sica_v4_check  # noqa: F401
-from .realism import generate_block  # noqa: F401
 
 __all__ = ["ConfigError", "ScenarioConfig", "ScenarioResult", "main", "run"]
 
@@ -167,13 +158,16 @@ class ScenarioConfig:
                 raise ConfigError(f"target[{i}] out of range [-1, 1]: {value}")
         model = None
         if self.model:  # empty falls back to the scenario's default model
+            from .realism import model_from_spec
             try:
                 model = model_from_spec(self.model, self.model_path)
             except ValueError as exc:
                 raise ConfigError(str(exc)) from exc
-        if self.model_path is not None and not isinstance(model, FileReplay):
-            what = repr(self.model) if self.model else "the scenario's default model"
-            raise ConfigError(f"model.path is read only by file-replay, not by {what}")
+        if self.model_path is not None:
+            from .realism import FileReplay
+            if not isinstance(model, FileReplay):
+                what = repr(self.model) if self.model else "the scenario's default model"
+                raise ConfigError(f"model.path is read only by file-replay, not by {what}")
 
     @property
     def pairs(self) -> int:
@@ -224,6 +218,7 @@ def _mc_row(symbol: str, estimate, tolerance: float) -> dict:
 
 def _mc_rows(model, block: Block, seed: int, pairs) -> list[dict]:
     """Monte Carlo rows for axis pairs of one block, streamed in chunks."""
+    from .realism import correlate_block
     estimates = correlate_block(model, block, seed, pairs)
     return [_mc_row(pair_symbol(a, b), est, est.default_tol)
             for (a, b), est in zip(pairs, estimates)]
@@ -258,6 +253,7 @@ def _v3_verdict(report, anchor: str) -> str:
 
 
 def _scenario_v3_eacp(cfg: ScenarioConfig) -> ScenarioResult:
+    from .realism import model_from_spec
     hypotheses = cfg.hypotheses or HypothesisSet.parse("WR,EACP,FWP")
     angles = {**V3_DEFAULT_ANGLES, **cfg.angles}
     engine = DefinabilityEngine(hypotheses)
@@ -284,6 +280,7 @@ def _scenario_v3_eacp(cfg: ScenarioConfig) -> ScenarioResult:
 
 def _singlet_rows(cfg: ScenarioConfig, angles: dict, pairs) -> list[dict]:
     """Monte Carlo rows of singlet pairs, the k-th pair measured in block k."""
+    from .quantum import SingletSource
     rows = []
     for k, (a, b) in enumerate(pairs):
         block = Block({a: angles[a], b: angles[b]}, count=cfg.pairs, index=k)
@@ -338,6 +335,7 @@ def _scenario_v4_chsh(cfg: ScenarioConfig) -> ScenarioResult:
 
 
 def _scenario_no_correlation(cfg: ScenarioConfig) -> ScenarioResult:
+    from .realism import model_from_spec
     model_name = cfg.model or "lhv-sign"
     model = model_from_spec(model_name, cfg.model_path)
     defaults = {SYM_E: 3 * math.pi / 4, SYM_EP: -3 * math.pi / 4, SYM_P: 0.0}
@@ -381,8 +379,8 @@ def _scenario_observer_order(cfg: ScenarioConfig) -> ScenarioResult:
     ev = {**_DEFAULT_EVENTS, **cfg.events}
     e_event = SpacetimeEvent(ev["E.x"], ev["E.t"])
     p_event = SpacetimeEvent(ev["P.x"], ev["P.t"])
-    kind = interval_type(e_event, p_event)
     try:
+        kind = interval_type(e_event, p_event)
         boost_ep = find_observer(e_event, p_event, "E-P")
         boost_pe = find_observer(e_event, p_event, "P-E")
     except ValueError as exc:
@@ -457,6 +455,7 @@ def _sweep_configurations(step: float) -> int:
 
 def _product_sums(model, block: Block, seed: int, pairs) -> list[int]:
     """Exact product sum of each axis pair over a block, added chunk by chunk."""
+    from .realism import disagreement_chunks
     sums = [0] * len(pairs)
     for masks in disagreement_chunks(model, block, seed, pairs):
         for i, differ in enumerate(masks):
@@ -465,15 +464,15 @@ def _product_sums(model, block: Block, seed: int, pairs) -> list[int]:
 
 
 def _scenario_lhv_sweep(cfg: ScenarioConfig) -> ScenarioResult:
+    from .realism import model_from_spec
     n = cfg.pairs
     step = cfg.grid_step if cfg.grid_step is not None else SWEEP_DEFAULT_STEP
     model = model_from_spec(cfg.model or "lhv-sign", cfg.model_path)
-    phis = np.arange(_sweep_configurations(step)) * step
+    phis = [k * step for k in range(_sweep_configurations(step))]
     min_v3_slack = min_v4_margin = math.inf
     max_dev = 0.0
     violations = 0
     for k, phi in enumerate(phis):
-        phi = float(phi)
         block3 = Block({SYM_P: 0.0, SYM_E: phi, SYM_EP: 2 * phi}, count=n, index=2 * k)
         # the finite-run inequality on the linked sequences, exact integers
         sums3 = _product_sums(model, block3, cfg.seed, V3_PAIRS)
@@ -775,6 +774,14 @@ def main(argv: "list[str] | None" = None) -> int:
         sys.stdout.write(rendered)
     print(f"# wall clock: {result.wall_clock_s:.3f}s", file=sys.stderr)
     return EXIT_OK
+
+
+def __getattr__(name: str):
+    # bench/tracer.py wraps generate_block here; ROADMAP item 1 deletes this hook.
+    if name == "generate_block":
+        from .realism import generate_block
+        return generate_block
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 if __name__ == "__main__":

@@ -23,9 +23,10 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "ALICE_SYMBOLS",
@@ -40,7 +41,9 @@ __all__ = [
     "CorrelationEstimate",
     "OutcomeSequence",
     "RunningCorrelation",
+    "ReplayFormatError",
     "Side",
+    "UnsupportedAxisError",
     "checkpoints",
     "correlate",
     "pair_symbol",
@@ -56,6 +59,14 @@ SYM_PP = "P'"
 SYMBOLS = (SYM_E, SYM_EP, SYM_P, SYM_PP)
 ALICE_SYMBOLS = frozenset({SYM_E, SYM_EP})
 BOB_SYMBOLS = frozenset({SYM_P, SYM_PP})
+
+
+class UnsupportedAxisError(ValueError):
+    """The model has no prescription for one of the requested axes."""
+
+
+class ReplayFormatError(ValueError):
+    """A replay file does not match the expected layout."""
 
 
 class Side(enum.Enum):
@@ -121,6 +132,7 @@ class OutcomeSequence:
     __slots__ = ("values",)
 
     def __init__(self, values: Iterable[int] | np.ndarray) -> None:
+        import numpy as np
         arr = np.asarray(values, dtype=np.int8)
         if arr.ndim != 1:
             raise ValueError("outcome values must be one-dimensional")
@@ -136,7 +148,7 @@ class OutcomeSequence:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, OutcomeSequence):
             return NotImplemented
-        return np.array_equal(self.values, other.values)
+        return len(self) == len(other) and bool((self.values == other.values).all())
 
     def __repr__(self) -> str:
         return f"OutcomeSequence(n={len(self)})"
@@ -170,6 +182,7 @@ class Block:
 def product_sum(differ: np.ndarray) -> int:
     """Exact sum of u*v over +/-1 arrays, given the mask ``differ = u != v``:
     agreements minus disagreements."""
+    import numpy as np
     return differ.size - 2 * int(np.count_nonzero(differ))
 
 

@@ -32,11 +32,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
-
-import numpy as np
+from math import fsum
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 from .core import SYM_E, SYM_EP, SYM_P, SYM_PP, OutcomeSequence, pair_symbol, product_sum
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "FeasibilityResult",
@@ -234,40 +236,49 @@ def linprog(*args, **kwargs):
 # are +/- the rows h of a Hadamard matrix H (H H^T = 4I): a cross-polytope,
 # sum |h.c|/4 <= 1, cut out by the box and the 8 CHSH facets s.c <= 2.  A
 # triple's are the rows of H without its first column, the sign vectors v with
-# v1 v2 v3 = 1: a tetrahedron (sum v v^T = 4I) with facets 1 + v.c >= 0.
-_HADAMARD = np.kron([[1.0, 1.0], [1.0, -1.0]], [[1.0, 1.0], [1.0, -1.0]])
-_TETRAHEDRON = _HADAMARD[:, 1:]
-_CHSH = np.vstack([1.0 - 2.0 * np.eye(4), 2.0 * np.eye(4) - 1.0])  # rows s
+# v1 v2 v3 = 1: a tetrahedron (sum v v^T = 4I) with facets 1 + v.c >= 0.  Each
+# dot product is one correctly rounded fsum, written out per row: its bits do
+# not depend on a BLAS kernel, and a generic loop over the rows is slower.
+_HADAMARD = ((1, 1, 1, 1), (1, -1, 1, -1), (1, 1, -1, -1), (1, -1, -1, 1))
+_CHSH = tuple(tuple(sign - 2 * sign * (i == k) for i in range(4))
+              for sign in (1, -1) for k in range(4))  # rows s = 1 - 2 e_k, then -s
 
 
-def _atom_table(n_vars: int, pair_slots, vertices: np.ndarray):
-    """Atoms in product order, their pairwise products, and the atom realizing
-    each vertex: of an atom and its negation, the one whose first variable is +1."""
+def _hadamard_rows(w: float, x: float, y: float, z: float) -> tuple[tuple[float, ...], ...]:
+    """The terms of each row of H c for c = (w, x, y, z); as H is symmetric,
+    also of each column of H^T c.  With w = 0 the rows are v.c for the triple."""
+    return (w, x, y, z), (w, -x, y, -z), (w, x, -y, -z), (w, -x, -y, z)
+
+
+def _atom_table(n_vars: int, pair_slots, vertices):
+    """Atoms in product order and the atom realizing each vertex: of an atom
+    and its negation, the one whose first variable is +1."""
     atoms = tuple(itertools.product((-1, 1), repeat=n_vars))
-    products = np.array([[a[i] * a[j] for i, j in pair_slots] for a in atoms], dtype=float)
-    return atoms, products, [np.flatnonzero((products == v).all(axis=1))[-1] for v in vertices]
+    products = [tuple(a[i] * a[j] for i, j in pair_slots) for a in atoms]
+    return atoms, [max(k for k, p in enumerate(products) if p == v) for v in vertices]
 
 
-_TRIPLE = _atom_table(3, ((0, 1), (0, 2), (1, 2)), _TETRAHEDRON)
-_QUAD = _atom_table(4, ((1, 2), (1, 3), (0, 2), (0, 3)), np.vstack([_HADAMARD, -_HADAMARD]))
+_TRIPLE = _atom_table(3, ((0, 1), (0, 2), (1, 2)), [h[1:] for h in _HADAMARD])
+_QUAD = _atom_table(4, ((1, 2), (1, 3), (0, 2), (0, 3)),
+                    [*_HADAMARD, *(tuple(-x for x in h) for h in _HADAMARD)])
 
 
-def _targets(values: Sequence[float]) -> np.ndarray:
-    return np.array([_check_corr(f"target[{i}]", t) for i, t in enumerate(values)])
+def _targets(values: Sequence[float]) -> list[float]:
+    return [_check_corr(f"target[{i}]", t) for i, t in enumerate(values)]
 
 
-def _result(table, slack: float, weights: np.ndarray) -> FeasibilityResult:
+def _result(table, slack: float, weights, correlations) -> FeasibilityResult:
     """Feasibility from the optimum t of  min t  s.t.  |A p - c| <= t, sum p = 1,
     p >= 0.  A target in the box violates at most one facet f; t = max(0, its
     excess over |f|_1) bounds the optimum from below, and ``weights``, of c
-    moved by t along -sign(f) onto f, reach it."""
-    atoms, products, index = table
-    witness = np.zeros(len(atoms))
-    witness[index] = np.maximum(weights, 0.0)
-    return FeasibilityResult(feasible=slack <= FEASIBILITY_TOL,
-                             witness=tuple(witness.tolist()),
+    moved by t along -sign(f) onto f, reach it with A p = ``correlations``."""
+    atoms, index = table
+    witness = [0.0] * len(atoms)
+    for k, weight in zip(index, weights):
+        witness[k] = weight
+    return FeasibilityResult(feasible=slack <= FEASIBILITY_TOL, witness=tuple(witness),
                              max_violation=slack, atoms=atoms,
-                             correlations=tuple((witness @ products).tolist()))
+                             correlations=tuple(correlations))
 
 
 def feasible_triple(c_xy: float, c_xz: float, c_yz: float) -> FeasibilityResult:
@@ -276,10 +287,13 @@ def feasible_triple(c_xy: float, c_xz: float, c_yz: float) -> FeasibilityResult:
     holds the barycentric weights (1 + v.c)/4 of the target, moved onto the
     violated facet if any."""
     c = _targets([c_xy, c_xz, c_yz])
-    dots = _TETRAHEDRON @ c
-    slack = max(0.0, float(-1.0 - dots.min()) / 3.0)
-    moved = c + slack * _TETRAHEDRON[np.argmin(dots)]
-    return _result(_TRIPLE, slack, (1.0 + _TETRAHEDRON @ moved) / 4.0)
+    dots = [fsum(r) for r in _hadamard_rows(0.0, *c)]
+    low = min(dots)
+    slack = max(0.0, (-1.0 - low) / 3.0)
+    moved = (t + slack * s for t, s in zip(c, _HADAMARD[dots.index(low)][1:]))
+    weights = [max((1.0 + fsum(r)) / 4.0, 0.0) for r in _hadamard_rows(0.0, *moved)]
+    _, *rows = _hadamard_rows(*weights)  # sum w_k v_k: the v are H's columns 1-3
+    return _result(_TRIPLE, slack, weights, [fsum(r) for r in rows])
 
 
 def feasible_quad(c_xy: float, c_xz: float, c_wy: float, c_wz: float) -> FeasibilityResult:
@@ -289,12 +303,20 @@ def feasible_quad(c_xy: float, c_xz: float, c_wy: float, c_wz: float) -> Feasibi
     moved onto the violated CHSH facet if any, and splits the mass left over
     between +h_0 and -h_0."""
     c = _targets([c_xy, c_xz, c_wy, c_wz])
-    chsh = _CHSH @ c
-    slack = max(0.0, float(chsh.max() - 2.0) / 4.0)
-    mu = _HADAMARD @ (c - slack * _CHSH[np.argmax(chsh)]) / 4.0
-    weights = np.concatenate([np.maximum(mu, 0.0), np.maximum(-mu, 0.0)])
-    weights[[0, 4]] += (1.0 - np.abs(mu).sum()) / 2.0
-    return _result(_QUAD, slack, weights)
+    a, b, d, e = c
+    chsh = [fsum((-a, b, d, e)), fsum((a, -b, d, e)), fsum((a, b, -d, e)), fsum((a, b, d, -e))]
+    chsh += [-x for x in chsh]  # s.c for the rows s of _CHSH
+    high = max(chsh)
+    slack = max(0.0, (high - 2.0) / 4.0)
+    moved = (t - slack * s for t, s in zip(c, _CHSH[chsh.index(high)]))
+    mu = [fsum(r) / 4.0 for r in _hadamard_rows(*moved)]
+    rest = (1.0 - fsum(abs(m) for m in mu)) / 2.0
+    weights = [max(m, 0.0) for m in mu] + [max(-m, 0.0) for m in mu]
+    for k in (0, 4):
+        weights[k] = max(weights[k] + rest, 0.0)
+    # sum (p_k - q_k) h_k for the weights p on +h and q on -h, eight terms a column
+    plus, minus = _hadamard_rows(*weights[:4]), _hadamard_rows(*(-q for q in weights[4:]))
+    return _result(_QUAD, slack, weights, [fsum(p + q) for p, q in zip(plus, minus)])
 
 
 # A value source maps {symbol: angle array}, broadcast-compatible arrays, to
@@ -302,7 +324,7 @@ def feasible_quad(c_xy: float, c_xz: float, c_wy: float, c_wz: float) -> Feasibi
 # definite value exists under the source's hypotheses.  Each pair's value must
 # depend only on that pair's two angles, as in ``DefinabilityEngine.values``;
 # ``falsification_search`` relies on it to maximize each term over its axis.
-ValueSource = Callable[[Mapping[str, np.ndarray]], Mapping[str, np.ndarray]]
+ValueSource = Callable[[Mapping[str, "np.ndarray"]], Mapping[str, "np.ndarray"]]
 
 
 @dataclass(frozen=True)
@@ -354,7 +376,7 @@ class _SearchSpec:
 
 _SEARCH_SPECS = {
     "V3": _SearchSpec(
-        terms=((SYM_E, V3_PAIRS, lambda xy, xz, yz: np.abs(xy - xz) - (1.0 - yz)),),
+        terms=((SYM_E, V3_PAIRS, lambda xy, xz, yz: abs(xy - xz) - (1.0 - yz)),),
         shared=SYM_EP,
         pinned=SYM_P,
         offset=0.0,
@@ -363,8 +385,8 @@ _SEARCH_SPECS = {
         f"{', '.join(pair_symbol(*p) for p in V3_PAIRS)} under these hypotheses",
     ),
     "V4": _SearchSpec(
-        terms=((SYM_E, V4_PAIRS[:2], lambda c1, c2: np.abs(c1 + c2)),
-               (SYM_EP, V4_PAIRS[2:], lambda c3, c4: np.abs(c3 - c4))),
+        terms=((SYM_E, V4_PAIRS[:2], lambda c1, c2: abs(c1 + c2)),
+               (SYM_EP, V4_PAIRS[2:], lambda c3, c4: abs(c3 - c4))),
         shared=SYM_P,
         pinned=SYM_PP,
         offset=2.0,
@@ -383,6 +405,7 @@ def _scan(
     length) as columns, the shared axis as a row.  No term reads another's row
     axis, so each is maximized over its rows alone.  None when nothing is defined.
     """
+    import numpy as np
     *row_grids, shared = grids
     angles = {spec.pinned: np.zeros((1, 1)), spec.shared: shared[None, :]}
     for (row, _, _), grid in zip(spec.terms, row_grids):
@@ -401,6 +424,7 @@ def _scan(
 
 
 def _grid(center: float, half_width: float, step: float) -> np.ndarray:
+    import numpy as np
     k = int(math.ceil(half_width / step))
     return center + step * np.arange(-k, k + 1)
 
@@ -424,6 +448,7 @@ def falsification_search(
     required correlations defined.  Raises ValueError for an unknown version
     or a ``grid_step`` that is not positive and finite.
     """
+    import numpy as np
     version = version.upper()
     if version not in _SEARCH_SPECS:
         raise ValueError(f"version must be 'V3' or 'V4', got {version!r}")

@@ -59,8 +59,10 @@ from .core import (
     Block,
     CorrelationEstimate,
     OutcomeSequence,
+    ReplayFormatError,
     RunningCorrelation,
     Side,
+    UnsupportedAxisError,
     as_angle,
     side_of_symbol,
 )
@@ -80,14 +82,6 @@ __all__ = [
     "lhv_outcomes",
     "model_from_spec",
 ]
-
-
-class UnsupportedAxisError(ValueError):
-    """The model has no prescription for one of the requested axes."""
-
-
-class ReplayFormatError(ValueError):
-    """A replay file does not match the expected layout."""
 
 
 def lhv_outcomes(phases: np.ndarray, theta: "Angle | float", side: Side) -> np.ndarray:

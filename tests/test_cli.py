@@ -489,7 +489,6 @@ def test_work_budget_counts_the_blocks_each_scenario_draws(
         return real(model, block, seed, pairs)
 
     monkeypatch.setattr(realism, "disagreement_chunks", counting)
-    monkeypatch.setattr(cli, "disagreement_chunks", counting)
     argv = ["--scenario", scenario, "--pairs", "10"]
     assert main(argv + (["--grid-step", step] if step else [])) == 0
     if scenario == "lhv-sweep":
@@ -583,6 +582,63 @@ def test_no_scenario_loads_scipy(tmp_path):
     loaded = json.loads(proc.stdout)
     assert len(loaded) == 1 + len(runs)
     assert not any(loaded.values()), loaded
+
+
+def test_analytic_scenarios_run_without_numpy():
+    """observer-order and polytope are plain arithmetic: with numpy unimportable
+    they still print their golden bytes, and a bad scenario still exits 2."""
+    golden = Path(__file__).parent / "golden"
+    runs = [["--scenario", name, "--pairs", "3000", "--seed", "7", "--format", fmt]
+            for name in ("observer-order", "polytope") for fmt in ("csv", "json", "table")]
+    runs.append(["--scenario", "bogus"])
+    probe = textwrap.dedent("""
+        import contextlib, io, json, sys
+        sys.modules["numpy"] = None  # every import of numpy now raises ImportError
+        import belllab.cli
+        results = []
+        for argv in json.loads(sys.argv[1]):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                rc = belllab.cli.main(argv)
+            results.append([rc, out.getvalue(), err.getvalue()])
+        print(json.dumps(results))
+    """)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", probe, json.dumps(runs)],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    *rendered, (rc, _, err) = json.loads(proc.stdout)
+    for argv, (code, out, _) in zip(runs, rendered):
+        assert code == 0, argv
+        assert out == (golden / f"{argv[1]}.{argv[-1]}").read_text(), argv
+    assert rc == 2 and "unknown scenario 'bogus'" in err
+
+
+@pytest.mark.parametrize(
+    "events, rc, message",
+    [
+        ("events.E.x = 1e-170\nevents.P.x = 0\n", 0, None),
+        ("events.E.x = -1e308\nevents.E.t = -1e308\nevents.P.x = 1e308\n"
+         "events.P.t = 1e308\n", 2, "is not finite"),
+        ("events.E.x = 0\nevents.P.t = 0.9999999999999999\n", 2,
+         "too close to lightlike separation"),
+    ],
+    ids=["tiny-separation", "overflowing-separation", "velocity-rounds-to-one"],
+)
+def test_observer_order_at_the_limits_of_a_double(events, rc, message, tmp_path, capsys):
+    cfg = tmp_path / "events.cfg"
+    cfg.write_text("scenario = observer-order\n" + events)
+    assert main(["--config", str(cfg)]) == rc
+    out, err = capsys.readouterr()
+    if rc == 0:
+        assert "both orderings realized" in out
+    else:
+        assert "configuration error: " in err and "SpacetimeEvent(x=" in err  # names them
+        assert message in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -359,6 +360,19 @@ def test_every_vertex_is_feasible_as_a_point_mass(name):
         assert result.max_violation == 0.0
         assert sorted(result.witness)[-1] == 1.0
         assert result.correlations == tuple(float(v) for v in vertex)
+
+
+@given(st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=4))
+@example([SQRT2 / 2, SQRT2 / 2, 0.0])
+@example([-SQRT2 / 2, -SQRT2 / 2, -SQRT2 / 2, SQRT2 / 2])
+def test_witness_correlations_are_correctly_rounded(target):
+    """Each witness correlation is its exact sum over atoms, rounded once, so
+    it does not depend on how a BLAS kernel orders the additions."""
+    solve, slots, _, _ = POLYTOPES["triple" if len(target) == 3 else "quad"]
+    result = solve(*target)
+    for value, (i, j) in zip(result.correlations, slots):
+        exact = sum(Fraction(w) * a[i] * a[j] for w, a in zip(result.witness, result.atoms))
+        assert value == float(exact)
 
 
 def test_anti_aligned_triple_needs_slack_two_thirds():

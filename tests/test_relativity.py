@@ -37,6 +37,32 @@ class TestIntervalType:
     def test_lightlike(self):
         assert interval_type(SpacetimeEvent(0, 0), SpacetimeEvent(1, 1)) is IntervalType.LIGHTLIKE
 
+    def test_tiny_separation_is_spacelike(self):
+        # dx**2 underflows to 0 here; the magnitudes of dx and dt do not
+        e, p = SpacetimeEvent(1e-170, 0.0), SpacetimeEvent(0.0, 0.0)
+        assert interval_type(e, p) is IntervalType.SPACELIKE
+        assert boosted_order(e, p, find_observer(e, p, "E-P")) == 1
+        assert boosted_order(e, p, find_observer(e, p, "P-E")) == -1
+
+    @pytest.mark.parametrize(
+        "e, p",
+        [((-1e308, -1e308), (1e308, 1e308)),  # inf - inf was NaN, called lightlike
+         ((-1e308, 0.0), (1e308, 0.0)),
+         ((0.0, 1e308), (1.0, -1e308))],
+    )
+    def test_separation_that_overflows_is_rejected(self, e, p):
+        with pytest.raises(ValueError, match=r"separation of SpacetimeEvent.* is not finite"):
+            interval_type(SpacetimeEvent(*e), SpacetimeEvent(*p))
+
+    def test_huge_finite_separation_is_classified(self):
+        # dx + dt overflows here, but each difference is finite
+        e = SpacetimeEvent(0.0, 0.0)
+        p = SpacetimeEvent(1.5e308, 1e308)
+        assert interval_type(e, p) is IntervalType.SPACELIKE
+        assert boosted_order(e, p, find_observer(e, p, "E-P")) == 1
+        assert boosted_order(e, p, find_observer(e, p, "P-E")) == -1
+        assert interval_type(e, SpacetimeEvent(1e308, 1e308)) is IntervalType.LIGHTLIKE
+
     def test_invariant_under_boosts(self):
         rng = np.random.default_rng(11)
         events = [
@@ -111,6 +137,16 @@ class TestFindObserver:
     def test_lightlike_rejected(self):
         with pytest.raises(ValueError, match="causally ordered"):
             find_observer(SpacetimeEvent(0, 0), SpacetimeEvent(1, 1), "P-E")
+
+    @pytest.mark.parametrize(
+        "p_event, desired",
+        [(SpacetimeEvent(1.0, 1 - 2**-53), "P-E"), (SpacetimeEvent(1.0, 2**-53 - 1), "E-P")],
+    )
+    def test_velocity_that_rounds_to_light_speed_names_the_cause(self, p_event, desired):
+        e_event = SpacetimeEvent(0.0, 0.0)
+        assert interval_type(e_event, p_event) is IntervalType.SPACELIKE
+        with pytest.raises(ValueError, match="too close to lightlike separation"):
+            find_observer(e_event, p_event, desired)
 
     def test_bad_order_spec(self):
         with pytest.raises(ValueError, match="desired order"):
