@@ -12,10 +12,11 @@ same value it would have gotten counterfactually).  Three models ship:
   the gap d = |t1 - t2|: 1 - 2d/pi on the same side, -(1 - 2d/pi) across.
 * ``CollapseSequential`` -- a nonlocal, measure-P-first rule: P is a fair
   coin, then both Alice-side values are drawn independently from the state
-  the P measurement prepares; the P coin (bit 0) and the E draw (the top 31
-  bits) share one lane, and E' reads a second.  Same-side correlations come
-  out as cos(tE - tP) * cos(tE' - tP), generally nonzero, which is what
-  makes the model useful as a violation witness.
+  the P measurement prepares; the P coin (bit 0) and the E draw (the top 15
+  bits) share a pair's column-0 lane, and E' reads its column-1 lane.
+  Same-side correlations come out as cos(tE - tP) * cos(tE' - tP),
+  generally nonzero, which is what makes the model useful as a violation
+  witness.
 * ``FileReplay`` -- verbatim +/-1 tuples from a text file, for adversarial
   and regression vectors.
 
@@ -26,20 +27,23 @@ correlation counts.  ``CollapseSequential`` takes its masks from the Born
 tests alone: E is -P exactly where the E draw keeps the sign -P that the
 P coin prepares, so <P,E> and <P,E'> need no coin and <E,E'> is the XOR
 of the two tests; ``assign`` builds its outcomes from the same tests
-(``quantum.BornFlipModel``).  ``LHVSign`` and ``FileReplay`` compare
-their assigned outcomes.  ``assign_chunks`` and ``disagreement_chunks`` run a model over
-a block ``CHUNK_PAIRS`` pairs at a time; ``generate_block`` returns one
-whole ``OutcomeSequence`` per block axis, keyed by symbol, and
-``correlate_block`` reduces the masks to estimates.  Whether an axis's
-value needs Weak Realism (a primed axis is never the measured one) is
-decided by the definability engine in ``relativity``.
+(``quantum.BornFlipModel``).  ``LHVSign`` takes each mask from one
+subtract-and-compare on the phase (``lhv_disagreements``), and
+``FileReplay`` compares its assigned outcomes.  ``assign_chunks`` and
+``disagreement_chunks`` run a model over a block ``CHUNK_PAIRS`` pairs at
+a time; ``generate_block`` returns one whole ``OutcomeSequence`` per block
+axis, keyed by symbol, and ``correlate_block`` reduces the masks to
+estimates.  Whether an axis's value needs Weak Realism (a primed axis is
+never the measured one) is decided by the definability engine in
+``relativity``.
 
 The seeded models read their draws from the block's own Philox stream,
 as ``SingletSource`` does (``quantum.pair_uniforms``): ``LHVSign`` one
-32-bit lane per pair and ``CollapseSequential`` two, one Philox word.  So
-an assignment is a pure function of (seed, block), the same in any
-chunking, no two blocks share a draw, and blocks can be generated in any
-order.
+32-bit lane of region 0 per pair, the same bits as that region's 16-bit
+lanes 2i and 2i + 1, and ``CollapseSequential`` one 16-bit lane from each
+of regions 0 and 1.  So an assignment is a pure function of (seed,
+block), the same in any chunking, no two blocks share a draw, and blocks
+can be generated in any order.
 """
 
 from __future__ import annotations
@@ -66,7 +70,7 @@ from .core import (
     as_angle,
     side_of_symbol,
 )
-from .quantum import BornFlipModel, born_same, fair_coins, keep_probability, pair_uniforms
+from .quantum import BornFlipModel, fair_coins, keep_probability, pair_uniforms
 
 __all__ = [
     "CHUNK_PAIRS",
@@ -79,9 +83,21 @@ __all__ = [
     "correlate_block",
     "disagreement_chunks",
     "generate_block",
+    "half_turn_start",
+    "lhv_disagreements",
     "lhv_outcomes",
     "model_from_spec",
 ]
+
+
+def half_turn_start(theta: "Angle | float", side: Side) -> int:
+    """The first phase lane of the half-turn where the outcome along theta
+    on ``side`` is +1: theta - pi/2 as a fraction of 2**32, and on Bob's
+    side half a turn on, since Bob's outcome is the negation of Alice's."""
+    # Python ints until one np.uint32 meets the array, whose subtraction wraps
+    # silently (numpy 1.x widens uint32 mixed with a signed int)
+    start = round(as_angle(theta).radians / math.tau * 2**32) - 2**30
+    return (start if side is Side.ALICE else start + 2**31) % 2**32
 
 
 def lhv_outcomes(phases: np.ndarray, theta: "Angle | float", side: Side) -> np.ndarray:
@@ -89,39 +105,59 @@ def lhv_outcomes(phases: np.ndarray, theta: "Angle | float", side: Side) -> np.n
 
     A uint32 phase lane l is the hidden angle lam = l / 2**32 of a turn.  The
     outcome is +1 iff lam - t lies in [-pi/2, pi/2) mod 2*pi, decided exactly
-    modulo 2**32 by the top bit of l - start; Bob's side is negated, so
-    equal-angle opposite-side values cancel on every pair.
+    modulo 2**32 by the top bit of l - start; Bob's start is half a turn on,
+    so equal-angle opposite-side values cancel on every pair.
     """
+    _check_phases(phases)
+    return fair_coins(phases - np.uint32(half_turn_start(theta, side)))
+
+
+def _check_phases(phases) -> None:
+    """A wider or signed array would not wrap modulo 2**32."""
     if not isinstance(phases, np.ndarray) or phases.dtype != np.uint32:
         raise TypeError("phases must be a uint32 array of phase lanes")
-    # Python ints until one np.uint32 meets the array, whose subtraction wraps
-    # silently (numpy 1.x widens uint32 mixed with a signed int)
-    start = (round(as_angle(theta).radians / math.tau * 2**32) - 2**30) % 2**32
-    out = fair_coins(phases - np.uint32(start))
-    return out if side is Side.ALICE else -out
 
 
-class _ComparedOutcomes:
-    """``disagreements`` by comparing the outcomes ``assign`` gives."""
+def lhv_disagreements(phases: np.ndarray, starts) -> list[np.ndarray]:
+    """``u != v`` for each pair of half-turn starts (s_a, s_b) in ``starts``.
 
-    def disagreements(self, block: Block, seed: int, span: slice, pairs) -> list[np.ndarray]:
-        """``u != v`` for each axis pair of the block's pairs in ``span``."""
-        chunk = self.assign(block, seed, span)
-        return [chunk[a] != chunk[b] for a, b in pairs]
+    The outcomes differ exactly where x = l - s_a (mod 2**32) lies in the
+    symmetric difference of [0, 2**31) and [d, d + 2**31), d = s_b - s_a:
+    where x mod 2**31 < d for d < 2**31, and where it is not below
+    d - 2**31 otherwise.  Doubling modulo 2**32 takes x mod 2**31 to the
+    top 31 bits, so each pair is one subtraction from the doubled phases
+    and one comparison, and no outcome array is built.
+    """
+    _check_phases(phases)
+    doubled = phases << np.uint32(1)
+    masks = []
+    for start_a, start_b in starts:
+        d = (start_b - start_a) % 2**32
+        x = doubled - np.uint32(2 * start_a % 2**32)
+        limit = np.uint32(2 * d % 2**32)
+        masks.append(x < limit if d < 2**31 else x >= limit)
+    return masks
 
 
-class LHVSign(_ComparedOutcomes):
+class LHVSign:
     """Local hidden-variable model; defines every axis on both sides from
-    one phase lane of the block's stream per pair (``lhv_outcomes``)."""
+    one 32-bit phase lane of the block's stream per pair (``lhv_outcomes``)."""
 
     name = "lhv-sign"
 
     def assign(self, block: Block, seed: int, span: slice) -> dict[str, np.ndarray]:
-        phases = pair_uniforms(block, seed, span, 1)[:, 0]
+        phases = pair_uniforms(block, seed, span, 0, 32)
         return {
             symbol: lhv_outcomes(phases, theta, side_of_symbol(symbol))
             for symbol, theta in block.axes.items()
         }
+
+    def disagreements(self, block: Block, seed: int, span: slice, pairs) -> list[np.ndarray]:
+        """``u != v`` for each axis pair, from the phases alone
+        (``lhv_disagreements``)."""
+        start = {s: half_turn_start(t, side_of_symbol(s)) for s, t in block.axes.items()}
+        phases = pair_uniforms(block, seed, span, 0, 32)
+        return lhv_disagreements(phases, [(start[a], start[b]) for a, b in pairs])
 
 
 class CollapseSequential(BornFlipModel):
@@ -133,9 +169,9 @@ class CollapseSequential(BornFlipModel):
 
     name = "collapse-sequential"
 
-    def _draw(self, block: Block, seed: int, span: slice) -> tuple[np.ndarray, dict]:
-        """The span's lanes and flips, P the reference: E is -P where the
-        E draw keeps the sign -P that measuring P prepares."""
+    def _tests(self, block: Block) -> dict:
+        """P the reference: E is -P where its column-0 draw keeps the sign -P
+        that measuring P prepares, and E' where its column-1 draw does."""
         if SYM_PP in block.axes:
             raise UnsupportedAxisError(
                 "collapse-sequential defines no second axis on the P side"
@@ -143,19 +179,17 @@ class CollapseSequential(BornFlipModel):
         if SYM_P not in block.axes:
             raise UnsupportedAxisError("collapse-sequential requires a P axis")
         theta_p = block.axes[SYM_P].radians
-        w = pair_uniforms(block, seed, span, 2)  # the P coin and E draw, E' draw
-        flips: dict = {SYM_P: None}
+        tests: dict = {SYM_P: None}
         for column, symbol in ((0, SYM_E), (1, SYM_EP)):
             if symbol in block.axes:
-                delta = block.axes[symbol].radians - theta_p
-                flips[symbol] = born_same(w[:, column], keep_probability(delta))
-        return w, flips
+                tests[symbol] = (column, keep_probability(block.axes[symbol].radians - theta_p))
+        return tests
 
     # a name of this class's own, as bench/tracer.py wraps each model's assign
     assign = BornFlipModel.assign
 
 
-class FileReplay(_ComparedOutcomes):
+class FileReplay:
     """Replay +/-1 tuples from a plain-text vector file.
 
     Line 1 is a header of ``symbol=angle`` tokens (angles in radians,
@@ -195,6 +229,11 @@ class FileReplay(_ComparedOutcomes):
         if self._parsed is None or self._parsed[0] is not block:
             self._parsed = (block, self._read(block))
         return {symbol: values[span] for symbol, values in self._parsed[1].items()}
+
+    def disagreements(self, block: Block, seed: int, span: slice, pairs) -> list[np.ndarray]:
+        """``u != v`` for each axis pair, comparing the outcomes ``assign`` gives."""
+        chunk = self.assign(block, seed, span)
+        return [chunk[a] != chunk[b] for a, b in pairs]
 
     def _read(self, block: Block) -> dict[str, np.ndarray]:
         try:
@@ -246,7 +285,8 @@ class FileReplay(_ComparedOutcomes):
 CounterfactualModel = LHVSign | CollapseSequential | FileReplay
 
 # Pairs drawn, assigned and reduced at a time: memory depends on this, not
-# on the block size.  A chunk's Philox draws take at most 512 KiB.
+# on the block size.  A chunk's lanes take at most 256 KiB: two 16-bit
+# columns, or one 32-bit LHV phase, per pair.
 CHUNK_PAIRS = 2**16
 
 

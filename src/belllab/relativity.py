@@ -137,9 +137,12 @@ def boosted_order(e1: SpacetimeEvent, e2: SpacetimeEvent, b: Boost) -> int:
     """Sign of t2' - t1' in the boosted frame.
 
     +1 means e1 happens first for that observer, -1 means e2 does,
-    0 means they are simultaneous there.
+    0 means they are simultaneous there.  The boost is linear, so it acts
+    on the separation itself, gamma*((t2 - t1) - beta*(x2 - x1)): two
+    boosted times that are large next to their difference would lose its
+    sign to cancellation.
     """
-    dt = boosted_time(e2, b) - boosted_time(e1, b)
+    dt = boosted_time(SpacetimeEvent(e2.x - e1.x, e2.t - e1.t), b)
     return (dt > 0) - (dt < 0)
 
 
@@ -168,10 +171,12 @@ def find_observer(
     # want t'_first < t'_second, i.e. beta * dx > dt; spacelike => |dx| > |dt|
     bound = dt / dx
     beta = (bound + 1.0) / 2.0 if dx > 0 else (bound - 1.0) / 2.0
-    if not abs(beta) < 1.0:
-        raise ValueError(f"{first} and {second} are too close to lightlike separation: "
-                         f"the velocity that orders them rounds to beta = {beta}")
-    return Boost(beta)
+    # the midpoint can round to light speed, or to a velocity whose boosted
+    # separation rounds to zero, when |dx| - |dt| is a few ulps of dx
+    if abs(beta) < 1.0 and boosted_order(first, second, Boost(beta)) == 1:
+        return Boost(beta)
+    raise ValueError(f"{first} and {second} are too close to lightlike separation: "
+                     f"the velocity that orders them rounds to beta = {beta}")
 
 
 class Hypothesis(enum.Enum):

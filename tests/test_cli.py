@@ -626,8 +626,16 @@ def test_analytic_scenarios_run_without_numpy():
          "events.P.t = 1e308\n", 2, "is not finite"),
         ("events.E.x = 0\nevents.P.t = 0.9999999999999999\n", 2,
          "too close to lightlike separation"),
+        # coordinates large next to the separation: two boosted times lost
+        # its sign to cancellation and the run printed a failed ordering
+        ("events.E.x = -2.70456676232709e-19\nevents.E.t = -3.9853228790446214e-20\n"
+         "events.P.x = -2.7073252855964105e-19\nevents.P.t = -3.957737646351418e-20\n",
+         0, None),
+        ("events.E.x = 0\nevents.P.x = 1.0000000000000002\nevents.P.t = 1\n", 2,
+         "too close to lightlike separation"),
     ],
-    ids=["tiny-separation", "overflowing-separation", "velocity-rounds-to-one"],
+    ids=["tiny-separation", "overflowing-separation", "velocity-rounds-to-one",
+         "large-coordinates", "boosted-separation-rounds-to-zero"],
 )
 def test_observer_order_at_the_limits_of_a_double(events, rc, message, tmp_path, capsys):
     cfg = tmp_path / "events.cfg"

@@ -182,13 +182,13 @@ class TestBlock:
 
     def test_blocks_of_different_sizes_read_disjoint_words(self):
         # an address of index * count would give both blocks pairs 10-19
-        for words in (1, 2, 3):
-            first = pair_uniforms(Block({"E": 0.0}, count=20), 7, slice(None), words)
+        for column, bits in ((0, 16), (1, 16), (0, 32)):
+            first = pair_uniforms(Block({"E": 0.0}, count=20), 7, slice(None), column, bits)
             second = pair_uniforms(
-                Block({"E": 0.0}, count=10, index=1), 7, slice(None), words
+                Block({"E": 0.0}, count=10, index=1), 7, slice(None), column, bits
             )
-            assert first.shape == (20, words) and second.shape == (10, words)
-            assert not set(first.ravel().tolist()) & set(second.ravel().tolist())
+            assert first.shape == (20,) and second.shape == (10,)
+            assert not set(first.tolist()) & set(second.tolist())
 
     @pytest.mark.parametrize("index", [-1, 2**64])
     def test_index_validated(self, index):

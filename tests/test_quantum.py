@@ -1,3 +1,4 @@
+import functools
 import math
 import sys
 import threading
@@ -7,9 +8,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from belllab import realism
+from belllab import quantum, realism
 from belllab.core import SYM_E, SYM_EP, SYM_P, Block, Side
 from belllab.quantum import (
+    REFINEMENT,
     SingletSource,
     born_same,
     born_threshold,
@@ -17,6 +19,7 @@ from belllab.quantum import (
     keep_probability,
     pair_uniforms,
     parity_coins,
+    refinement_words,
     twisted_malus,
 )
 from belllab.realism import CollapseSequential, LHVSign, lhv_outcomes
@@ -31,11 +34,12 @@ def measure(seed, theta_a, theta_b, count, index=0):
 
 def prepared(seed, signs, axis_angle, theta, index=0):
     """Measure prepared states |sign> along ``axis_angle`` at ``theta``,
-    one lane each from the stream of the block with ``index``."""
+    one lane each from column 0 of the block with ``index``."""
     signs = np.asarray(signs)
     block = Block({SYM_E: theta}, count=signs.size, index=index)
-    w = pair_uniforms(block, seed, slice(None), 1)[:, 0]
-    return np.where(born_same(w, keep_probability(theta - axis_angle)), signs, -signs)
+    w = pair_uniforms(block, seed, slice(None))
+    refine = functools.partial(refinement_words, block, seed, 0, 0)
+    return np.where(born_same(w, keep_probability(theta - axis_angle), refine), signs, -signs)
 
 
 class TestTwistedMalus:
@@ -112,9 +116,9 @@ class TestDeterminism:
 
     def test_pair_uniforms_pure_in_pair_index(self):
         block = Block({SYM_E: 0.0}, count=100)
-        for words in (1, 2, 3):
-            u = pair_uniforms(block, 42, slice(None), words)
-            v = pair_uniforms(block, 42, slice(60, 100), words)
+        for column, bits in ((0, 16), (1, 16), (0, 32)):
+            u = pair_uniforms(block, 42, slice(None), column, bits)
+            v = pair_uniforms(block, 42, slice(60, 100), column, bits)
             assert np.array_equal(u[60:], v)
 
     def test_seed_validation(self):
@@ -125,74 +129,136 @@ class TestDeterminism:
             pair_uniforms(block, 2**64, slice(None), 1)
 
 
-def split_lanes(raw):
-    """A word array's 32-bit lanes, the low half of each word first."""
-    return np.stack([raw & 0xFFFFFFFF, raw >> 32], axis=1).ravel().astype(np.uint32)
+def split_lanes(raw, bits=16):
+    """A word array's lanes of ``bits`` bits, the low bits of each word first."""
+    shifts = [np.uint64(bits * j) for j in range(64 // bits)]
+    mask = np.uint64(2**bits - 1)
+    lanes = np.stack([raw >> s & mask for s in shifts], axis=1).ravel()
+    return lanes.astype(np.uint16 if bits == 16 else np.uint32)
+
+
+def reference_lanes(block, seed, lo, hi, column=0, bits=16):
+    """Lanes lo..hi-1 of region ``column``, split from a freshly keyed
+    np.random.Philox set to the region's counter ``column << 192``."""
+    per_block = 4 * 64 // bits  # lanes in one counter block of 4 words
+    key = seed | block.index << 64
+    bg = np.random.Philox(key=key, counter=column << 192 | lo // per_block)
+    skip = lo % per_block
+    raw = bg.random_raw(-(-(skip + hi - lo) * bits // 64))
+    return split_lanes(raw, bits)[skip : skip + hi - lo]
+
+
+def reference_refinements(block, seed, column, pairs):
+    """Each pair's 32-bit refinement word: lane i of region REFINEMENT + column."""
+    region = REFINEMENT + column
+    return np.array(
+        [reference_lanes(block, seed, i, i + 1, region, 32)[0] for i in pairs], np.uint32
+    )
 
 
 @settings(max_examples=100, deadline=None)
 @given(
     seed=st.integers(0, 2**64 - 1),
     index=st.integers(0, 2**64 - 1),
-    lanes=st.sampled_from([1, 2, 3]),
+    column=st.sampled_from([0, 1, 2]),
+    bits=st.sampled_from([16, 32]),
     count=st.integers(1, 50),
     data=st.data(),
 )
-def test_pair_uniforms_reads_the_blocks_words_in_order(seed, index, lanes, count, data):
-    # lane 2j is the low half of word j and lane 2j + 1 its high half; an
-    # odd lo with an odd lane count starts the span mid-word
+def test_pair_uniforms_reads_the_blocks_words_in_order(seed, index, column, bits, count, data):
+    # lane 4j of a column is the low 16 bits of word j of its region, 32-bit
+    # lane 2j the low half; spans start at any lane of a word
     lo = data.draw(st.integers(0, count), label="lo")
     hi = data.draw(st.integers(lo, count), label="hi")
     block = Block({SYM_E: 0.0}, count=count, index=index)
-    got = pair_uniforms(block, seed, slice(lo, hi), lanes)
-    raw = np.random.Philox(key=seed | index << 64).random_raw((lanes * count + 1) // 2)
-    stream = split_lanes(raw)[: lanes * count]
-    assert got.dtype == np.uint32
-    assert np.array_equal(got, stream.reshape(count, lanes)[lo:hi])
-
-
-def reference_lanes(block, seed, lo, hi, lanes):
-    """The lanes of pairs lo..hi-1, split from a freshly keyed np.random.Philox."""
-    first = lo * lanes
-    bg = np.random.Philox(key=seed | block.index << 64)
-    bg.advance(first // 8)  # a counter block is 4 words, 8 lanes
-    skip = first % 8
-    raw = bg.random_raw((skip + (hi - lo) * lanes + 1) // 2)
-    return split_lanes(raw)[skip : skip + (hi - lo) * lanes].reshape(-1, lanes)
+    got = pair_uniforms(block, seed, slice(lo, hi), column, bits)
+    bg = np.random.Philox(key=seed | index << 64, counter=column << 192)
+    stream = split_lanes(bg.random_raw(-(-count * bits // 64)), bits)[:count]
+    assert got.dtype == (np.uint16 if bits == 16 else np.uint32)
+    assert np.array_equal(got, stream[lo:hi])
 
 
 @settings(max_examples=200, deadline=None)
 @given(
     seed=st.integers(0, 2**64 - 1),
     index=st.integers(0, 2**64 - 1),
-    lanes=st.integers(1, 5),
+    column=st.integers(0, 3),
+    bits=st.sampled_from([16, 32]),
     lo=st.integers(0, 2**70) | st.integers(0, 64),
     length=st.integers(0, 9),
 )
-# odd lo: spans that start inside a counter block, and mid-word at odd lanes
-@example(seed=13, index=5, lanes=1, lo=7, length=9)
-@example(seed=13, index=5, lanes=2, lo=3, length=9)
-@example(seed=13, index=5, lanes=3, lo=9, length=9)
-def test_pair_uniforms_matches_a_freshly_keyed_philox(seed, index, lanes, lo, length):
-    # offsets past 2**67 lanes carry into the counter's second 64-bit word
+# spans that start inside a counter block, and inside a word
+@example(seed=13, index=5, column=0, bits=16, lo=7, length=9)
+@example(seed=13, index=5, column=1, bits=16, lo=13, length=9)
+@example(seed=13, index=5, column=0, bits=32, lo=3, length=9)
+def test_pair_uniforms_matches_a_freshly_keyed_philox(seed, index, column, bits, lo, length):
+    # offsets past 2**68 16-bit (2**67 32-bit) lanes carry into the counter's
+    # second 64-bit word
     block = Block({SYM_E: 0.0}, count=lo + length + 1, index=index)
-    got = pair_uniforms(block, seed, slice(lo, lo + length), lanes)
-    assert got.shape == (length, lanes)
-    assert np.array_equal(got, reference_lanes(block, seed, lo, lo + length, lanes))
+    got = pair_uniforms(block, seed, slice(lo, lo + length), column, bits)
+    assert got.shape == (length,)
+    assert np.array_equal(got, reference_lanes(block, seed, lo, lo + length, column, bits))
+
+
+def test_a_32_bit_lane_is_two_16_bit_lanes():
+    # LHVSign's phase lane i is the 16-bit lanes 2i (low) and 2i + 1 (high)
+    block = Block({SYM_E: 0.0}, count=2_000, index=3)
+    phases = pair_uniforms(block, 5, slice(None), 0, 32)
+    halves = pair_uniforms(Block({SYM_E: 0.0}, count=4_000, index=3), 5, slice(None))
+    joined = halves[0::2].astype(np.uint32) | halves[1::2].astype(np.uint32) << np.uint32(16)
+    assert np.array_equal(phases, joined)
+
+
+def test_regions_share_no_counter(monkeypatch):
+    # every Philox block a collapse draw reads, forced ties included, lies in
+    # its column's region or its column's refinement region
+    block = Block({SYM_P: 0.0, SYM_E: 0.0, SYM_EP: 0.0}, count=3_000, index=4)
+    angle_e = tie_angle(pair_uniforms(block, 8, slice(None), 0)[17])
+    angle_ep = tie_angle(pair_uniforms(block, 8, slice(None), 1)[42])
+    block = Block({SYM_P: 0.0, SYM_E: angle_e, SYM_EP: angle_ep}, count=3_000, index=4)
+    reads = []
+    real = quantum._philox
+
+    class Recording:
+        def __init__(self, key, counter):
+            self.key, self.counter = key, counter
+
+        def random_raw(self, words):
+            reads.append((self.key, self.counter, self.counter + -(-words // 4)))
+            return real(self.key, self.counter).random_raw(words)
+
+    monkeypatch.setattr(quantum, "_philox", Recording)
+    CollapseSequential().disagreements(block, 8, slice(None), [(SYM_E, SYM_EP)])
+    # four distinct regions: the two columns and their refinement words
+    regions = sorted({lo >> 192 for _, lo, _ in reads})
+    assert regions == [0, 1, 2**63, 2**63 + 1] and REFINEMENT == 2**63
+    assert {key for key, _, _ in reads} == {8 | 4 << 64}
+    for _, lo, hi in reads:  # no read runs into the next region
+        assert (hi - 1) >> 192 == lo >> 192
+    # the last lane of a region is readable, one past it is not
+    end = Block({SYM_E: 0.0}, count=2**196 + 1)
+    assert pair_uniforms(end, 1, slice(2**196 - 1, 2**196)).shape == (1,)
+    with pytest.raises(ValueError, match="past their region"):
+        pair_uniforms(end, 1, slice(2**196 - 1, 2**196 + 1))
 
 
 def test_threads_draw_their_own_words():
     # more threads than cores, switching often: a Philox shared between
     # threads would hand one thread's key or counter to another's draw
     blocks = [Block({SYM_E: 0.0}, count=5_000, index=i) for i in range(6)]
-    want = [reference_lanes(b, 11, 0, b.count, 2) for b in blocks]
+    pairs = [0, 9, 4_321, 4_999]
+    want = [reference_lanes(b, 11, 0, b.count, 1) for b in blocks]
+    want_words = [reference_refinements(b, 11, 1, pairs) for b in blocks]
     failures = []
 
     def draw(k):
         for i in range(100):
             j = (k + i) % len(blocks)
-            if not np.array_equal(pair_uniforms(blocks[j], 11, slice(None), 2), want[j]):
+            if not np.array_equal(pair_uniforms(blocks[j], 11, slice(None), 1), want[j]):
                 failures.append((k, i))
+            words = refinement_words(blocks[j], 11, 1, 0, np.array(pairs))
+            if not np.array_equal(words, want_words[j]):
+                failures.append((k, i, "refinement"))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -210,19 +276,21 @@ def test_threads_draw_their_own_words():
 
 def test_singlet_pair_reads_one_lane():
     block = Block({SYM_E: 0.3, SYM_P: -1.2}, count=1_000, index=2)
-    w = pair_uniforms(block, 9, slice(None), 1)[:, 0]
+    w = pair_uniforms(block, 9, slice(None))
     a, b = SingletSource().sample_pairs(block, 9)
-    assert np.array_equal(a, np.where(w & np.uint32(1), -1, 1))
-    assert np.array_equal(b, np.where(born_same(w, keep_probability(0.3 - -1.2)), -a, a))
+    refine = functools.partial(refinement_words, block, 9, 0, 0)
+    assert np.array_equal(a, np.where(w & np.uint16(1), -1, 1))
+    assert np.array_equal(b, np.where(born_same(w, keep_probability(0.3 - -1.2), refine), -a, a))
 
 
 @pytest.mark.parametrize("p", [0.5, math.cos(3 * math.pi / 8) ** 2])
 def test_bit_0_coin_and_born_draw_of_one_word_are_independent(p):
     # an exact 2x2 count over 2**20 lanes; chi-squared with one degree of
     # freedom, 10.83 is its 0.1% point
-    w = pair_uniforms(Block({SYM_E: 0.0}, count=2**20), 23, slice(None), 1)[:, 0]
+    block = Block({SYM_E: 0.0}, count=2**20)
+    w = pair_uniforms(block, 23, slice(None))
     coin = parity_coins(w) > 0
-    draw = w >> np.uint32(1) < born_threshold(p)
+    draw = born_same(w, p, functools.partial(refinement_words, block, 23, 0, 0))
     table = np.array([[np.count_nonzero(coin & draw), np.count_nonzero(coin & ~draw)],
                       [np.count_nonzero(~coin & draw), np.count_nonzero(~coin & ~draw)]])
     n = int(table.sum())
@@ -233,49 +301,119 @@ def test_bit_0_coin_and_born_draw_of_one_word_are_independent(p):
 
 
 def born_cases():
-    yield from (0.0, 2.0**-53, 2.0**-31, 0.5, 1.0 - 2.0**-31, 1.0 - 2.0**-53, 1.0)
+    yield from (0.0, 2.0**-53, 2.0**-47, 2.0**-31, 0.5, 1.0 - 2.0**-47, 1.0 - 2.0**-53, 1.0)
     for delta in np.linspace(-math.pi, math.pi, 100):
         yield (1.0 + math.cos(delta)) / 2.0
         yield (1.0 - math.cos(delta)) / 2.0
 
 
 def test_born_threshold_is_the_double_comparison():
-    rng_lanes = pair_uniforms(Block({SYM_E: 0.0}, count=1000), 3, slice(None), 1)[:, 0]
+    # u < T as 47-bit integers exactly when the double u * 2**-47 is below p
+    rng = np.random.default_rng(3)
     for p in born_cases():
-        t = born_threshold(p)
-        assert isinstance(t, np.uint32)
-        # the lanes whose top 31 bits sit next to the threshold, bit 0 clear and set
-        k = [max(min(int(t) + d, 2**31 - 1), 0) for d in (-2, -1, 0, 1)]
-        edge = np.array([x << 1 | low for x in k for low in (0, 1)], np.uint32)
-        lanes = np.concatenate([rng_lanes, edge])
-        by_int = (lanes >> np.uint32(1)) < t
-        by_double = (lanes >> np.uint32(1)) * 2.0**-31 < p
-        assert np.array_equal(by_int, by_double), p
-    assert born_threshold(1.0) == 2**31 and born_threshold(0.0) == 0
+        high, low = born_threshold(p)
+        assert type(high) is np.uint16 and type(low) is np.uint32
+        t = int(high) << 32 | int(low)
+        edge = [min(max(t + d, 0), 2**47 - 1) for d in (-2, -1, 0, 1)]
+        for u in [*edge, *rng.integers(0, 2**47, 50).tolist()]:
+            assert (u < t) == (u * 2.0**-47 < p), (p, u)
+    assert born_threshold(1.0) == (2**15, 0) and born_threshold(0.0) == (0, 0)
 
 
-@pytest.mark.parametrize("t", [0, 1, 2**30, 2**31 - 1, 2**31])
+def forty_seven_bit_test(lanes, words, t):
+    """The direct test: ((l >> 1) * 2**32 + r) < T as Python integers."""
+    return np.array([(int(l) >> 1 << 32 | int(r)) < t for l, r in zip(lanes, words)])
+
+
+@pytest.mark.parametrize(
+    "t", [0, 1, 2**30, 2**31 - 1, 2**31, 2**32 - 1, 2**32, 2**32 + 1, 2**47 - 1, 2**47]
+)
 def test_born_same_is_the_shifted_test(t):
-    # l >> 1 < T exactly when l < T * 2; the lanes on either side of T * 2
-    # and both ends of the range, with p = T / 2**31 exact
-    p = t / 2**31
-    assert born_threshold(p) == t
-    lanes = [t * 2 - 1, t * 2, 0, 2**32 - 1]
-    lanes = np.array([w for w in lanes if 0 <= w < 2**32], dtype=np.uint32)
-    want = lanes >> np.uint32(1) < np.uint32(t)
-    assert np.array_equal(born_same(lanes, p), want)
-    columns = np.stack([lanes[::-1], lanes], axis=1)  # strided, as models pass them
-    assert np.array_equal(born_same(columns[:, 1], p), want)
-    assert born_same(lanes, 1.0).all() and not born_same(lanes, 0.0).any()
+    # lanes on either side of the tie with T's top 15 bits, both ends of the
+    # range, and every refinement word next to T's low 32 bits; p = T / 2**47
+    # is exact, and only tied lanes read a word
+    p = t / 2**47
+    high, low = born_threshold(p)
+    assert int(high) << 32 | int(low) == t
+    h = int(high)
+    edge_lanes = [2 * h - 1, 2 * h, 2 * h + 1, 2 * h + 2, 0, 1, 2**16 - 2, 2**16 - 1]
+    edge_words = [int(low) + d for d in (-1, 0, 1)] + [0, 2**32 - 1]
+    grid = [(l, r) for l in edge_lanes if 0 <= l < 2**16 for r in edge_words if 0 <= r < 2**32]
+    lanes = np.array([l for l, _ in grid], dtype=np.uint16)
+    words = np.array([r for _, r in grid], dtype=np.uint32)
+    asked = []
+
+    def refine(ties):
+        asked.extend(ties.tolist())
+        return words[ties]
+
+    want = forty_seven_bit_test(lanes, words, t)
+    assert np.array_equal(born_same(lanes, p, refine), want)
+    tied = [i for i, l in enumerate(lanes) if int(l) >> 1 == h]
+    assert asked == (tied if low and h < 2**15 else [])
+    strided = np.stack([lanes[::-1], lanes], axis=1)[:, 1]  # a non-contiguous view
+    assert np.array_equal(born_same(strided, p, lambda ties: words[ties]), want)
+
+
+def tie_angle(lane):
+    """An angle delta whose keep_probability(delta) has the top 15 threshold
+    bits ``lane >> 1`` and nonzero low bits, so that ``lane`` ties."""
+    h = int(lane) >> 1
+    delta = math.acos(2 * (h + 0.5) / 2**15 - 1)
+    high, low = born_threshold(keep_probability(delta))
+    assert high == h and low != 0
+    return delta
+
+
+def test_forced_ties_read_the_refinement_word(monkeypatch):
+    block = Block({SYM_E: 0.0, SYM_P: 0.0}, count=5_000, index=6)
+    lanes = pair_uniforms(block, 21, slice(None))
+    delta = tie_angle(lanes[1234])
+    block = Block({SYM_E: delta, SYM_P: 0.0}, count=5_000, index=6)
+    tied = np.flatnonzero(lanes >> np.uint16(1) == lanes[1234] >> np.uint16(1))
+    asked = []
+
+    def spy(block, seed, column, first, ties):
+        asked.extend(first + int(t) for t in ties)
+        return refinement_words(block, seed, column, first, ties)
+
+    monkeypatch.setattr(quantum, "refinement_words", spy)
+    (mask,) = SingletSource().disagreements(block, 21, slice(None), [(SYM_E, SYM_P)])
+    assert asked == tied.tolist() and 1234 in asked
+    high, low = born_threshold(keep_probability(delta))
+    t = int(high) << 32 | int(low)
+    words = reference_refinements(block, 21, 0, range(block.count))
+    assert np.array_equal(mask, forty_seven_bit_test(lanes, words, t))
+
+
+@pytest.mark.parametrize("collapse", [False, True], ids=["singlet", "collapse"])
+def test_forced_tie_masks_do_not_depend_on_chunk_size(collapse, monkeypatch):
+    n = 2**16 + 300
+    lanes = pair_uniforms(Block({SYM_E: 0.0}, count=n, index=2), 4, slice(None))
+    delta = tie_angle(lanes[2**16 + 5])  # a tie in the second 2**16 chunk
+    if collapse:
+        model, pairs = CollapseSequential(), [(SYM_P, SYM_E), (SYM_P, SYM_EP), (SYM_E, SYM_EP)]
+        block = Block({SYM_P: 0.0, SYM_E: delta, SYM_EP: -delta}, count=n, index=2)
+    else:
+        model, pairs = SingletSource(), [(SYM_E, SYM_P)]
+        block = Block({SYM_E: delta, SYM_P: 0.0}, count=n, index=2)
+    whole = model.disagreements(block, 4, slice(None), pairs)
+    for chunk in (1, 7, 2**16, n):
+        monkeypatch.setattr(realism, "CHUNK_PAIRS", chunk)
+        parts = list(realism.disagreement_chunks(model, block, 4, pairs))
+        for k, mask in enumerate(whole):
+            assert np.array_equal(np.concatenate([p[k] for p in parts]), mask), chunk
 
 
 def test_draws_keep_their_integer_dtypes():
-    lanes = pair_uniforms(Block({SYM_E: 0.0}, count=64), 5, slice(None), 3)
-    assert lanes.dtype == np.uint32
-    assert fair_coins(lanes[:, 0]).dtype == np.int8
-    assert parity_coins(lanes[:, 0]).dtype == np.int8
-    assert born_same(lanes[:, 1], 0.3).dtype == bool
-    assert born_threshold(0.25).dtype == np.uint32
+    lanes = pair_uniforms(Block({SYM_E: 0.0}, count=64), 5, slice(None))
+    assert lanes.dtype == np.uint16
+    assert parity_coins(lanes).dtype == np.int8
+    refine = functools.partial(refinement_words, Block({SYM_E: 0.0}, count=64), 5, 0, 0)
+    assert born_same(lanes, 0.3, refine).dtype == bool
+    phases = pair_uniforms(Block({SYM_E: 0.0}, count=64), 5, slice(None), 0, 32)
+    assert fair_coins(phases).dtype == np.int8
+    assert refine(np.arange(3)).dtype == np.uint32
     a, b = measure(5, 0.2, 1.3, 64)
     assert a.dtype == b.dtype == np.int8
     block = Block({SYM_E: 0.2, SYM_EP: 1.0, SYM_P: 0.0}, count=64)
@@ -283,22 +421,42 @@ def test_draws_keep_their_integer_dtypes():
         assert {v.dtype for v in model.assign(block, 5, slice(None)).values()} == {
             np.dtype(np.int8)
         }
-    phases = pair_uniforms(block, 5, slice(None), 1)[:, 0]
     assert phases.dtype == np.uint32
     for theta in (-math.pi / 2, 0.0, math.pi / 2, math.pi):
         for side in Side:
             assert lhv_outcomes(phases, theta, side).dtype == np.int8
 
 
+def test_lanes_and_thresholds_stay_uint16():
+    # numpy 1.x casts by value: a signed or too-wide operand would widen the
+    # 16-bit lanes, and the shifted threshold 2 * (T >> 32) must stay below
+    # 2**16 in uint16 for every p < 1 (65,534 at the largest)
+    block = Block({SYM_E: 0.0, SYM_P: 1.0}, count=33)
+    for column in (0, 1):
+        for lo in (0, 1, 5, 17):
+            assert pair_uniforms(block, 5, slice(lo, None), column).dtype == np.uint16
+    for p in (0.0, 2.0**-47, 2.0**-31, 0.5, 1.0 - 2.0**-47, 1.0):
+        high, low = born_threshold(p)
+        assert type(high) is np.uint16 and type(low) is np.uint32
+        assert (high << np.uint16(1)).dtype == np.uint16
+    words = np.full(8, 2**31, dtype=np.uint32)
+    for p in (2.0**-47, 0.3, 1.0 - 2.0**-47):
+        high, low = born_threshold(p)
+        h = int(high)
+        edge = [2 * h - 1, 2 * h, 2 * h + 1, 0, 2**16 - 1]
+        lanes = np.array([x for x in edge if x >= 0], dtype=np.uint16)
+        got = born_same(lanes, p, lambda ties: words[ties])
+        assert np.array_equal(got, forty_seven_bit_test(lanes, words, h << 32 | int(low)))
+
+
 def test_lanes_thresholds_and_phase_offsets_stay_uint32(monkeypatch):
     # numpy 1.x casts by value: a signed or too-wide operand would widen the
-    # lanes to int64 or float64 and the wrapping modular test would be lost
+    # phase lanes to int64 or float64 and the wrapping modular test would be lost
     block = Block({SYM_E: 0.0, SYM_P: 1.0}, count=33)
-    for lanes in (1, 2, 3):
-        for lo in (0, 1, 5):
-            assert pair_uniforms(block, 5, slice(lo, None), lanes).dtype == np.uint32
-    for p in (0.0, 2.0**-31, 0.5, 1.0 - 2.0**-31, 1.0):
-        assert type(born_threshold(p)) is np.uint32
+    for lo in (0, 1, 5):
+        assert pair_uniforms(block, 5, slice(lo, None), 0, 32).dtype == np.uint32
+    for p in (0.0, 2.0**-47, 0.5, 1.0 - 2.0**-47, 1.0):
+        assert type(born_threshold(p)[1]) is np.uint32
     offsets = []
 
     def spy(lanes):
@@ -306,7 +464,7 @@ def test_lanes_thresholds_and_phase_offsets_stay_uint32(monkeypatch):
         return fair_coins(lanes)
 
     monkeypatch.setattr(realism, "fair_coins", spy)
-    phases = pair_uniforms(block, 5, slice(None), 1)[:, 0]
+    phases = pair_uniforms(block, 5, slice(None), 0, 32)
     # starts of 0, below 2**31 and at or above it
     for theta in (math.pi / 2, -math.pi / 2, 0.0, math.pi, 3.0, -3.0):
         lhv_outcomes(phases, theta, Side.ALICE)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -14,7 +15,7 @@ from belllab.core import (
     Side,
     correlate,
 )
-from belllab.quantum import pair_uniforms
+from belllab.quantum import born_threshold, fair_coins, pair_uniforms, refinement_words
 from belllab.realism import (
     CollapseSequential,
     FileReplay,
@@ -22,6 +23,7 @@ from belllab.realism import (
     ReplayFormatError,
     UnsupportedAxisError,
     generate_block,
+    lhv_disagreements,
     lhv_outcomes,
     model_from_spec,
 )
@@ -53,13 +55,15 @@ def collapse_sequential_assign(block, pair, theta_p, theta_e, theta_ep, seed):
 
     The scalar reference for ``CollapseSequential``: P is a fair coin; E
     and E' are independent measurements of the state |-P> prepared along
-    theta_p.  The pair reads lanes 2*pair and 2*pair + 1 of the block's
-    stream, the low and the high half of word ``pair``: P is bit 0 of the
-    first, and E and E' compare the uniform doubles u = (l >> 1) * 2**-31 of
-    the first and the second.
+    theta_p.  The pair reads its 16-bit lane l of columns 0 and 1 and its
+    32-bit refinement word r of each column's refinement region: P is bit 0
+    of the column-0 lane, and E and E' compare the 47-bit uniform doubles
+    u = ((l >> 1) * 2**32 + r) * 2**-47 of columns 0 and 1.
     """
-    lanes = [int(w) for w in pair_uniforms(block, seed, slice(pair, pair + 1), 2)[0]]
-    u = [(w >> 1) * 2.0**-31 for w in lanes]
+    span = slice(pair, pair + 1)
+    lanes = [int(pair_uniforms(block, seed, span, column)[0]) for column in (0, 1)]
+    words = [int(refinement_words(block, seed, column, pair, [0])[0]) for column in (0, 1)]
+    u = [((w >> 1) * 2**32 + r) * 2.0**-47 for w, r in zip(lanes, words)]
     p = -1 if lanes[0] & 1 else 1
     e = -p if u[0] < (1.0 + math.cos(theta_e - theta_p)) / 2.0 else p
     ep = -p if u[1] < (1.0 + math.cos(theta_ep - theta_p)) / 2.0 else p
@@ -117,7 +121,7 @@ class TestLhvPhaseKernel:
         for theta in np.linspace(math.pi, -math.pi, 100, endpoint=False):
             block = Block({SYM_E: float(theta), SYM_P: float(theta)}, count=20_000)
             got = LHVSign().assign(block, 31, slice(None))
-            want, far = sign_of_cos(pair_uniforms(block, 31, slice(None), 1)[:, 0], theta)
+            want, far = sign_of_cos(pair_uniforms(block, 31, slice(None), 0, 32), theta)
             assert far.mean() > 0.99
             assert got[SYM_E].dtype == np.int8
             assert np.array_equal(got[SYM_E][far], want[far])
@@ -150,11 +154,58 @@ class TestLhvPhaseKernel:
     def test_phases_must_be_uint32(self, phases):
         with pytest.raises(TypeError, match="uint32"):
             lhv_outcomes(phases, 0.0, Side.ALICE)
+        with pytest.raises(TypeError, match="uint32"):
+            lhv_disagreements(phases, [(0, 2**30)])
 
     @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf, np.array(math.nan)])
     def test_theta_must_be_finite(self, theta):
         with pytest.raises(ValueError, match="finite"):
             lhv_outcomes(np.zeros(3, dtype=np.uint32), theta, Side.ALICE)
+
+
+ARC_GAPS = [0, 1, 2**31 - 1, 2**31, 2**31 + 1, TURN - 1]
+
+
+class TestLhvDisagreements:
+    @settings(max_examples=300, deadline=None)
+    @given(lanes, st.integers(0, TURN - 1), st.sampled_from(ARC_GAPS) | st.integers(0, TURN - 1))
+    def test_is_the_outcome_comparison(self, ws, start_a, d):
+        start_b = (start_a + d) % TURN
+        near = [(s + k) % TURN for s in (start_a, start_b) for k in (-1, 0, 1, 2**31)]
+        phases = np.array(ws + EDGE_LANES + near, dtype=np.uint32)
+        (got,) = lhv_disagreements(phases, [(start_a, start_b)])
+        want = fair_coins(phases - np.uint32(start_a)) != fair_coins(phases - np.uint32(start_b))
+        assert got.dtype == bool and np.array_equal(got, want)
+        if d in (0, 2**31):  # the same half-turn, or the opposite one
+            assert not got.any() if d == 0 else got.all()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        theta=st.floats(-math.pi, math.pi),
+        other=st.floats(-math.pi, math.pi),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_model_masks_are_the_assigned_outcomes_compared(self, theta, other, seed):
+        # both sides, an equal axis across sides and an opposite one on Bob's
+        axes = {SYM_E: theta, SYM_EP: other, SYM_P: theta, SYM_PP: theta + math.pi}
+        block = Block(axes, count=300, index=2)
+        pairs = [*itertools.combinations(axes, 2), (SYM_E, SYM_E), (SYM_PP, SYM_E)]
+        outcomes = LHVSign().assign(block, seed, slice(None))
+        masks = LHVSign().disagreements(block, seed, slice(None), pairs)
+        for (a, b), mask in zip(pairs, masks):
+            assert np.array_equal(mask, outcomes[a] != outcomes[b]), (a, b)
+        assert masks[pairs.index((SYM_E, SYM_P))].all()
+        assert not masks[pairs.index((SYM_E, SYM_E))].any()
+
+    @pytest.mark.parametrize("d", [0, 1, 2**31 - 1, 2**31])
+    def test_gaps_at_the_edges(self, d):
+        # d = 0 never differs, d = 2**31 always; one lane in 2**31 at d = 1
+        start_a = start_lane(0.7)
+        phases = np.arange(0, TURN, 2**20 - 1, dtype=np.uint64).astype(np.uint32)
+        phases = np.concatenate([phases, np.array(EDGE_LANES, dtype=np.uint32)])
+        (got,) = lhv_disagreements(phases, [(start_a, (start_a + d) % TURN)])
+        x = (phases.astype(np.int64) - start_a) % 2**31
+        assert np.array_equal(got, x < d if d < 2**31 else np.ones_like(got))
 
 
 class TestLhvTwoPointFunction:
@@ -248,6 +299,21 @@ class TestCollapseSequential:
                 asg[SYM_E].values[i],
                 asg[SYM_EP].values[i],
             )
+
+    def test_scalar_assign_matches_model_at_forced_ties(self):
+        # E's threshold ties with pair 3's column-0 lane and E''s with pair
+        # 11's column-1 lane, so both pairs' draws read a refinement word
+        block = Block(V3_ANGLES, count=50, index=9)
+        angles = []
+        for column, pair in ((0, 3), (1, 11)):
+            h = int(pair_uniforms(block, 8, slice(None), column)[pair]) >> 1
+            angles.append(math.acos(2 * (h + 0.5) / 2**15 - 1))
+            assert int(born_threshold((1.0 + math.cos(angles[-1])) / 2.0)[0]) == h
+        block = Block({SYM_P: 0.0, SYM_E: angles[0], SYM_EP: angles[1]}, count=50, index=9)
+        asg = CollapseSequential().assign(block, 8, slice(None))
+        for i in (3, 11):
+            want = collapse_sequential_assign(block, i, 0.0, angles[0], angles[1], 8)
+            assert want == (asg[SYM_P][i], asg[SYM_E][i], asg[SYM_EP][i])
 
     def test_p_marginal_unbiased(self):
         block = Block(V3_ANGLES, count=self.N)

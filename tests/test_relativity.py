@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from belllab.core import SYM_E, SYM_EP, SYM_P, SYM_PP, Side, pair_symbol
 from belllab.realism import CollapseSequential, LHVSign, lhv_outcomes
@@ -151,6 +153,51 @@ class TestFindObserver:
     def test_bad_order_spec(self):
         with pytest.raises(ValueError, match="desired order"):
             find_observer(self.E_EVENT, self.P_EVENT, "E->P")
+
+    def test_coordinates_large_next_to_their_separation(self):
+        # boosting the two times apart and subtracting lost the sign here
+        e = SpacetimeEvent(-2.70456676232709e-19, -3.9853228790446214e-20)
+        p = SpacetimeEvent(-2.7073252855964105e-19, -3.957737646351418e-20)
+        assert interval_type(e, p) is IntervalType.SPACELIKE
+        assert boosted_order(e, p, find_observer(e, p, "E-P")) == 1
+        assert boosted_order(e, p, find_observer(e, p, "P-E")) == -1
+
+    def test_a_midpoint_that_orders_nothing_names_the_cause(self):
+        # one ulp from lightlike: beta = 1 - 2**-53 < 1, but the boosted
+        # separation rounds to zero, so no double velocity orders P first
+        e, p = SpacetimeEvent(0.0, 0.0), SpacetimeEvent(1 + 2**-52, 1.0)
+        assert boosted_order(e, p, find_observer(e, p, "E-P")) == 1
+        with pytest.raises(ValueError, match="too close to lightlike separation"):
+            find_observer(e, p, "P-E")
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    exponent=st.integers(-1000, 1000),
+    offset=st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)),
+    signs=st.tuples(st.sampled_from([-1, 1]), st.sampled_from([-1, 1])),
+    gap=st.integers(1, 2**30) | st.floats(0.0, 1.0),
+)
+@example(exponent=-62, offset=(0.0, 0.0), signs=(1, 1), gap=1)
+@example(exponent=0, offset=(0.0, 0.0), signs=(1, 1), gap=1)
+def test_both_orders_or_the_documented_error_at_every_scale(exponent, offset, signs, gap):
+    # spacelike pairs |dx| = 2**exponent, at gap ulps from lightlike (an int)
+    # or at the ratio 1 - gap (a float), with coordinates up to 1000 times
+    # their separation
+    dx = math.ldexp(1.0, exponent)
+    dt = dx - gap * math.ulp(dx) if isinstance(gap, int) else dx * (1.0 - gap)
+    e = SpacetimeEvent(offset[0] * dx, offset[1] * dx)
+    p = SpacetimeEvent(e.x + signs[0] * dx, e.t + signs[1] * dt)
+    if interval_type(e, p) is not IntervalType.SPACELIKE:
+        return
+    ratio = abs(p.t - e.t) / abs(p.x - e.x)
+    try:
+        ep, pe = find_observer(e, p, "E-P"), find_observer(e, p, "P-E")
+    except ValueError as exc:
+        assert "too close to lightlike separation" in str(exc)
+        assert ratio > 1.0 - 1e-12
+        return
+    assert boosted_order(e, p, ep) == 1 and boosted_order(e, p, pe) == -1
 
 
 class TestHypothesisSet:
