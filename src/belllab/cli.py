@@ -19,13 +19,14 @@ import csv
 import io
 import json
 import math
+import operator
 import os
 import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .core import SYM_E, SYM_EP, SYM_P, SYM_PP, Block, pair_symbol, product_sum
 from .core import ReplayFormatError, UnsupportedAxisError
@@ -75,16 +76,14 @@ class ConfigError(ValueError):
 DEFAULT_PAIRS = 1_000_000
 SWEEP_DEFAULT_PAIRS = 20_000  # identities are exact at any N; keep the sweep quick
 SWEEP_DEFAULT_STEP = math.pi / 90.0
-# lhv-sweep runs round(pi / grid-step) + 1 configurations of two blocks each;
-# the cap keeps a tiny step from running unbounded (at the default pairs,
-# 1,000 configurations take about 3 s on a 2-vCPU machine, so the cap is
-# about 30 s).
+# lhv-sweep runs round(pi / grid-step) + 1 configurations of two blocks each.
+# The cap bounds the blocks, whose fixed cost the pairs budget does not see: on
+# a 2-vCPU machine a sweep at the cap takes 0.9 s at one pair a block, 2 s at
+# the default pairs and 9 s at the 50,000 pairs the budget then allows.
 _SWEEP_MAX_CONFIGURATIONS = 10_000
 # Pairs a run may draw, pairs x blocks.  Memory does not grow with pairs, so
-# this bounds time: 10**9 pairs take 40-65 s on a 2-vCPU machine.
+# this bounds time: a run of 10**9 pairs takes 2-3.5 s on a 2-vCPU machine.
 _MAX_PAIRS_PER_RUN = 10**9
-# Blocks each scenario draws; lhv-sweep draws two per configuration.
-_BLOCKS = {"v3-local": 2, "v4-chsh": 4, "v3-eacp": 1, "no-correlation": 1}
 
 
 @dataclass(frozen=True)
@@ -114,15 +113,17 @@ class ScenarioConfig:
                 f"unknown scenario {self.scenario!r}; "
                 f"choose from {', '.join(sorted(SCENARIOS))}"
             )
-        named = {f"angles.{k}": v for k, v in self.angles.items()}
-        named.update({f"events.{k}": v for k, v in self.events.items()})
-        given = {"hypotheses": self.hypotheses, "model": self.model,
-                 "model.path": self.model_path, "target": self.target,
-                 "grid-step": self.grid_step, "tol": self.tolerance, **named}
-        for key in [key for key, value in given.items() if value is not None]:
-            if key not in _SCENARIO_KEYS[self.scenario]:
+        row = SCENARIOS[self.scenario]
+        named = {f"{name}.{k}": v for name in ("angles", "events")
+                 for k, v in getattr(self, name).items()}
+        given = [key for key, (name, _) in _KEYS.items() if getattr(self, name) is not None]
+        for key in given + list(named):
+            if key not in (*row.keys, "seed", "pairs"):
                 raise ConfigError(
                     f"config key {key!r} is not used by scenario {self.scenario!r}")
+        if self.n_pairs is not None:
+            object.__setattr__(self, "n_pairs", _integer("pairs", self.n_pairs))
+        object.__setattr__(self, "seed", _integer("seed", self.seed))
         if self.n_pairs is not None and self.n_pairs < 1:
             raise ConfigError(f"pairs must be >= 1, got {self.n_pairs}")
         if not 0 <= self.seed < 2**64:
@@ -142,9 +143,9 @@ class ScenarioConfig:
                     f"{_SWEEP_MAX_CONFIGURATIONS} configurations over [0, pi]; "
                     f"use a step above {math.pi / (_SWEEP_MAX_CONFIGURATIONS - 0.5):.6g}"
                 )
-        blocks = _BLOCKS.get(self.scenario, 0)
-        if self.scenario == "lhv-sweep":
-            blocks = 2 * _sweep_configurations(self.grid_step or SWEEP_DEFAULT_STEP)
+        blocks = row.blocks
+        if "grid-step" in row.keys:  # a sweep draws its blocks per configuration
+            blocks *= _sweep_configurations(self.grid_step or SWEEP_DEFAULT_STEP)
         if self.pairs * blocks > _MAX_PAIRS_PER_RUN:
             raise ConfigError(
                 f"pairs {self.pairs} x {blocks} blocks is over the limit of "
@@ -156,24 +157,34 @@ class ScenarioConfig:
         for i, value in enumerate(self.target or ()):
             if not -1.0 <= value <= 1.0:
                 raise ConfigError(f"target[{i}] out of range [-1, 1]: {value}")
-        model = None
-        if self.model:  # empty falls back to the scenario's default model
-            from .realism import model_from_spec
-            try:
-                model = model_from_spec(self.model, self.model_path)
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from exc
-        if self.model_path is not None:
-            from .realism import FileReplay
-            if not isinstance(model, FileReplay):
-                what = repr(self.model) if self.model else "the scenario's default model"
-                raise ConfigError(f"model.path is read only by file-replay, not by {what}")
+        if self.model or self.model_path is not None:
+            _model(self)
 
     @property
     def pairs(self) -> int:
         if self.n_pairs is not None:
             return self.n_pairs
         return SWEEP_DEFAULT_PAIRS if self.scenario == "lhv-sweep" else DEFAULT_PAIRS
+
+
+def _integer(key: str, value) -> int:
+    """``value`` as an int; a bool, a float or any other non-integer is a ConfigError."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return operator.index(value)
+
+
+def _model(cfg: ScenarioConfig):
+    """The configured model, or the scenario's default when ``model`` is empty."""
+    from .realism import FileReplay, model_from_spec
+    try:
+        model = model_from_spec(cfg.model or SCENARIOS[cfg.scenario].model, cfg.model_path)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    if cfg.model_path is not None and not isinstance(model, FileReplay):
+        what = repr(cfg.model) if cfg.model else "the scenario's default model"
+        raise ConfigError(f"model.path is read only by file-replay, not by {what}")
+    return model
 
 
 @dataclass
@@ -233,6 +244,12 @@ V4_DEFAULT_ANGLES = {
 }
 
 
+def _engine(cfg: ScenarioConfig, hypotheses: str, angles: dict):
+    """The configured hypotheses or these, angles over ``angles``, and their engine."""
+    chosen = cfg.hypotheses or HypothesisSet.parse(hypotheses)
+    return chosen, {**angles, **cfg.angles}, DefinabilityEngine(chosen)
+
+
 def _v3_rows_and_report(engine: DefinabilityEngine, angles: dict):
     rows = _analytic_rows(engine, angles, [(SYM_E, SYM_P), (SYM_EP, SYM_P), (SYM_E, SYM_EP)])
     value = {row["symbol"]: row["value"] for row in rows}
@@ -253,13 +270,10 @@ def _v3_verdict(report, anchor: str) -> str:
 
 
 def _scenario_v3_eacp(cfg: ScenarioConfig) -> ScenarioResult:
-    from .realism import model_from_spec
-    hypotheses = cfg.hypotheses or HypothesisSet.parse("WR,EACP,FWP")
-    angles = {**V3_DEFAULT_ANGLES, **cfg.angles}
-    engine = DefinabilityEngine(hypotheses)
+    hypotheses, angles, engine = _engine(cfg, "WR,EACP,FWP", V3_DEFAULT_ANGLES)
     rows, report = _v3_rows_and_report(engine, angles)
 
-    model = model_from_spec(cfg.model or "collapse-sequential", cfg.model_path)
+    model = _model(cfg)
     block = Block({s: angles[s] for s in (SYM_E, SYM_EP, SYM_P)}, count=cfg.pairs)
     mc_pairs = ((SYM_P, SYM_E), (SYM_P, SYM_EP), (SYM_E, SYM_EP))
     rows += _mc_rows(model, block, cfg.seed, mc_pairs)
@@ -289,9 +303,7 @@ def _singlet_rows(cfg: ScenarioConfig, angles: dict, pairs) -> list[dict]:
 
 
 def _scenario_v3_local(cfg: ScenarioConfig) -> ScenarioResult:
-    hypotheses = cfg.hypotheses or HypothesisSet.parse("WR,Locality")
-    angles = {**V3_DEFAULT_ANGLES, **cfg.angles}
-    engine = DefinabilityEngine(hypotheses)
+    hypotheses, angles, engine = _engine(cfg, "WR,Locality", V3_DEFAULT_ANGLES)
     rows, report = _v3_rows_and_report(engine, angles)
 
     # The two cross correlations are measurable: sample each in its own block.
@@ -307,9 +319,7 @@ def _scenario_v3_local(cfg: ScenarioConfig) -> ScenarioResult:
 
 
 def _scenario_v4_chsh(cfg: ScenarioConfig) -> ScenarioResult:
-    hypotheses = cfg.hypotheses or HypothesisSet.parse("WR,Locality")
-    angles = {**V4_DEFAULT_ANGLES, **cfg.angles}
-    engine = DefinabilityEngine(hypotheses)
+    hypotheses, angles, engine = _engine(cfg, "WR,Locality", V4_DEFAULT_ANGLES)
     rows = _analytic_rows(engine, angles, V4_PAIRS)
     report = eval_v4(*(row["value"] for row in rows))
     mc_rows = _singlet_rows(cfg, angles, V4_PAIRS)
@@ -335,9 +345,7 @@ def _scenario_v4_chsh(cfg: ScenarioConfig) -> ScenarioResult:
 
 
 def _scenario_no_correlation(cfg: ScenarioConfig) -> ScenarioResult:
-    from .realism import model_from_spec
-    model_name = cfg.model or "lhv-sign"
-    model = model_from_spec(model_name, cfg.model_path)
+    model = _model(cfg)
     defaults = {SYM_E: 3 * math.pi / 4, SYM_EP: -3 * math.pi / 4, SYM_P: 0.0}
     angles = {**defaults, **cfg.angles}
     report = no_correlation_check(
@@ -464,10 +472,9 @@ def _product_sums(model, block: Block, seed: int, pairs) -> list[int]:
 
 
 def _scenario_lhv_sweep(cfg: ScenarioConfig) -> ScenarioResult:
-    from .realism import model_from_spec
     n = cfg.pairs
     step = cfg.grid_step if cfg.grid_step is not None else SWEEP_DEFAULT_STEP
-    model = model_from_spec(cfg.model or "lhv-sign", cfg.model_path)
+    model = _model(cfg)
     phis = [k * step for k in range(_sweep_configurations(step))]
     min_v3_slack = min_v4_margin = math.inf
     max_dev = 0.0
@@ -513,21 +520,39 @@ def _scenario_lhv_sweep(cfg: ScenarioConfig) -> ScenarioResult:
     )
 
 
+@dataclass(frozen=True)
+class Scenario:
+    """One scenario: the function that runs it, the config keys it reads
+    besides scenario, seed and pairs, the blocks it draws (per configuration,
+    for a scenario that reads grid-step) and its default model, if it runs one."""
+
+    function: Callable[[ScenarioConfig], ScenarioResult]
+    keys: tuple[str, ...]
+    blocks: int = 0
+    model: str | None = None
+
+
+_V3_ANGLE_KEYS = tuple(f"angles.{s}" for s in (SYM_E, SYM_EP, SYM_P))
+_MODEL_KEYS = ("model", "model.path")
 SCENARIOS = {
-    "v3-local": _scenario_v3_local,
-    "v4-chsh": _scenario_v4_chsh,
-    "v3-eacp": _scenario_v3_eacp,
-    "no-correlation": _scenario_no_correlation,
-    "observer-order": _scenario_observer_order,
-    "polytope": _scenario_polytope,
-    "lhv-sweep": _scenario_lhv_sweep,
+    "v3-local": Scenario(_scenario_v3_local, (*_V3_ANGLE_KEYS, "hypotheses"), 2),
+    "v4-chsh": Scenario(
+        _scenario_v4_chsh, (*_V3_ANGLE_KEYS, f"angles.{SYM_PP}", "hypotheses"), 4),
+    "v3-eacp": Scenario(_scenario_v3_eacp, (*_V3_ANGLE_KEYS, "hypotheses", *_MODEL_KEYS),
+                        1, "collapse-sequential"),
+    "no-correlation": Scenario(
+        _scenario_no_correlation, (*_V3_ANGLE_KEYS, *_MODEL_KEYS, "tol"), 1, "lhv-sign"),
+    "observer-order": Scenario(
+        _scenario_observer_order, tuple(f"events.{name}" for name in _DEFAULT_EVENTS)),
+    "polytope": Scenario(_scenario_polytope, ("target",)),
+    "lhv-sweep": Scenario(_scenario_lhv_sweep, ("grid-step", *_MODEL_KEYS), 2, "lhv-sign"),
 }
 
 
 def run(config: ScenarioConfig) -> ScenarioResult:
     """Execute a registered scenario and time it."""
     start = time.perf_counter()
-    result = SCENARIOS[config.scenario](config)
+    result = SCENARIOS[config.scenario].function(config)
     result.scenario, result.seed, result.n_pairs = (
         config.scenario, config.seed, config.pairs
     )
@@ -634,93 +659,53 @@ def parse_config_file(path: "str | Path") -> dict[str, str]:
     return out
 
 
-def _parse_float(raw: str, label: str) -> float:
-    try:
-        return float(raw)
-    except ValueError as exc:
-        raise ConfigError(f"{label} must be a number, got {raw!r}") from exc
-
-
-def _parse_int(raw: str, label: str) -> int:
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"{label} must be an integer, got {raw!r}") from exc
-
-
-# Config-file keys each scenario reads; every scenario also reads these.
-_COMMON_KEYS = ("scenario", "seed", "pairs")
-_V3_ANGLE_KEYS = tuple(f"angles.{s}" for s in (SYM_E, SYM_EP, SYM_P))
-_MODEL_KEYS = ("model", "model.path")
-_SCENARIO_KEYS = {
-    "v3-local": (*_V3_ANGLE_KEYS, "hypotheses"),
-    "v4-chsh": (*_V3_ANGLE_KEYS, f"angles.{SYM_PP}", "hypotheses"),
-    "v3-eacp": (*_V3_ANGLE_KEYS, "hypotheses", *_MODEL_KEYS),
-    "no-correlation": (*_V3_ANGLE_KEYS, *_MODEL_KEYS, "tol"),
-    "observer-order": tuple(f"events.{name}" for name in _DEFAULT_EVENTS),
-    "polytope": ("target",),
-    "lhv-sweep": ("grid-step", *_MODEL_KEYS),
+# Each config key besides scenario: the ScenarioConfig field it sets and what its
+# text parses to.  A key "angles.X" or "events.X" sets entry X of that mapping.
+_KEYS = {
+    "seed": ("seed", int), "pairs": ("n_pairs", int),
+    "hypotheses": ("hypotheses", HypothesisSet.parse), "model": ("model", str),
+    "model.path": ("model_path", str), "target": ("target", list),
+    "grid-step": ("grid_step", float), "tol": ("tolerance", float),
 }
+
+
+def _parse(key: str, text: str, kind):
+    """``kind`` of a config value's text; a ``list`` is of floats, split at commas or spaces."""
+    if kind is list:
+        return [_parse(key, token, float) for token in text.replace(",", " ").split()]
+    try:
+        return kind(text)
+    except ValueError as exc:
+        what = {int: "an integer", float: "a number"}.get(kind)
+        raise ConfigError(f"{key} must be {what}, got {text!r}" if what else str(exc)) from exc
 
 
 def build_config(args: argparse.Namespace) -> ScenarioConfig:
     raw = parse_config_file(args.config) if args.config else {}
     # A flag given on the command line overrides its config key and is
     # checked like one; str() of an int or float parses back exactly.
-    flags = {
-        "scenario": args.scenario,
-        "seed": args.seed,
-        "pairs": args.pairs,
-        "grid-step": args.grid_step,
-    }
-    raw.update({key: str(value) for key, value in flags.items() if value is not None})
+    for key in ("scenario", "seed", "pairs", "grid-step"):
+        if (value := getattr(args, key.replace("-", "_"))) is not None:
+            raw[key] = str(value)
 
-    scenario = raw.get("scenario")
+    scenario = raw.pop("scenario", None)
     if not scenario:
         raise ConfigError("no scenario given (use --scenario or a config file)")
     # ScenarioConfig rejects a key that this scenario does not read.
+    known = {"seed", "pairs"}.union(*(row.keys for row in SCENARIOS.values()))
     for key in raw:
-        if key not in _COMMON_KEYS and all(key not in keys for keys in _SCENARIO_KEYS.values()):
+        if key not in known:
             raise ConfigError(f"unknown config key {key!r}")
 
-    angles = {}
-    events = {}
-    for key, value in raw.items():
-        if key.startswith("angles."):
-            angles[key[len("angles."):]] = _parse_float(value, key)
-        elif key.startswith("events."):
-            events[key[len("events."):]] = _parse_float(value, key)
-
-    target = None
-    if "target" in raw:
-        tokens = raw["target"].replace(",", " ").split()
-        target = [_parse_float(t, "target") for t in tokens]
-
-    hypotheses = None
-    if "hypotheses" in raw:
-        try:
-            hypotheses = HypothesisSet.parse(raw["hypotheses"])
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-
-    seed = _parse_int(raw.get("seed", "0"), "seed")
-    pairs = _parse_int(raw["pairs"], "pairs") if "pairs" in raw else None
-    grid_step = _parse_float(raw["grid-step"], "grid-step") if "grid-step" in raw else None
-    tolerance = _parse_float(raw["tol"], "tol") if "tol" in raw else None
-
-    return ScenarioConfig(
-        scenario=scenario,
-        seed=seed,
-        n_pairs=pairs,
-        angles=angles,
-        hypotheses=hypotheses,
-        model=raw.get("model"),
-        model_path=raw.get("model.path"),
-        target=target,
-        events=events,
-        grid_step=grid_step,
-        tolerance=tolerance,
-    )
+    fields: dict = {"angles": {}, "events": {}}
+    for key, text in raw.items():
+        if key in _KEYS:
+            name, kind = _KEYS[key]
+            fields[name] = _parse(key, text, kind)
+        else:
+            name, _, entry = key.partition(".")
+            fields[name][entry] = _parse(key, text, float)
+    return ScenarioConfig(scenario, **fields)
 
 
 def _resolve_out(path: str) -> Path:

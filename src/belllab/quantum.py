@@ -78,10 +78,12 @@ def _philox(key: int, counter: int) -> np.random.Philox:
 def _lanes(key: int, region: int, first: int, count: int, bits: int) -> np.ndarray:
     """Lanes ``first`` to ``first + count - 1`` of ``bits`` bits from a region.
 
-    Word j of region r is word j % 4 of counter block ``r << 192 | j // 4``,
-    and each word splits into 64 // bits lanes, its low bits first whatever
-    the host's byte order (the little-endian view costs no copy on such a
-    host).  A span that would run past the region's 2**192 counters raises.
+    Word j of region r is word j % 4 of position j // 4, numpy's Philox state
+    counter c = ``r << 192 | j // 4``; numpy bumps its counter before each
+    block, so c yields the Philox4x64-10 block (Salmon et al., SC'11) of cipher
+    counter c + 1.  Each word splits into 64 // bits lanes, its low bits first
+    whatever the host's byte order (the little-endian view costs no copy on
+    such a host).  A span past the region's 2**192 positions raises.
     """
     per_word = 64 // bits
     position, skip = divmod(first, 4 * per_word)

@@ -29,13 +29,13 @@ P coin prepares, so <P,E> and <P,E'> need no coin and <E,E'> is the XOR
 of the two tests; ``assign`` builds its outcomes from the same tests
 (``quantum.BornFlipModel``).  ``LHVSign`` takes each mask from one
 subtract-and-compare on the phase (``lhv_disagreements``), and
-``FileReplay`` compares its assigned outcomes.  ``assign_chunks`` and
-``disagreement_chunks`` run a model over a block ``CHUNK_PAIRS`` pairs at
-a time; ``generate_block`` returns one whole ``OutcomeSequence`` per block
-axis, keyed by symbol, and ``correlate_block`` reduces the masks to
-estimates.  Whether an axis's value needs Weak Realism (a primed axis is
-never the measured one) is decided by the definability engine in
-``relativity``.
+``FileReplay`` compares its assigned outcomes, streaming its rows from
+the file.  ``disagreement_chunks`` runs a model over a block
+``CHUNK_PAIRS`` pairs at a time; ``generate_block`` assigns a block in the
+same chunks and returns one whole ``OutcomeSequence`` per block axis, keyed
+by symbol, and ``correlate_block`` reduces the masks to estimates.
+Whether an axis's value needs Weak Realism (a primed axis is never the
+measured one) is decided by the definability engine in ``relativity``.
 
 The seeded models read their draws from the block's own Philox stream,
 as ``SingletSource`` does (``quantum.pair_uniforms``): ``LHVSign`` one
@@ -48,7 +48,9 @@ can be generated in any order.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from pathlib import Path
 from typing import Iterator
 
@@ -79,7 +81,6 @@ __all__ = [
     "LHVSign",
     "ReplayFormatError",
     "UnsupportedAxisError",
-    "assign_chunks",
     "correlate_block",
     "disagreement_chunks",
     "generate_block",
@@ -194,14 +195,18 @@ class FileReplay:
 
     Line 1 is a header of ``symbol=angle`` tokens (angles in radians,
     symbols among E, E', P, P'); each following non-empty line carries one
-    pair's values in header order.  The file is parsed once per block.
+    pair's values in header order.  The rows stream: a pass reads the file a
+    chunk at a time and stops at the block's count, and a span that starts at
+    or after the last one's end goes on with it, while any other starts afresh.
     """
 
     name = "file-replay"
+    _UNITS = frozenset({1, -1})
 
     def __init__(self, path: "str | Path") -> None:
         self.path = Path(path)
-        self._parsed: tuple[Block, dict[str, np.ndarray]] | None = None
+        # the pass the last span read: its block, the next row, the rows after it
+        self._pass: tuple[Block, int, Iterator] | None = None
 
     def _parse_header(self, line: str) -> dict[str, float]:
         header: dict[str, float] = {}
@@ -226,25 +231,39 @@ class FileReplay:
         return header
 
     def assign(self, block: Block, seed: int, span: slice) -> dict[str, np.ndarray]:
-        if self._parsed is None or self._parsed[0] is not block:
-            self._parsed = (block, self._read(block))
-        return {symbol: values[span] for symbol, values in self._parsed[1].items()}
+        lo, hi, _ = span.indices(block.count)
+        state, self._pass = self._pass, None  # a pass that raised is not resumed
+        if state is None or state[0] is not block or state[1] > lo:
+            state = (block, 0, self._read(block))
+        _, at, rows = state
+        values = np.array(list(itertools.islice(rows, lo - at, hi - at)), dtype=np.int8)
+        self._pass = (block, hi, rows) if hi < block.count else None  # done: closes the file
+        values = values.reshape(-1, len(block.axes))
+        return {symbol: values[:, i] for i, symbol in enumerate(block.axes)}
 
     def disagreements(self, block: Block, seed: int, span: slice, pairs) -> list[np.ndarray]:
         """``u != v`` for each axis pair, comparing the outcomes ``assign`` gives."""
         chunk = self.assign(block, seed, span)
         return [chunk[a] != chunk[b] for a, b in pairs]
 
-    def _read(self, block: Block) -> dict[str, np.ndarray]:
+    def _lines(self) -> Iterator[tuple[int, str]]:
+        """(physical line number, text) of each non-blank, non-comment line."""
+        numbers = itertools.count(1)  # zipped after the texts, so no number is skipped
         try:
-            lines = self.path.read_text().splitlines()
+            with self.path.open() as file:
+                while chunk := file.readlines(2**16):  # about 64 KiB at a time
+                    numbered = zip(map(str.strip, "".join(chunk).splitlines()), numbers)
+                    yield from [(n, text) for text, n in numbered if text and text[0] != "#"]
         except (OSError, ValueError) as exc:  # ValueError: NUL in path, not UTF-8
             raise ReplayFormatError(f"cannot read replay file {self.path}: {exc}") from exc
-        numbered = enumerate((ln.strip() for ln in lines), 1)  # physical line numbers
-        lines = [(n, ln) for n, ln in numbered if ln and not ln.startswith("#")]
-        if not lines:
+
+    def _read(self, block: Block) -> Iterator:
+        """One pass over the file: the block's axis values in each of its rows."""
+        lines = self._lines()
+        first = next(lines, None)
+        if first is None:
             raise ReplayFormatError(f"{self.path}: file is empty")
-        header = self._parse_header(lines[0][1])
+        header = self._parse_header(first[1])
         order = list(header)
         missing = set(block.axes) - set(header)
         if missing:
@@ -257,13 +276,9 @@ class FileReplay:
                     f"{self.path}: angle mismatch for {symbol!r}: file has "
                     f"{header[symbol]}, block wants {theta.radians}"
                 )
-        rows = lines[1:]
-        if len(rows) < block.count:
-            raise ReplayFormatError(
-                f"{self.path}: {len(rows)} data rows, block needs {block.count}"
-            )
-        data = np.empty((block.count, len(order)), dtype=np.int8)
-        for i, (number, row) in enumerate(rows[: block.count]):
+        pick = operator.itemgetter(*(order.index(symbol) for symbol in block.axes))
+        count = 0
+        for count, (number, row) in enumerate(itertools.islice(lines, block.count), 1):
             fields = row.split()
             if len(fields) != len(order):
                 raise ReplayFormatError(
@@ -271,15 +286,18 @@ class FileReplay:
                     f"expected {len(order)}"
                 )
             try:
-                values = [int(f) for f in fields]
+                values = tuple(map(int, fields))
             except ValueError as exc:
                 raise ReplayFormatError(f"{self.path}: line {number}: {exc}") from exc
-            if any(v not in (-1, 1) for v in values):
+            if not self._UNITS.issuperset(values):
                 raise ReplayFormatError(
                     f"{self.path}: line {number}: values must be +1 or -1"
                 )
-            data[i] = values
-        return {sym: data[:, order.index(sym)] for sym in block.axes}
+            yield pick(values)
+        if count < block.count:
+            raise ReplayFormatError(
+                f"{self.path}: {count} data rows, block needs {block.count}"
+            )
 
 
 CounterfactualModel = LHVSign | CollapseSequential | FileReplay
@@ -288,13 +306,6 @@ CounterfactualModel = LHVSign | CollapseSequential | FileReplay
 # on the block size.  A chunk's lanes take at most 256 KiB: two 16-bit
 # columns, or one 32-bit LHV phase, per pair.
 CHUNK_PAIRS = 2**16
-
-
-def assign_chunks(model, block: Block, seed: int) -> Iterator[dict[str, np.ndarray]]:
-    """``model.assign`` over consecutive ``CHUNK_PAIRS``-pair spans of a block:
-    int8 arrays keyed by symbol that, laid end to end, are the whole block."""
-    for lo in range(0, block.count, CHUNK_PAIRS):
-        yield model.assign(block, seed, slice(lo, lo + CHUNK_PAIRS))
 
 
 def disagreement_chunks(model, block: Block, seed: int, pairs) -> Iterator[list[np.ndarray]]:
@@ -326,7 +337,8 @@ def generate_block(
     counterfactual value on an axis are one and the same entry, so the
     single-tuple convention holds by construction.
     """
-    chunks = list(assign_chunks(model, block, seed))
+    spans = (slice(lo, lo + CHUNK_PAIRS) for lo in range(0, block.count, CHUNK_PAIRS))
+    chunks = [model.assign(block, seed, span) for span in spans]
     return {s: OutcomeSequence(np.concatenate([c[s] for c in chunks])) for s in block.axes}
 
 

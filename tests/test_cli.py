@@ -141,9 +141,9 @@ class TestRun:
             "tol": {"tolerance": 0.5},
         }
         rejected = 0
-        for scenario, keys in cli._SCENARIO_KEYS.items():
+        for scenario, row in cli.SCENARIOS.items():
             for key, kw in fields.items():
-                if key in keys:
+                if key in row.keys:
                     continue
                 with pytest.raises(ConfigError, match=f"{key!r} is not used by scenario"):
                     ScenarioConfig(scenario, n_pairs=1000, **kw)
@@ -172,6 +172,24 @@ class TestRun:
         with pytest.raises(dataclasses.FrozenInstanceError):
             cfg.n_pairs = 0
         assert run(cfg).n_pairs == 1000
+
+    @pytest.mark.parametrize("kw", [
+        {"seed": 1.5}, {"seed": 2.0**63}, {"seed": True}, {"seed": "3"}, {"seed": None},
+        {"n_pairs": 10.5}, {"n_pairs": math.nan}, {"n_pairs": True}, {"n_pairs": 1e3},
+    ])
+    def test_library_config_rejects_a_count_that_is_not_an_integer(self, kw):
+        (key,) = kw
+        label = "pairs" if key == "n_pairs" else key
+        with pytest.raises(ConfigError, match=f"^{label} must be an integer, got "):
+            ScenarioConfig("v4-chsh", **kw)
+
+    def test_library_config_takes_numpy_integers_as_ints(self):
+        import numpy as np
+
+        cfg = ScenarioConfig("v4-chsh", seed=np.uint64(2**64 - 1), n_pairs=np.int32(10))
+        assert (cfg.seed, cfg.n_pairs) == (2**64 - 1, 10)
+        assert type(cfg.seed) is int and type(cfg.n_pairs) is int
+        assert json.loads(cli.to_json(run(cfg)))["seed"] == 2**64 - 1
 
     def test_library_config_keeps_copies_of_its_inputs(self):
         angles, target = {"E": 1.0}, [0.5, 0.5, 0.0]
@@ -340,7 +358,38 @@ class TestMain:
         assert "Traceback" not in err
 
     def test_every_scenario_declares_its_config_keys(self):
-        assert set(cli._SCENARIO_KEYS) == set(cli.SCENARIOS)
+        for row in cli.SCENARIOS.values():
+            for key in row.keys:
+                assert key in cli._KEYS or key.partition(".")[0] in ("angles", "events")
+            # a scenario has a default model exactly when it reads the model key
+            assert bool(row.model) == ("model" in row.keys)
+
+    def test_build_config_knows_exactly_the_keys_the_scenarios_read(self, tmp_path):
+        import argparse
+
+        read = {"scenario", "seed", "pairs"}.union(*(r.keys for r in cli.SCENARIOS.values()))
+        near = {"angles.Q", "angles.", "angles", "events.E.y", "events", "model.name",
+                "grid_step", "tolerance", "n_pairs", "Scenario", "bogus"}
+        args = argparse.Namespace(scenario=None, seed=None, pairs=None, grid_step=None,
+                                  config=str(tmp_path / "c.cfg"))
+        for key in sorted(read | near):
+            (tmp_path / "c.cfg").write_text(f"scenario = polytope\n{key} = 1\n")
+            try:
+                cli.build_config(args)
+                error = ""
+            except ConfigError as exc:
+                error = str(exc)
+            assert (error == f"unknown config key {key!r}") == (key not in read), key
+
+    @pytest.mark.parametrize("scenario", ["v3-eacp", "no-correlation", "lhv-sweep"])
+    def test_an_empty_model_runs_the_scenarios_default_model(
+            self, scenario, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"scenario = {scenario}\nmodel =\npairs = 100\n")
+        argv = ["--config", str(cfg), "--format", "json"]
+        assert main(argv + (["--grid-step", "1.0"] if scenario == "lhv-sweep" else [])) == 0
+        inputs = json.loads(capsys.readouterr().out)["inputs"]
+        assert inputs["model"] == cli.SCENARIOS[scenario].model
 
     def test_config_file_with_overrides(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -494,7 +543,7 @@ def test_work_budget_counts_the_blocks_each_scenario_draws(
     if scenario == "lhv-sweep":
         want = 2 * (round(math.pi / float(step or cli.SWEEP_DEFAULT_STEP)) + 1)
     else:
-        want = cli._BLOCKS.get(scenario, 0)
+        want = cli.SCENARIOS[scenario].blocks
     assert len(blocks) == want
     assert len({block.index for block in blocks}) == want
     assert {block.count for block in blocks} <= {10}
@@ -720,7 +769,7 @@ def test_main_keeps_the_exit_code_contract(tmp_path, scenario, pairs, step, seed
         argv += ["--grid-step", repr(step)]
     if seed is not None:
         argv += ["--seed", str(seed)]
-    own = [k for k in cli._SCENARIO_KEYS[scenario] if k in _FUZZ_VALUES]
+    own = [k for k in cli.SCENARIOS[scenario].keys if k in _FUZZ_VALUES]
     keys = data.draw(st.sets(st.sampled_from(own), max_size=4))
     keys |= data.draw(st.sets(st.sampled_from(sorted(_FUZZ_VALUES)), max_size=1))
     if keys:

@@ -242,6 +242,96 @@ def test_regions_share_no_counter(monkeypatch):
         pair_uniforms(end, 1, slice(2**196 - 1, 2**196 + 1))
 
 
+# Philox4x64-10 of Salmon, Moraes, Dror & Shaw, "Parallel random numbers: as
+# easy as 1, 2, 3" (SC'11): the round multipliers and the Weyl key increments.
+PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+WORD = 2**64 - 1
+
+
+def philox4x64_10(counter, key):
+    """The four 64-bit words the cipher gives for a 256-bit counter and a
+    128-bit key, both least significant word first; plain Python, no numpy."""
+    x = [counter >> s & WORD for s in (0, 64, 128, 192)]
+    k = [key & WORD, key >> 64]
+    for _ in range(10):
+        p0, p1 = PHILOX_M[0] * x[0], PHILOX_M[1] * x[2]
+        x = [p1 >> 64 ^ x[1] ^ k[0], p1 & WORD, p0 >> 64 ^ x[3] ^ k[1], p0 & WORD]
+        k = [(k[0] + PHILOX_W[0]) & WORD, (k[1] + PHILOX_W[1]) & WORD]
+    return x
+
+
+def cipher_counter(region, position):
+    """The cipher counter of a region's position: numpy's Philox bumps its
+    counter before each block, so state counter c gives cipher block c + 1."""
+    return (region << 192 | position) + 1
+
+
+def spec_lanes(key, region, first, count, bits):
+    """Lanes ``first`` to ``first + count - 1`` of ``bits`` bits of a region,
+    by the stream address alone: lane j is bits ``bits * (j % m)`` up of word
+    ``j // m % 4`` of position ``j // (4 * m)``, for m = 64 // bits lanes a word."""
+    m = 64 // bits
+    return [
+        philox4x64_10(cipher_counter(region, j // (4 * m)), key)[j // m % 4]
+        >> bits * (j % m) & (2**bits - 1)
+        for j in range(first, first + count)
+    ]
+
+
+def test_the_reference_philox_gives_the_published_known_answers():
+    # the philox4x64 10-round vectors of the Random123 distribution (kat_vectors)
+    pi_counter = sum(w << 64 * i for i, w in enumerate(
+        [0x243F6A8885A308D3, 0x13198A2E03707344, 0xA4093822299F31D0, 0x082EFA98EC4E6C89]))
+    pi_key = 0x452821E638D01377 | 0xBE5466CF34E90C6C << 64
+    assert philox4x64_10(0, 0) == [
+        0x16554D9ECA36314C, 0xDB20FE9D672D0FDC, 0xD7E772CEE186176B, 0x7E68B68AEC7BA23B]
+    assert philox4x64_10(2**256 - 1, 2**128 - 1) == [
+        0x87B092C3013FE90B, 0x438C3C67BE8D0224, 0x9CC7D7C69CD777B6, 0xA09CAEBF594F0BA0]
+    assert philox4x64_10(pi_counter, pi_key) == [
+        0xA528F45403E61D95, 0x38C72DBD566E9788, 0xA5A1610E72FD18B5, 0x57BD43B5E52B7FE6]
+
+
+REGIONS = [0, 1, REFINEMENT, REFINEMENT + 1]
+
+
+@pytest.mark.parametrize("bits", [16, 32])
+@pytest.mark.parametrize("position", [0, 1, 2**192 - 1])
+@pytest.mark.parametrize("region", REGIONS)
+def test_lanes_are_the_stream_address_bit_for_bit(region, position, bits):
+    per_position = 256 // bits
+    key = 0x9F3B_6C11_05D2_E8A7 | 0x41C6_77E0_B92D_3F58 << 64  # both halves nonzero
+    for skip, count in ((0, per_position), (3, per_position - 3), (per_position - 1, 1)):
+        first = position * per_position + skip
+        got = quantum._lanes(key, region, first, count, bits)
+        assert got.tolist() == spec_lanes(key, region, first, count, bits)
+    if position < 2**192 - 1:  # a span that crosses into the next position
+        first = position * per_position + 5
+        got = quantum._lanes(key, region, first, per_position, bits)
+        assert got.tolist() == spec_lanes(key, region, first, per_position, bits)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    key=st.integers(0, 2**128 - 1),
+    region=st.sampled_from(REGIONS) | st.integers(0, 2**64 - 1),
+    bits=st.sampled_from([16, 32]),
+    first=st.integers(0, 2**70) | st.integers(0, 64),
+    count=st.integers(1, 40),
+)
+def test_lanes_are_the_stream_address_at_random_keys(key, region, bits, first, count):
+    got = quantum._lanes(key, region, first, count, bits)
+    assert got.tolist() == spec_lanes(key, region, first, count, bits)
+
+
+def test_regions_share_no_cipher_counter():
+    # with the + 1, region r's cipher counters run from r << 192 + 1 to
+    # (r + 1) << 192 inclusive, so the lane and refinement regions are disjoint
+    spans = sorted((cipher_counter(r, 0), cipher_counter(r, 2**192 - 1)) for r in REGIONS)
+    assert spans[0] == (1, 2**192)
+    assert all(hi < lo for (_, hi), (lo, _) in zip(spans, spans[1:]))
+
+
 def test_threads_draw_their_own_words():
     # more threads than cores, switching often: a Philox shared between
     # threads would hand one thread's key or counter to another's draw

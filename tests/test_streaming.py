@@ -141,6 +141,100 @@ def test_file_replay_longer_than_a_chunk_is_parsed_once(tmp_path, monkeypatch):
     assert len(reads) == 1  # 29 chunks of one block
 
 
+def write_replay(path, rows, tail=""):
+    """A replay file of V3_ANGLES with the given data rows, then ``tail``."""
+    header = " ".join(f"{s}={V3_ANGLES[s]!r}" for s in (SYM_E, SYM_EP, SYM_P))
+    path.write_text(header + "\n" + "".join(" ".join(map(str, r)) + "\n" for r in rows) + tail)
+    return path
+
+
+def replay_rows(n, seed=5):
+    source = generate_block(LHVSign(), Block(V3_ANGLES, count=n), seed=seed)
+    return list(zip(*(source[s].values.tolist() for s in (SYM_E, SYM_EP, SYM_P))))
+
+
+def test_file_replay_never_reads_past_the_block(tmp_path):
+    rows = replay_rows(300)
+    # rows past the block: a bad value and a ragged row, then 180 KB of rows
+    # and bytes that are not UTF-8, further on than a pass reads ahead
+    path = write_replay(tmp_path / "v.txt", rows, "1 2 1\n1 1\n" + "1 1 1\n" * 30000)
+    path.write_bytes(path.read_bytes() + b"\xff\n")
+    block = Block(V3_ANGLES, count=300)
+    whole = generate_block(FileReplay(path), block, seed=0)
+    assert list(zip(*(whole[s].values.tolist() for s in (SYM_E, SYM_EP, SYM_P)))) == rows
+    with pytest.raises(realism.ReplayFormatError, match="line 302: values must be"):
+        generate_block(FileReplay(path), Block(V3_ANGLES, count=301), seed=0)
+
+
+def test_file_replay_goes_on_only_from_a_later_span(tmp_path, monkeypatch):
+    rows = np.array(replay_rows(100), dtype=np.int8)
+    model = FileReplay(write_replay(tmp_path / "v.txt", rows.tolist()))
+    reads = []
+    read = FileReplay._read
+    monkeypatch.setattr(FileReplay, "_read", lambda self, b: reads.append(b) or read(self, b))
+    block = Block(V3_ANGLES, count=100)
+    # a span that starts at or after the last one's end goes on with its pass,
+    # and one that starts before it starts a fresh pass
+    for lo, hi, passes in [(0, 10, 1), (10, 30, 1), (40, 45, 1), (45, 45, 1), (45, 200, 1),
+                           (20, 25, 2), (0, 100, 3), (99, 100, 4), (99, 100, 5)]:
+        got = model.assign(block, 0, slice(lo, hi))
+        for i, s in enumerate((SYM_E, SYM_EP, SYM_P)):
+            assert np.array_equal(got[s], rows[lo:hi, i]), (lo, hi, s)
+        assert len(reads) == passes, (lo, hi)
+
+
+def test_file_replay_does_not_resume_a_pass_that_raised(tmp_path):
+    path = write_replay(tmp_path / "v.txt", replay_rows(10), "1 2 1\n")
+    model, block = FileReplay(path), Block(V3_ANGLES, count=20)
+    assert len(model.assign(block, 0, slice(0, 5))[SYM_E]) == 5
+    for _ in range(2):
+        with pytest.raises(realism.ReplayFormatError, match="line 12: values must be"):
+            model.assign(block, 0, slice(5, 20))
+
+
+def test_file_replay_errors_name_the_physical_line_past_the_first_read(tmp_path):
+    # about 400 KiB of rows and comments, so the pass reads the file in parts
+    rows = replay_rows(20000)
+    body = "".join(" ".join(map(str, r)) + "\n" + ("# note\n\n" if i % 2 else "")
+                   for i, r in enumerate(rows))
+    header = " ".join(f"{s}={V3_ANGLES[s]!r}" for s in (SYM_E, SYM_EP, SYM_P))
+    path = tmp_path / "v.txt"
+    path.write_text(header + "\n" + body + "1 1 x\n")
+    lines = 1 + len(rows) + 2 * (len(rows) // 2) + 1
+    block = Block(V3_ANGLES, count=len(rows) + 1)
+    with pytest.raises(realism.ReplayFormatError, match=f"line {lines}: invalid literal"):
+        generate_block(FileReplay(path), block, seed=0)
+    block = Block(V3_ANGLES, count=len(rows) + 5)
+    path.write_text(header + "\n" + body)
+    with pytest.raises(realism.ReplayFormatError, match="20000 data rows, block needs 20005"):
+        generate_block(FileReplay(path), block, seed=0)
+
+
+def test_file_replay_memory_does_not_grow_with_the_file(tmp_path):
+    """Peak RSS of a replay run is within 8 MiB of the LHV run at the same
+    pairs, from a file five times longer than the run reads."""
+    import subprocess
+    import sys
+
+    rows = "".join(f"{a} {b} {c}\n" for a, b, c in replay_rows(1000)) * 1000
+    path = write_replay(tmp_path / "v.txt", [], rows)
+    peak = (
+        "import resource, sys; from belllab.cli import main; rc = main(sys.argv[1:]); "
+        "print(rc, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)"
+    )
+    runs = {}
+    for model in ("lhv-sign", "file-replay"):
+        cfg = tmp_path / f"{model}.cfg"
+        cfg.write_text(f"scenario = no-correlation\nmodel = {model}\npairs = 200000\n"
+                       + (f"model.path = {path}\n" if model == "file-replay" else ""))
+        out = subprocess.run([sys.executable, "-c", peak, "--config", str(cfg)],
+                             capture_output=True, text=True, check=True).stdout
+        rc, kib = out.split()[-2:]
+        runs[model] = (int(rc), int(kib) / 1024)
+    assert runs["lhv-sign"][0] == runs["file-replay"][0] == 0
+    assert runs["file-replay"][1] - runs["lhv-sign"][1] < 8, runs
+
+
 # Gaps whose Born probability (1 + cos(gap)) / 2 is exactly 1, 1/2 and 0,
 # and any other gap.
 GAPS = st.sampled_from([0.0, math.pi / 2, math.pi]) | st.floats(-math.tau, math.tau)
