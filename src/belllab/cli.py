@@ -78,11 +78,14 @@ SWEEP_DEFAULT_PAIRS = 20_000  # identities are exact at any N; keep the sweep qu
 SWEEP_DEFAULT_STEP = math.pi / 90.0
 # lhv-sweep runs round(pi / grid-step) + 1 configurations of two blocks each.
 # The cap bounds the blocks, whose fixed cost the pairs budget does not see: on
-# a 2-vCPU machine a sweep at the cap takes 0.9 s at one pair a block, 2 s at
-# the default pairs and 9 s at the 50,000 pairs the budget then allows.
+# a 2-vCPU machine a sweep at the cap takes 1.1-2.1 s at one pair a block,
+# 2.9-4.9 s at the default pairs and 16-19 s at the 50,000 pairs the budget
+# then allows (three runs each).
 _SWEEP_MAX_CONFIGURATIONS = 10_000
 # Pairs a run may draw, pairs x blocks.  Memory does not grow with pairs, so
-# this bounds time: a run of 10**9 pairs takes 2-3.5 s on a 2-vCPU machine.
+# this bounds time: on a 2-vCPU machine the largest runs it allows take
+# 2.9-4.6 s for v4-chsh and v3-local, 3.9-7.4 s for no-correlation and
+# 6.1-9.1 s for v3-eacp (three runs each).
 _MAX_PAIRS_PER_RUN = 10**9
 
 
@@ -346,7 +349,7 @@ def _scenario_v4_chsh(cfg: ScenarioConfig) -> ScenarioResult:
 
 def _scenario_no_correlation(cfg: ScenarioConfig) -> ScenarioResult:
     model = _model(cfg)
-    defaults = {SYM_E: 3 * math.pi / 4, SYM_EP: -3 * math.pi / 4, SYM_P: 0.0}
+    defaults = {s: V3_DEFAULT_ANGLES[s] for s in (SYM_E, SYM_EP, SYM_P)}  # printed in this order
     angles = {**defaults, **cfg.angles}
     report = no_correlation_check(
         model, angles[SYM_E], angles[SYM_EP], angles[SYM_P], cfg.pairs,

@@ -321,19 +321,17 @@ def _rule(h: HypothesisSet, a: str, b: str) -> tuple[StatusKind, int, str]:
     return StatusKind.UNDEFINED, 0, "no-value-transfer-principle"
 
 
-def _value(h: HypothesisSet, a: str, b: str, cos_d):
-    """(kind, value, principle) of a pair at cos(delta), a float or an array.
-
-    The value is +/-cos(delta) for a DEFINED pair and the lemma's zero at
-    orthogonal axes; it is NaN wherever no definite value exists.
+def _value(kind: StatusKind, sign: int, cos_d):
+    """The value of a rule outcome ``(kind, sign)`` at cos(delta), a float or
+    an array: +/-cos(delta) for a DEFINED pair and the lemma's zero at
+    orthogonal axes; NaN wherever no definite value exists.
     """
-    kind, sign, why = _rule(h, a, b)
     if kind is StatusKind.DEFINED:
-        return kind, cos_d if sign > 0 else -cos_d, why
+        return cos_d if sign > 0 else -cos_d
     import numpy as np
     if kind is StatusKind.ZERO_BY_NO_CORRELATION:
-        return kind, np.where(_orthogonal(cos_d), 0.0, np.nan), why
-    return kind, np.full_like(cos_d, np.nan), why
+        return np.where(_orthogonal(cos_d), 0.0, np.nan)
+    return np.full_like(cos_d, np.nan)
 
 
 class DefinabilityEngine:
@@ -349,8 +347,8 @@ class DefinabilityEngine:
             if symbol not in angles:
                 raise KeyError(f"no angle supplied for axis {symbol!r}")
         cos_d = math.cos((as_angle(angles[a]) - as_angle(angles[b])).radians)
-        kind, value, why = _value(self.hypotheses, a, b, cos_d)
-        value = float(value)
+        kind, sign, why = _rule(self.hypotheses, a, b)
+        value = float(_value(kind, sign, cos_d))
         if not math.isnan(value):
             return CorrelationStatus((a, b), kind, value, why)
         if kind is StatusKind.ZERO_BY_NO_CORRELATION:  # axes not orthogonal
@@ -388,16 +386,40 @@ class DefinabilityEngine:
         Each pair's value is computed on its two axes' broadcast shape and
         returned as a read-only view of the common shape, NaN where none is
         definite; suitable as the value source of ``falsification_search``.
+        cos(delta) is cos a cos b + sin a sin b from each axis's cos and sin,
+        clipped to [-1, 1]: within a few ulps of ``status``'s cos of the
+        wrapped difference.  Axes given equal arrays share one cos(delta)
+        mesh per other axis, and pairs on one mesh with one rule outcome share
+        one value array.  ValueError names an axis with a non-finite angle.
         """
         import numpy as np
         symbols = [s for s in (SYM_E, SYM_EP, SYM_P, SYM_PP) if s in angles]
         arrays = {s: np.asarray(angles[s], dtype=np.float64) for s in symbols}
         shape = np.broadcast_shapes(*(x.shape for x in arrays.values()))
+        trig: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []  # distinct axis arrays
+        slot: dict[str, int] = {}
+        for s, x in arrays.items():
+            if not np.isfinite(x).all():
+                raise ValueError(f"angle must be finite on axis {s!r}")
+            slot[s] = next((k for k, (y, _, _) in enumerate(trig) if np.array_equal(x, y)),
+                           len(trig))
+            if slot[s] == len(trig):
+                trig.append((x, np.cos(x), np.sin(x)))
+        meshes: dict[tuple[int, int], np.ndarray] = {}
+        shared: dict[tuple, np.ndarray] = {}
         out: dict[str, np.ndarray] = {}
         for i, a in enumerate(symbols):
             for b in symbols[i + 1:]:
-                _, value, _ = _value(self.hypotheses, a, b, np.cos(arrays[a] - arrays[b]))
-                out[pair_symbol(a, b)] = np.broadcast_to(value, shape)
+                ka, kb = sorted((slot[a], slot[b]))
+                kind, sign, _ = _rule(self.hypotheses, a, b)
+                if (ka, kb, kind, sign) not in shared:
+                    if (ka, kb) not in meshes:
+                        (_, ca, sa), (_, cb, sb) = trig[ka], trig[kb]
+                        mesh = np.asarray(ca * cb + sa * sb)  # 0-d for scalar axes
+                        meshes[ka, kb] = np.clip(mesh, -1.0, 1.0, out=mesh)
+                    shared[ka, kb, kind, sign] = np.broadcast_to(
+                        _value(kind, sign, meshes[ka, kb]), shape)
+                out[pair_symbol(a, b)] = shared[ka, kb, kind, sign]
         return out
 
 

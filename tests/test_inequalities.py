@@ -444,6 +444,45 @@ class TestFalsificationSearch:
             falsification_search("V3", engine.values, step)
 
 
+def never_called(angles):
+    raise AssertionError("the value source was called")
+
+
+# 4*pi and more leave the coarse grid empty; the others ask for more angles
+# per axis than the cap (the smallest of them, 2*pi/(cap + 1), for one more).
+@pytest.mark.parametrize("step, message", [
+    (4 * math.pi, "no angle on the circle"),
+    (100.0, "no angle on the circle"),
+    (2 * math.pi / (inequalities.SEARCH_MAX_ANGLES + 1), "above the limit"),
+    (1e-3, "above the limit"),
+    (1e-300, "above the limit"),
+    (5e-324, "above the limit"),
+])
+@pytest.mark.parametrize("version", ["V3", "V4"])
+def test_grid_is_bounded_before_any_value_is_computed(version, step, message):
+    with pytest.raises(ValueError, match=message) as info:
+        falsification_search(version, never_called, step)
+    assert repr(step) in str(info.value)
+    limit = "4*pi" if "no angle" in message else str(inequalities.SEARCH_MAX_ANGLES)
+    assert limit in str(info.value)
+
+
+@pytest.mark.parametrize("step, angles", [
+    (2 * math.pi / inequalities.SEARCH_MAX_ANGLES, inequalities.SEARCH_MAX_ANGLES),
+    (math.nextafter(4 * math.pi, 0.0), 1),
+], ids=["smallest-step", "largest-step"])
+def test_grid_at_its_bounds_reaches_the_value_source(step, angles):
+    class Reached(Exception):
+        pass
+
+    def spy(mesh):
+        raise Reached(np.shape(mesh[SYM_E]))
+
+    with pytest.raises(Reached) as info:
+        falsification_search("V4", spy, step)
+    assert info.value.args[0] == (angles, 1)
+
+
 # Reference search by brute force: the whole objective at every
 # configuration of the free axes, the last two meshed per value-source call
 # and the earlier ones in a Python loop.  The separable scan must agree

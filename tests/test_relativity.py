@@ -1,12 +1,14 @@
 import itertools
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from belllab.core import SYM_E, SYM_EP, SYM_P, SYM_PP, Side, pair_symbol
+from belllab.core import SYM_E, SYM_EP, SYM_P, SYM_PP, Side, pair_symbol, side_of_symbol
 from belllab.realism import CollapseSequential, LHVSign, lhv_outcomes
 from belllab.relativity import (
     SIX_PAIRS,
@@ -390,6 +392,131 @@ class TestDefinableCorrelations:
         engine = DefinabilityEngine(HypothesisSet.parse("WR,EACP"))
         with pytest.raises(UndefinedCorrelationError, match="<E',P'>"):
             engine.value_or_raise(SYM_EP, SYM_PP, ANGLES)
+
+
+# Every pair is DEFINED under {WR, Locality}: -cos on cross-side pairs,
+# +cos on same-side pairs.
+LOCALITY_SIGN = {pair_symbol(a, b): 1.0 if side_of_symbol(a) is side_of_symbol(b) else -1.0
+                 for a, b in SIX_PAIRS}
+AXES = (SYM_E, SYM_EP, SYM_P, SYM_PP)
+
+
+def cos_of_difference(a, b):
+    """np.cos(a - b), and a bound on its error from rounding a - b: the exact
+    rounding error of the subtraction (TwoSum), as |d cos / d delta| <= 1."""
+    d = a - b
+    bb = d - a
+    return np.cos(d), np.abs((a - (d - bb)) + (-b - bb))
+
+
+@st.composite
+def axis_meshes(draw):
+    """Angles in [-4 pi, 4 pi] for the four axes, each a column (n, 1) or a
+    row (n,): its own angles, or another axis's plus 0, +-pi/2 or +-pi, so
+    that equal, orthogonal and opposite axes all occur."""
+    n = draw(st.integers(1, 5))
+    angle = st.floats(-4 * math.pi, 4 * math.pi)
+    out = {}
+    for axis in AXES:
+        base = draw(st.sampled_from([None, *out]))
+        if base is None:
+            shape = draw(st.sampled_from([(n, 1), (n,)]))
+            out[axis] = np.array(draw(st.lists(angle, min_size=n, max_size=n))).reshape(shape)
+        else:
+            offset = draw(st.sampled_from([0.0, math.pi / 2, -math.pi / 2, math.pi, -math.pi]))
+            out[axis] = out[base] + offset
+    return out
+
+
+class TestValuesMesh:
+    @settings(max_examples=300, deadline=None)
+    @given(axis_meshes())
+    def test_values_are_within_1e_15_of_the_cos_of_the_difference(self, angles):
+        got = DefinabilityEngine(HypothesisSet.parse("WR,Locality")).values(angles)
+        full = dict(zip(angles, np.broadcast_arrays(*angles.values())))
+        for a, b in SIX_PAIRS:
+            key = pair_symbol(a, b)
+            want, err = cos_of_difference(full[a], full[b])
+            assert np.all(np.abs(got[key] - LOCALITY_SIGN[key] * want) <= 1e-15 + err), key
+            assert np.all(np.abs(got[key]) <= 1.0), key
+
+    def test_values_stay_in_the_unit_interval_at_equal_and_opposite_axes(self):
+        # cos^2 + sin^2 can round above 1; the mesh is clipped to [-1, 1]
+        theta = np.linspace(-4 * math.pi, 4 * math.pi, 10_001)
+        got = DefinabilityEngine(HypothesisSet.parse("WR,Locality")).values(
+            {SYM_E: theta, SYM_EP: theta.copy(), SYM_P: theta + math.pi})
+        assert np.all(np.abs(got["<E,E'>"]) <= 1.0)
+        assert np.all(np.abs(got["<E,P>"]) <= 1.0)
+
+    def test_scalar_angles_give_0d_values(self):
+        angles = {SYM_E: 0.3, SYM_EP: 0.3 + math.pi / 2, SYM_P: 0.1}
+        engine = DefinabilityEngine(HypothesisSet.parse("WR,EACP,FWP"))
+        got = engine.values(angles)
+        assert got.keys() == {"<E,P>", "<E,E'>", "<E',P>"}
+        for key, value in got.items():
+            assert value.shape == () and not value.flags.writeable
+        assert got["<E,E'>"] == 0.0
+        assert got["<E,P>"] == pytest.approx(engine.status(SYM_E, SYM_P, angles).value, abs=1e-15)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("axis", AXES)
+    def test_non_finite_angles_are_rejected_naming_the_axis(self, axis, value):
+        engine = DefinabilityEngine(HypothesisSet.parse("WR,Locality"))
+        angles = {s: np.array([0.0, 0.3]) for s in AXES}
+        angles[axis] = np.array([0.3, value])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # raised before np.cos sees the angle
+            with pytest.raises(ValueError, match=re.escape(f"angle must be finite on axis {axis!r}")):
+                engine.values(angles)
+        with pytest.raises(ValueError, match="angle must be finite"):
+            engine.status(SYM_E, axis if axis != SYM_E else SYM_P,
+                          {**dict.fromkeys(AXES, 0.0), axis: value})
+
+    @pytest.mark.parametrize("hyp", ["WR,Locality", "WR,EACP,FWP"])
+    def test_pairs_over_equal_axis_arrays_share_one_buffer(self, hyp):
+        # the V4 scan's shapes: both row axes on one grid, as distinct arrays
+        grid = np.linspace(-math.pi, math.pi, 36, endpoint=False)
+        angles = {SYM_E: grid[:, None], SYM_EP: grid.copy()[:, None],
+                  SYM_P: grid[None, :], SYM_PP: np.zeros((1, 1))}
+        got = DefinabilityEngine(HypothesisSet.parse(hyp)).values(angles)
+        # <E,P> (twisted Malus) and <E',P> (Locality or EACP transfer): both -cos
+        assert np.shares_memory(got["<E,P>"], got["<E',P>"])
+        assert not np.shares_memory(got["<E,P>"], got["<P,P'>"])
+        if hyp == "WR,Locality":
+            assert np.shares_memory(got["<E,P'>"], got["<E',P'>"])
+        else:  # <E',P'> is undefined without Locality
+            assert not np.shares_memory(got["<E,P'>"], got["<E',P'>"])
+            assert np.all(np.isnan(got["<E',P'>"]))
+
+    @pytest.mark.parametrize("hyp", HYPOTHESIS_SUBSETS, ids=lambda h: h or "none")
+    def test_lemma_zero_falls_where_the_scalar_status_puts_it(self, hyp):
+        # A pi/4 grid on every axis puts orthogonal, equal and opposite axes
+        # at many points; status takes cos of the wrapped difference.
+        grid = np.arange(-4, 5) * (math.pi / 4)
+        angles = {SYM_E: grid[:, None, None], SYM_EP: grid[None, :, None],
+                  SYM_P: grid[None, None, :], SYM_PP: np.full((1, 1, 1), math.pi / 4)}
+        engine = DefinabilityEngine(HypothesisSet.parse(hyp))
+        got = engine.values(angles)
+        full = dict(zip(angles, np.broadcast_arrays(*angles.values())))
+        for a, b in SIX_PAIRS:
+            value = got[pair_symbol(a, b)]
+            for idx in np.ndindex(value.shape):
+                status = engine.status(a, b, {s: float(full[s][idx]) for s in AXES})
+                if status.value is None:
+                    assert math.isnan(value[idx]), (hyp, a, b, idx)
+                elif status.kind is StatusKind.ZERO_BY_NO_CORRELATION:
+                    assert value[idx] == 0.0, (hyp, a, b, idx)
+                else:
+                    assert value[idx] == pytest.approx(status.value, abs=1e-15), (hyp, a, b, idx)
+
+    @pytest.mark.parametrize("hyp", HYPOTHESIS_SUBSETS, ids=lambda h: h or "none")
+    def test_values_warn_nothing_on_a_full_circle_mesh(self, hyp):
+        grid = np.arange(-math.pi + math.pi / 180, math.pi + math.pi / 360, math.pi / 180)
+        angles = {SYM_E: grid[:, None], SYM_EP: grid[None, :],
+                  SYM_P: np.zeros((1, 1)), SYM_PP: grid[:, None]}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            DefinabilityEngine(HypothesisSet.parse(hyp)).values(angles)
 
 
 class TestNoCorrelationCheck:
