@@ -76,10 +76,10 @@ class ConfigError(ValueError):
 DEFAULT_PAIRS = 1_000_000
 SWEEP_DEFAULT_PAIRS = 20_000  # identities are exact at any N; keep the sweep quick
 SWEEP_DEFAULT_STEP = math.pi / 90.0
-# lhv-sweep runs round(pi / grid-step) + 1 configurations of two blocks each.
+# lhv-sweep runs round(pi / grid-step) + 1 configurations of one block each.
 # The cap bounds the blocks, whose fixed cost the pairs budget does not see: on
-# a 2-vCPU machine a sweep at the cap takes 1.1-2.1 s at one pair a block,
-# 2.9-4.9 s at the default pairs and 16-19 s at the 50,000 pairs the budget
+# a 2-vCPU machine a sweep at the cap takes 0.6-0.8 s at one pair a block,
+# 1.8-2.3 s at the default pairs and 11-15 s at the 100,000 pairs the budget
 # then allows (three runs each).
 _SWEEP_MAX_CONFIGURATIONS = 10_000
 # Pairs a run may draw, pairs x blocks.  Memory does not grow with pairs, so
@@ -479,26 +479,25 @@ def _scenario_lhv_sweep(cfg: ScenarioConfig) -> ScenarioResult:
     step = cfg.grid_step if cfg.grid_step is not None else SWEEP_DEFAULT_STEP
     model = _model(cfg)
     phis = [k * step for k in range(_sweep_configurations(step))]
+    pairs = (*V3_PAIRS, (SYM_E, SYM_PP), (SYM_EP, SYM_PP))  # then V4's two with P'
     min_v3_slack = min_v4_margin = math.inf
     max_dev = 0.0
     violations = 0
     for k, phi in enumerate(phis):
-        block3 = Block({SYM_P: 0.0, SYM_E: phi, SYM_EP: 2 * phi}, count=n, index=2 * k)
-        # the finite-run inequality on the linked sequences, exact integers
-        sums3 = _product_sums(model, block3, cfg.seed, V3_PAIRS)
-        exact3 = sica_v3_slack(n, *sums3)
+        # one complete tuple per pair carries both identities, exact integers:
+        # V3 on (E, P, E') = (phi, 2 phi, 3 phi), V4 on the four cross pairs
+        block = Block({SYM_E: phi, SYM_EP: 3 * phi, SYM_P: 2 * phi, SYM_PP: 0.0},
+                      count=n, index=k)
+        s_e_p, s_e_ep, s_p_ep, s_e_pp, s_ep_pp = _product_sums(model, block, cfg.seed, pairs)
+        exact3 = sica_v3_slack(n, s_e_p, s_e_ep, s_p_ep)
+        exact4 = sica_v4_margin(n, s_e_p, s_e_pp, s_p_ep, s_ep_pp)  # <E',P> = <P,E'>
         min_v3_slack = min(min_v3_slack, exact3)
-        violations += exact3 < 0
-
-        # LHV two-point law: +/-(1 - 2*delta/pi); track worst deviation of <E,P>
-        analytic = -(1 - 2 * min(abs(phi), math.pi) / math.pi)
-        max_dev = max(max_dev, abs(sums3[0] / n - analytic))
-
-        angles4 = {SYM_E: phi, SYM_EP: 3 * phi, SYM_P: 2 * phi, SYM_PP: 0.0}
-        block4 = Block(angles4, count=n, index=2 * k + 1)
-        exact4 = sica_v4_margin(n, *_product_sums(model, block4, cfg.seed, V4_PAIRS))
         min_v4_margin = min(min_v4_margin, exact4)
-        violations += exact4 < 0
+        violations += (exact3 < 0) + (exact4 < 0)
+
+        # LHV two-point law: +/-(1 - 2*delta/pi) at the wrapped gap delta of E and P
+        analytic = -(1 - 2 * abs(math.remainder(phi, math.tau)) / math.pi)
+        max_dev = max(max_dev, abs(s_e_p / n - analytic))
     rows = [
         _row(symbol, "exact", value, n=n, source="sweep",
              justification="finite-run-identities")
@@ -548,7 +547,7 @@ SCENARIOS = {
     "observer-order": Scenario(
         _scenario_observer_order, tuple(f"events.{name}" for name in _DEFAULT_EVENTS)),
     "polytope": Scenario(_scenario_polytope, ("target",)),
-    "lhv-sweep": Scenario(_scenario_lhv_sweep, ("grid-step", *_MODEL_KEYS), 2, "lhv-sign"),
+    "lhv-sweep": Scenario(_scenario_lhv_sweep, ("grid-step", *_MODEL_KEYS), 1, "lhv-sign"),
 }
 
 

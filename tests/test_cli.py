@@ -24,7 +24,8 @@ from belllab.cli import (
     parse_config_file,
     run,
 )
-from belllab.core import SYMBOLS
+from belllab.core import SYM_E, SYM_EP, SYM_P, SYM_PP, SYMBOLS, Block, correlate
+from belllab.inequalities import V3_PAIRS, sica_v3_check, sica_v4_check
 
 SQRT2 = math.sqrt(2.0)
 
@@ -521,6 +522,19 @@ class TestMain:
         assert "configuration error: " in err and str(vectors) in err
 
 
+def _recorded_blocks(monkeypatch):
+    """The blocks that later runs hand to ``realism.disagreement_chunks``, in order."""
+    blocks = []
+    real = realism.disagreement_chunks
+
+    def recording(model, block, seed, pairs):
+        blocks.append(block)
+        return real(model, block, seed, pairs)
+
+    monkeypatch.setattr(realism, "disagreement_chunks", recording)
+    return blocks
+
+
 @pytest.mark.parametrize(
     "scenario, step",
     [(name, None) for name in sorted(cli.SCENARIOS)]
@@ -530,23 +544,85 @@ def test_work_budget_counts_the_blocks_each_scenario_draws(
     scenario, step, monkeypatch, capsys
 ):
     # the fail-fast budget multiplies pairs by these block counts
-    blocks = []
-    real = realism.disagreement_chunks
-
-    def counting(model, block, seed, pairs):
-        blocks.append(block)
-        return real(model, block, seed, pairs)
-
-    monkeypatch.setattr(realism, "disagreement_chunks", counting)
+    blocks = _recorded_blocks(monkeypatch)
     argv = ["--scenario", scenario, "--pairs", "10"]
     assert main(argv + (["--grid-step", step] if step else [])) == 0
+    want = cli.SCENARIOS[scenario].blocks
     if scenario == "lhv-sweep":
-        want = 2 * (round(math.pi / float(step or cli.SWEEP_DEFAULT_STEP)) + 1)
-    else:
-        want = cli.SCENARIOS[scenario].blocks
+        configurations = round(math.pi / float(step or cli.SWEEP_DEFAULT_STEP)) + 1
+        want *= configurations
+        assert [block.index for block in blocks] == list(range(configurations))
+        assert {len(block.axes) for block in blocks} == {4}
     assert len(blocks) == want
     assert len({block.index for block in blocks}) == want
     assert {block.count for block in blocks} <= {10}
+
+
+# -- lhv-sweep against the OutcomeSequence API ---------------------------------
+
+def _sweep_family(step, n):
+    """Configuration k of a sweep: (E, E', P, P') = (phi, 3 phi, 2 phi, 0) at
+    phi = k * step, in a block of index k."""
+    phis = [k * step for k in range(cli._sweep_configurations(step))]
+    return [Block({SYM_E: phi, SYM_EP: 3 * phi, SYM_P: 2 * phi, SYM_PP: 0.0}, count=n, index=k)
+            for k, phi in enumerate(phis)]
+
+
+def _run_sweep(monkeypatch, step, n, seed=0):
+    """The sweep's result and the blocks it drew."""
+    blocks = _recorded_blocks(monkeypatch)
+    return run(ScenarioConfig("lhv-sweep", seed=seed, n_pairs=n, grid_step=step)), blocks
+
+
+class TestSweepAgainstSequences:
+    """The sweep's streamed identity sums equal ``sica_v3_check`` and
+    ``sica_v4_check`` on whole sequences from ``generate_block``, block by
+    block: V3 on (E, P, E') and V4 on the four cross pairs of one tuple."""
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+    def test_identities_equal_the_sequence_checks_on_the_same_blocks(self, seed, monkeypatch):
+        n, step = 500, math.pi / 36
+        got = {"sica_v3_slack": [], "sica_v4_margin": []}  # each configuration's value
+        for name, values in got.items():
+            def recording(*sums, real=getattr(cli, name), values=values):
+                values.append(real(*sums))
+                return values[-1]
+            monkeypatch.setattr(cli, name, recording)
+        result, blocks = _run_sweep(monkeypatch, step, n, seed)
+        assert blocks == _sweep_family(step, n)
+        v3, v4 = [], []
+        for block in blocks:
+            seqs = realism.generate_block(realism.LHVSign(), block, seed)
+            v3.append(sica_v3_check(seqs[SYM_E], seqs[SYM_P], seqs[SYM_EP]))
+            v4.append(sica_v4_check(seqs[SYM_EP], seqs[SYM_E], seqs[SYM_P], seqs[SYM_PP]))
+        assert got == {"sica_v3_slack": v3, "sica_v4_margin": v4}
+        assert min(v3) != max(v3) and min(v4) != max(v4)
+        rows = {row["symbol"]: row["value"] for row in result.correlations}
+        assert rows == {"min:V3.slack": min(v3), "min:V4.margin": min(v4)}
+        assert result.extras["violations"] == sum(v < 0 for v in v3 + v4) == 0
+
+    def test_the_family_passes_through_both_headline_configurations(self, monkeypatch):
+        _, blocks = _run_sweep(monkeypatch, math.pi / 36, 1)
+        at_v4 = {s: angle.radians for s, angle in blocks[9].axes.items()}  # phi = pi/4
+        assert at_v4 == pytest.approx(cli.V4_DEFAULT_ANGLES, abs=1e-15)
+        at_v3 = blocks[27].axes  # phi = 3 pi/4: V3's defaults reflected
+        for a, b in V3_PAIRS:
+            want = math.cos(cli.V3_DEFAULT_ANGLES[a] - cli.V3_DEFAULT_ANGLES[b])
+            assert math.cos((at_v3[a] - at_v3[b]).radians) == pytest.approx(want, abs=1e-15)
+
+    @pytest.mark.parametrize("step", [2 * math.pi / 3, 0.8, math.pi / 90])
+    def test_two_point_deviation_uses_the_wrapped_gap(self, step, monkeypatch):
+        # the last angle passes pi at the first two steps: 4 pi/3 and 3.2
+        n, seed = 2000, 3
+        result, blocks = _run_sweep(monkeypatch, step, n, seed)
+        deviations = []
+        for block in blocks:
+            seqs = realism.generate_block(realism.LHVSign(), block, seed)
+            gap = abs((block.axes[SYM_P] - block.axes[SYM_E]).radians)  # in [0, pi]
+            law = -(1 - 2 * gap / math.pi)  # E and P on opposite sides
+            deviations.append(abs(correlate(seqs[SYM_E], seqs[SYM_P]).mean - law))
+        assert result.extras["max_two_point_deviation"] == pytest.approx(
+            max(deviations), abs=1e-12)
 
 
 class TestConfigParsing:

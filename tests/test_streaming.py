@@ -43,7 +43,7 @@ V3_ANGLES = {SYM_P: 0.0, SYM_E: 3 * math.pi / 4, SYM_EP: -3 * math.pi / 4}
 
 # The goldens are 3,000-pair runs (see test_golden.py), so 2,999 splits off
 # one pair and 3,000 is one chunk.  lhv-sweep at one pair a chunk draws
-# 546,000 chunks (about 40 s), so it runs at the other sizes only; its
+# 273,000 chunks (about 8 s), so it runs at the other sizes only; its
 # identity sums are checked at every chunk size by
 # test_identity_sums_do_not_depend_on_chunk_size.
 GOLDEN_CHUNKS = [
