@@ -28,7 +28,7 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
 
-from .core import SYM_E, SYM_EP, SYM_P, SYM_PP, Block, pair_symbol, product_sum
+from .core import SYM_E, SYM_EP, SYM_P, SYM_PP, Block, pair_symbol
 from .core import ReplayFormatError, UnsupportedAxisError
 from .inequalities import (
     V3_PAIRS,
@@ -78,9 +78,9 @@ SWEEP_DEFAULT_PAIRS = 20_000  # identities are exact at any N; keep the sweep qu
 SWEEP_DEFAULT_STEP = math.pi / 90.0
 # lhv-sweep runs round(pi / grid-step) + 1 configurations of one block each.
 # The cap bounds the blocks, whose fixed cost the pairs budget does not see: on
-# a 2-vCPU machine a sweep at the cap takes 0.6-0.8 s at one pair a block,
-# 1.8-2.3 s at the default pairs and 11-15 s at the 100,000 pairs the budget
-# then allows (three runs each).
+# a 2-vCPU machine a sweep at the cap takes 0.65-1.0 s at one pair a block,
+# 1.6-2.3 s at the default pairs and 5.7-10.3 s at the 100,000 pairs the
+# budget then allows (six fresh processes each).
 _SWEEP_MAX_CONFIGURATIONS = 10_000
 # Pairs a run may draw, pairs x blocks.  Memory does not grow with pairs, so
 # this bounds time: on a 2-vCPU machine the largest runs it allows take
@@ -464,17 +464,8 @@ def _sweep_configurations(step: float) -> int:
     return round(math.pi / step) + 1
 
 
-def _product_sums(model, block: Block, seed: int, pairs) -> list[int]:
-    """Exact product sum of each axis pair over a block, added chunk by chunk."""
-    from .realism import disagreement_chunks
-    sums = [0] * len(pairs)
-    for masks in disagreement_chunks(model, block, seed, pairs):
-        for i, differ in enumerate(masks):
-            sums[i] += product_sum(differ)
-    return sums
-
-
 def _scenario_lhv_sweep(cfg: ScenarioConfig) -> ScenarioResult:
+    from .realism import product_sums
     n = cfg.pairs
     step = cfg.grid_step if cfg.grid_step is not None else SWEEP_DEFAULT_STEP
     model = _model(cfg)
@@ -488,7 +479,7 @@ def _scenario_lhv_sweep(cfg: ScenarioConfig) -> ScenarioResult:
         # V3 on (E, P, E') = (phi, 2 phi, 3 phi), V4 on the four cross pairs
         block = Block({SYM_E: phi, SYM_EP: 3 * phi, SYM_P: 2 * phi, SYM_PP: 0.0},
                       count=n, index=k)
-        s_e_p, s_e_ep, s_p_ep, s_e_pp, s_ep_pp = _product_sums(model, block, cfg.seed, pairs)
+        s_e_p, s_e_ep, s_p_ep, s_e_pp, s_ep_pp = product_sums(model, block, cfg.seed, pairs)
         exact3 = sica_v3_slack(n, s_e_p, s_e_ep, s_p_ep)
         exact4 = sica_v4_margin(n, s_e_p, s_e_pp, s_p_ep, s_ep_pp)  # <E',P> = <P,E'>
         min_v3_slack = min(min_v3_slack, exact3)

@@ -239,6 +239,10 @@ class BornFlipModel:
                 masks.append(fa ^ fb)
         return masks
 
+    def disagreement_counts(self, block: Block, seed: int, span: slice, pairs) -> list[int]:
+        """How many pairs in ``span`` disagree on each axis pair."""
+        return [int(np.count_nonzero(m)) for m in self.disagreements(block, seed, span, pairs)]
+
 
 class SingletSource(BornFlipModel):
     """Singlet pairs measured along a block's one Alice and one Bob axis.

@@ -20,20 +20,22 @@ same value it would have gotten counterfactually).  Three models ship:
 * ``FileReplay`` -- verbatim +/-1 tuples from a text file, for adversarial
   and regression vectors.
 
-Every model (and ``quantum.SingletSource``) has two methods over a span
-of a block's pairs: ``assign`` gives the outcomes keyed by symbol, and
-``disagreements`` gives, for each axis pair, the mask u != v that a
-correlation counts.  ``CollapseSequential`` takes its masks from the Born
-tests alone: E is -P exactly where the E draw keeps the sign -P that the
-P coin prepares, so <P,E> and <P,E'> need no coin and <E,E'> is the XOR
-of the two tests; ``assign`` builds its outcomes from the same tests
-(``quantum.BornFlipModel``).  ``LHVSign`` takes each mask from one
-subtract-and-compare on the phase (``lhv_disagreements``), and
-``FileReplay`` compares its assigned outcomes, streaming its rows from
-the file.  ``disagreement_chunks`` runs a model over a block
-``CHUNK_PAIRS`` pairs at a time; ``generate_block`` assigns a block in the
-same chunks and returns one whole ``OutcomeSequence`` per block axis, keyed
-by symbol, and ``correlate_block`` reduces the masks to estimates.
+Every model (and ``quantum.SingletSource``) has three methods over a span
+of a block's pairs: ``assign`` gives the outcomes keyed by symbol,
+``disagreements`` the mask u != v of each axis pair, and
+``disagreement_counts`` how many pairs each mask marks.
+``CollapseSequential`` takes its masks from the Born tests alone: E is -P
+exactly where the E draw keeps the sign -P that the P coin prepares, so
+<P,E> and <P,E'> need no coin and <E,E'> is the XOR of the two tests;
+``assign`` builds its outcomes from the same tests (``quantum.BornFlipModel``).
+``LHVSign`` takes each mask from one subtract-and-compare on the phase
+(``lhv_disagreements``) and counts with no mask (``lhv_disagreement_counts``);
+``FileReplay`` compares its assigned outcomes, streaming its rows from the
+file.  ``disagreement_chunks`` runs a model over a block ``CHUNK_PAIRS``
+pairs at a time; ``generate_block`` assigns a block in the same chunks and
+returns one whole ``OutcomeSequence`` per block axis, keyed by symbol;
+``correlate_block`` reduces the masks to estimates, and ``product_sums``
+the counts to exact sums.
 Whether an axis's value needs Weak Realism (a primed axis is never the
 measured one) is decided by the definability engine in ``relativity``.
 
@@ -85,9 +87,11 @@ __all__ = [
     "disagreement_chunks",
     "generate_block",
     "half_turn_start",
+    "lhv_disagreement_counts",
     "lhv_disagreements",
     "lhv_outcomes",
     "model_from_spec",
+    "product_sums",
 ]
 
 
@@ -126,18 +130,36 @@ def lhv_disagreements(phases: np.ndarray, starts) -> list[np.ndarray]:
     symmetric difference of [0, 2**31) and [d, d + 2**31), d = s_b - s_a:
     where x mod 2**31 < d for d < 2**31, and where it is not below
     d - 2**31 otherwise.  Doubling modulo 2**32 takes x mod 2**31 to the
-    top 31 bits, so each pair is one subtraction from the doubled phases
-    and one comparison, and no outcome array is built.
+    top 31 bits, so each pair is one comparison, pairs with one doubled s_a
+    share one subtraction from the doubled phases, and no outcome array is built.
     """
     _check_phases(phases)
     doubled = phases << np.uint32(1)
+    shifted = {a: doubled - np.uint32(a) for a in {2 * s % 2**32 for s, _ in starts}}
     masks = []
     for start_a, start_b in starts:
         d = (start_b - start_a) % 2**32
-        x = doubled - np.uint32(2 * start_a % 2**32)
+        x = shifted[2 * start_a % 2**32]
         limit = np.uint32(2 * d % 2**32)
         masks.append(x < limit if d < 2**31 else x >= limit)
     return masks
+
+
+def lhv_disagreement_counts(phases: np.ndarray, starts) -> list[int]:
+    """How many lanes ``lhv_disagreements`` marks for each pair of starts, with
+    no mask.  With A, B the doubled starts and F(t) the doubled phases below t,
+    a pair with d < 2**31 marks the cyclic arc [A, B): F(B) - F(A), plus the n
+    lanes if A > B; otherwise the other lanes.  One compare per doubled start."""
+    _check_phases(phases)
+    doubled, n = phases << np.uint32(1), phases.size
+    below = {t: int(np.count_nonzero(doubled < np.uint32(t)))
+             for t in {2 * s % 2**32 for pair in starts for s in pair}}
+    counts = []
+    for start_a, start_b in starts:
+        a, b = 2 * start_a % 2**32, 2 * start_b % 2**32
+        arc = below[b] - below[a] + (n if a > b else 0)
+        counts.append(arc if (start_b - start_a) % 2**32 < 2**31 else n - arc)
+    return counts
 
 
 class LHVSign:
@@ -154,11 +176,18 @@ class LHVSign:
         }
 
     def disagreements(self, block: Block, seed: int, span: slice, pairs) -> list[np.ndarray]:
-        """``u != v`` for each axis pair, from the phases alone
-        (``lhv_disagreements``)."""
+        """``u != v`` for each axis pair, from the phases (``lhv_disagreements``)."""
+        return lhv_disagreements(*self._phases_and_starts(block, seed, span, pairs))
+
+    def disagreement_counts(self, block: Block, seed: int, span: slice, pairs) -> list[int]:
+        """How many pairs disagree on each axis pair (``lhv_disagreement_counts``)."""
+        return lhv_disagreement_counts(*self._phases_and_starts(block, seed, span, pairs))
+
+    def _phases_and_starts(self, block: Block, seed: int, span: slice, pairs) -> tuple:
+        """The span's phase lanes, and the half-turn starts of each axis pair."""
         start = {s: half_turn_start(t, side_of_symbol(s)) for s, t in block.axes.items()}
         phases = pair_uniforms(block, seed, span, 0, 32)
-        return lhv_disagreements(phases, [(start[a], start[b]) for a, b in pairs])
+        return phases, [(start[a], start[b]) for a, b in pairs]
 
 
 class CollapseSequential(BornFlipModel):
@@ -246,6 +275,10 @@ class FileReplay:
         chunk = self.assign(block, seed, span)
         return [chunk[a] != chunk[b] for a, b in pairs]
 
+    def disagreement_counts(self, block: Block, seed: int, span: slice, pairs) -> list[int]:
+        """How many pairs in ``span`` disagree on each axis pair."""
+        return [int(np.count_nonzero(m)) for m in self.disagreements(block, seed, span, pairs)]
+
     def _lines(self) -> Iterator[tuple[int, str]]:
         """(physical line number, text) of each non-blank, non-comment line."""
         numbers = itertools.count(1)  # zipped after the texts, so no number is skipped
@@ -326,6 +359,15 @@ def correlate_block(model, block: Block, seed: int, pairs) -> list[CorrelationEs
         for estimate, differ in zip(running, masks):
             estimate.add(differ)
     return [estimate.estimate() for estimate in running]
+
+
+def product_sums(model, block: Block, seed: int, pairs) -> list[int]:
+    """Exact product sum of each axis pair over a block, counted chunk by chunk."""
+    differ = [0] * len(pairs)
+    for lo in range(0, block.count, CHUNK_PAIRS):
+        counts = model.disagreement_counts(block, seed, slice(lo, lo + CHUNK_PAIRS), pairs)
+        differ = [d + c for d, c in zip(differ, counts)]
+    return [block.count - 2 * d for d in differ]
 
 
 def generate_block(

@@ -523,15 +523,15 @@ class TestMain:
 
 
 def _recorded_blocks(monkeypatch):
-    """The blocks that later runs hand to ``realism.disagreement_chunks``, in order."""
+    """The blocks that later runs hand to ``realism.disagreement_chunks`` or
+    ``realism.product_sums``, in order."""
     blocks = []
-    real = realism.disagreement_chunks
+    for name in ("disagreement_chunks", "product_sums"):
+        def recording(model, block, seed, pairs, real=getattr(realism, name)):
+            blocks.append(block)
+            return real(model, block, seed, pairs)
 
-    def recording(model, block, seed, pairs):
-        blocks.append(block)
-        return real(model, block, seed, pairs)
-
-    monkeypatch.setattr(realism, "disagreement_chunks", recording)
+        monkeypatch.setattr(realism, name, recording)
     return blocks
 
 
@@ -623,6 +623,62 @@ class TestSweepAgainstSequences:
             deviations.append(abs(correlate(seqs[SYM_E], seqs[SYM_P]).mean - law))
         assert result.extras["max_two_point_deviation"] == pytest.approx(
             max(deviations), abs=1e-12)
+
+
+class TestSweepModels:
+    """The sweep's product sums over chunk edges and under the other models."""
+
+    def test_blocks_of_two_chunks_keep_both_identities(self, monkeypatch):
+        # CHUNK_PAIRS as shipped, so every block is one whole chunk and 3
+        # pairs more; at step 2 pi/3 the last angle passes pi
+        n, step, seed = realism.CHUNK_PAIRS + 3, 2 * math.pi / 3, 11
+        got = {"sica_v3_slack": [], "sica_v4_margin": []}
+        for name, values in got.items():
+            def recording(*sums, real=getattr(cli, name), values=values):
+                values.append(real(*sums))
+                return values[-1]
+            monkeypatch.setattr(cli, name, recording)
+        result, blocks = _run_sweep(monkeypatch, step, n, seed)
+        assert blocks == _sweep_family(step, n)
+        want = {"sica_v3_slack": [], "sica_v4_margin": []}
+        for block in blocks:
+            seqs = realism.generate_block(realism.LHVSign(), block, seed)
+            want["sica_v3_slack"].append(sica_v3_check(seqs[SYM_E], seqs[SYM_P], seqs[SYM_EP]))
+            want["sica_v4_margin"].append(
+                sica_v4_check(seqs[SYM_EP], seqs[SYM_E], seqs[SYM_P], seqs[SYM_PP]))
+        assert got == want
+        assert result.extras["violations"] == 0
+
+    def test_collapse_sequential_exits_2_for_want_of_a_second_p_axis(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("scenario = lhv-sweep\nmodel = collapse-sequential\npairs = 10\n")
+        assert main(["--config", str(cfg), "--grid-step", "1.0"]) == 2
+        err = capsys.readouterr().err
+        want = "configuration error: collapse-sequential defines no second axis on the P side"
+        assert want in err
+        assert "Traceback" not in err
+
+    def test_file_replay_gives_its_rows_product_sums(self, monkeypatch, tmp_path):
+        # a step over 2 pi leaves the one configuration phi = 0: all four axes at 0
+        rows = [(1, 1, -1, 1), (-1, 1, 1, 1), (1, -1, -1, -1), (1, 1, 1, -1), (-1, -1, 1, 1)]
+        path = tmp_path / "vectors.txt"
+        body = "".join(" ".join(map(str, row)) + "\n" for row in rows)
+        path.write_text("E=0 E'=0 P=0 P'=0\n" + body)
+        sums = []
+
+        def recording(*args, real=realism.product_sums):
+            sums.append(real(*args))
+            return sums[-1]
+
+        monkeypatch.setattr(realism, "product_sums", recording)
+        cfg = ScenarioConfig("lhv-sweep", n_pairs=len(rows), grid_step=7.0,
+                             model="file-replay", model_path=str(path))
+        result = run(cfg)
+        index = dict(zip((SYM_E, SYM_EP, SYM_P, SYM_PP), range(4)))
+        pairs = (*V3_PAIRS, (SYM_E, SYM_PP), (SYM_EP, SYM_PP))
+        assert sums == [[sum(r[index[a]] * r[index[b]] for r in rows) for a, b in pairs]]
+        assert result.extras["configurations"] == 1
+        assert result.inputs["model"] == "file-replay"
 
 
 class TestConfigParsing:

@@ -23,6 +23,7 @@ from belllab.realism import (
     ReplayFormatError,
     UnsupportedAxisError,
     generate_block,
+    lhv_disagreement_counts,
     lhv_disagreements,
     lhv_outcomes,
     model_from_spec,
@@ -156,6 +157,8 @@ class TestLhvPhaseKernel:
             lhv_outcomes(phases, 0.0, Side.ALICE)
         with pytest.raises(TypeError, match="uint32"):
             lhv_disagreements(phases, [(0, 2**30)])
+        with pytest.raises(TypeError, match="uint32"):
+            lhv_disagreement_counts(phases, [(0, 2**30)])
 
     @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf, np.array(math.nan)])
     def test_theta_must_be_finite(self, theta):
@@ -178,6 +181,27 @@ class TestLhvDisagreements:
         assert got.dtype == bool and np.array_equal(got, want)
         if d in (0, 2**31):  # the same half-turn, or the opposite one
             assert not got.any() if d == 0 else got.all()
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        lanes,
+        st.lists(st.integers(0, TURN - 1), min_size=1, max_size=3),
+        st.lists(
+            st.tuples(st.integers(0, 3), st.sampled_from(ARC_GAPS) | st.integers(0, TURN - 1)),
+            min_size=1, max_size=8,
+        ),
+    )
+    def test_counts_are_the_masks_counted(self, ws, firsts, gaps):
+        # first starts repeat, and one sits 2**31 from another: equal doubled starts
+        firsts = [*firsts, (firsts[0] + 2**31) % TURN]
+        starts = [(firsts[i % len(firsts)], (firsts[i % len(firsts)] + d) % TURN) for i, d in gaps]
+        # the lanes at and next to each doubled start's two thresholds
+        near = [(s + k) % TURN for pair in starts for s in pair
+                for k in (-1, 0, 1, 2**31 - 1, 2**31, 2**31 + 1)]
+        phases = np.array(ws + EDGE_LANES + near, dtype=np.uint32)
+        masks = lhv_disagreements(phases, starts)
+        want = [int(np.count_nonzero(mask)) for mask in masks]
+        assert lhv_disagreement_counts(phases, starts) == want
 
     @settings(max_examples=60, deadline=None)
     @given(

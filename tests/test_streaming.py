@@ -111,8 +111,8 @@ def test_identity_sums_do_not_depend_on_chunk_size(n, seed, data):
     a3 = generate_block(LHVSign(), block3, seed)
     a4 = generate_block(LHVSign(), block4, seed)
     with mock.patch.object(realism, "CHUNK_PAIRS", chunk):
-        sums3 = cli._product_sums(LHVSign(), block3, seed, V3_PAIRS)
-        sums4 = cli._product_sums(LHVSign(), block4, seed, V4_PAIRS)
+        sums3 = realism.product_sums(LHVSign(), block3, seed, V3_PAIRS)
+        sums4 = realism.product_sums(LHVSign(), block4, seed, V4_PAIRS)
     assert sums3 == [correlate(a3[a], a3[b]).sum_products for a, b in V3_PAIRS]
     assert sums4 == [correlate(a4[a], a4[b]).sum_products for a, b in V4_PAIRS]
     assert sica_v3_slack(n, *sums3) == sica_v3_check(a3[SYM_E], a3[SYM_P], a3[SYM_EP])
