@@ -30,12 +30,10 @@ exactly where the E draw keeps the sign -P that the P coin prepares, so
 ``assign`` builds its outcomes from the same tests (``quantum.BornFlipModel``).
 ``LHVSign`` takes each mask from one subtract-and-compare on the phase
 (``lhv_disagreements``) and counts with no mask (``lhv_disagreement_counts``);
-``FileReplay`` compares its assigned outcomes, streaming its rows from the
-file.  ``disagreement_chunks`` runs a model over a block ``CHUNK_PAIRS``
-pairs at a time; ``generate_block`` assigns a block in the same chunks and
-returns one whole ``OutcomeSequence`` per block axis, keyed by symbol;
-``correlate_block`` reduces the masks to estimates, and ``product_sums``
-the counts to exact sums.
+``FileReplay`` compares its outcomes, streaming its rows from the file.
+``generate_block`` assigns a block ``CHUNK_PAIRS`` pairs at a time and returns
+one ``OutcomeSequence`` per axis; ``correlate_block`` reduces the chunks'
+masks to estimates, and ``product_sums`` their counts to exact sums.
 Whether an axis's value needs Weak Realism (a primed axis is never the
 measured one) is decided by the definability engine in ``relativity``.
 
@@ -130,16 +128,15 @@ def lhv_disagreements(phases: np.ndarray, starts) -> list[np.ndarray]:
     symmetric difference of [0, 2**31) and [d, d + 2**31), d = s_b - s_a:
     where x mod 2**31 < d for d < 2**31, and where it is not below
     d - 2**31 otherwise.  Doubling modulo 2**32 takes x mod 2**31 to the
-    top 31 bits, so each pair is one comparison, pairs with one doubled s_a
-    share one subtraction from the doubled phases, and no outcome array is built.
+    top 31 bits, so each pair is one subtraction from the doubled phases
+    and one comparison, and no outcome array is built.
     """
     _check_phases(phases)
     doubled = phases << np.uint32(1)
-    shifted = {a: doubled - np.uint32(a) for a in {2 * s % 2**32 for s, _ in starts}}
     masks = []
     for start_a, start_b in starts:
         d = (start_b - start_a) % 2**32
-        x = shifted[2 * start_a % 2**32]
+        x = doubled - np.uint32(2 * start_a % 2**32)
         limit = np.uint32(2 * d % 2**32)
         masks.append(x < limit if d < 2**31 else x >= limit)
     return masks
@@ -275,9 +272,7 @@ class FileReplay:
         chunk = self.assign(block, seed, span)
         return [chunk[a] != chunk[b] for a, b in pairs]
 
-    def disagreement_counts(self, block: Block, seed: int, span: slice, pairs) -> list[int]:
-        """How many pairs in ``span`` disagree on each axis pair."""
-        return [int(np.count_nonzero(m)) for m in self.disagreements(block, seed, span, pairs)]
+    disagreement_counts = BornFlipModel.disagreement_counts  # counts its own masks
 
     def _lines(self) -> Iterator[tuple[int, str]]:
         """(physical line number, text) of each non-blank, non-comment line."""
@@ -363,11 +358,9 @@ def correlate_block(model, block: Block, seed: int, pairs) -> list[CorrelationEs
 
 def product_sums(model, block: Block, seed: int, pairs) -> list[int]:
     """Exact product sum of each axis pair over a block, counted chunk by chunk."""
-    differ = [0] * len(pairs)
-    for lo in range(0, block.count, CHUNK_PAIRS):
-        counts = model.disagreement_counts(block, seed, slice(lo, lo + CHUNK_PAIRS), pairs)
-        differ = [d + c for d, c in zip(differ, counts)]
-    return [block.count - 2 * d for d in differ]
+    spans = (slice(lo, lo + CHUNK_PAIRS) for lo in range(0, block.count, CHUNK_PAIRS))
+    counts = [model.disagreement_counts(block, seed, span, pairs) for span in spans]
+    return [block.count - 2 * sum(differ) for differ in zip(*counts)]
 
 
 def generate_block(
