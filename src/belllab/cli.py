@@ -160,8 +160,12 @@ class ScenarioConfig:
         for i, value in enumerate(self.target or ()):
             if not -1.0 <= value <= 1.0:
                 raise ConfigError(f"target[{i}] out of range [-1, 1]: {value}")
-        if self.model or self.model_path is not None:
-            _model(self)
+        if (self.model or self.model_path is not None) and _model(self).name == "file-replay":
+            if "grid-step" in row.keys and blocks > 1:  # fail before a block is read
+                raise ConfigError(
+                    f"grid-step {self.grid_step or SWEEP_DEFAULT_STEP:.6g} gives {blocks} "
+                    "configurations, but a replay header fixes one: use a grid-step of "
+                    "at least 2*pi with file-replay")
 
     @property
     def pairs(self) -> int:

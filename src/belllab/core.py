@@ -11,8 +11,8 @@ The correlation of two equal-length sequences is
 and relates to the probability of equality by p = (1 + corr) / 2.
 Products are accumulated as exact integers so that the finite-N inequality
 checks elsewhere in the package are arithmetic identities, not float
-approximations.  A running estimate also keeps the exact partial sums S_t
-at the checkpoints t = 2**k < N and t = N; the intervals S_t/t +/- tol*sqrt(N/t)
+approximations.  An estimate also keeps the exact partial sums S_t at the
+checkpoints t = 2**k < N and t = N; the intervals S_t/t +/- tol*sqrt(N/t)
 then bound a possibly non-convergent mean at every scale, and by Hoeffding's
 inequality and a union bound a zero-mean run leaves 0 outside one of them
 with probability at most 2*K*exp(-N*tol**2/2) over its K checkpoints.
@@ -40,7 +40,6 @@ __all__ = [
     "Block",
     "CorrelationEstimate",
     "OutcomeSequence",
-    "RunningCorrelation",
     "ReplayFormatError",
     "Side",
     "UnsupportedAxisError",
@@ -179,11 +178,9 @@ class Block:
         object.__setattr__(self, "axes", axes)
 
 
-def product_sum(differ: np.ndarray) -> int:
-    """Exact sum of u*v over +/-1 arrays, given the mask ``differ = u != v``:
-    agreements minus disagreements."""
-    import numpy as np
-    return differ.size - 2 * int(np.count_nonzero(differ))
+def product_sum(n: int, differ: int) -> int:
+    """Exact sum of u*v over n pairs of +/-1 values, ``differ`` of them unequal."""
+    return n - 2 * differ
 
 
 def checkpoints(n: int) -> list[int]:
@@ -232,49 +229,18 @@ class CorrelationEstimate:
         return 2 * len(self.partial_sums) * math.exp(-self.n * tol * tol / 2)
 
 
-class RunningCorrelation:
-    """``correlate`` of two length-``n`` sequences fed in consecutive chunks.
-
-    Each chunk is fed as its disagreement mask, and only exact integers carry
-    over from chunk to chunk: the product sum and, for each checkpoint a
-    chunk reaches, one prefix sum.  The checkpoints depend on n alone, so
-    the estimate does not depend on the split.
-    """
-
-    def __init__(self, n: int) -> None:
-        self.n, self.seen, self.total = n, 0, 0
-        self.partial_sums: list[int] = []
-        self._pending = checkpoints(n)[::-1]  # the next one last
-
-    def add(self, differ: np.ndarray) -> None:
-        """Feed the next stretch as a bool mask, True where u_i != v_i."""
-        start, seen = self.seen, self.seen + differ.size
-        if seen > self.n:
-            raise ValueError(f"{seen} of {self.n} values fed")
-        self.seen = seen
-        while self._pending and self._pending[-1] <= seen:
-            k = self._pending.pop() - start
-            self.partial_sums.append(self.total + product_sum(differ[:k]))
-        self.total += product_sum(differ)
-
-    def estimate(self) -> CorrelationEstimate:
-        if self.seen != self.n:
-            raise ValueError(f"{self.seen} of {self.n} values fed")
-        return CorrelationEstimate(self.n, self.total, tuple(self.partial_sums))
-
-
 def correlate(u: OutcomeSequence, v: OutcomeSequence) -> CorrelationEstimate:
     """Correlation of two equal-length outcome sequences.
 
     The mean is sum(u_i * v_i) / N with an exact integer numerator, and the
-    partial sums at ``checkpoints(N)`` come with it.  This is the one-chunk
-    case of ``RunningCorrelation``.
+    partial sums at ``checkpoints(N)`` come with it.
     """
+    import numpy as np
     n = len(u)
     if n == 0:
         raise ValueError("cannot correlate empty sequences")
     if len(v) != n:
         raise ValueError(f"length mismatch: {n} vs {len(v)}")
-    running = RunningCorrelation(n)
-    running.add(u.values != v.values)
-    return running.estimate()
+    differ = u.values != v.values
+    sums = tuple(product_sum(t, int(np.count_nonzero(differ[:t]))) for t in checkpoints(n))
+    return CorrelationEstimate(n, sums[-1], sums)

@@ -71,14 +71,16 @@ SEARCH_REFINEMENT = 10
 SEARCH_MAX_ANGLES = 3600
 
 
-def _values(*seqs: OutcomeSequence) -> tuple[int, list[np.ndarray]]:
-    n = len(seqs[0])
+def _product_sums(*pairs: tuple[OutcomeSequence, OutcomeSequence]) -> tuple[int, list[int]]:
+    """N and the exact product sum of each pair of sequences, all of length N > 0."""
+    import numpy as np
+    n = len(pairs[0][0])
     if n == 0:
         raise ValueError("sequences must be non-empty")
-    for s in seqs:
+    for s in itertools.chain(*pairs):
         if len(s) != n:
             raise ValueError(f"length mismatch: {n} vs {len(s)}")
-    return n, [s.values for s in seqs]
+    return n, [product_sum(n, int(np.count_nonzero(u.values != v.values))) for u, v in pairs]
 
 
 def sica_v3_slack(n: int, s_xy: int, s_xz: int, s_yz: int) -> float:
@@ -99,8 +101,8 @@ def sica_v3_check(
 
     Computed from exact integer sums; non-negative for every actual triple.
     """
-    n, (xa, ya, za) = _values(x, y, z)
-    return sica_v3_slack(n, product_sum(xa != ya), product_sum(xa != za), product_sum(ya != za))
+    n, sums = _product_sums((x, y), (x, z), (y, z))
+    return sica_v3_slack(n, *sums)
 
 
 def sica_v4_check(
@@ -110,9 +112,8 @@ def sica_v4_check(
 
     Computed from exact integer sums; non-negative for every actual quadruple.
     """
-    n, (wa, xa, ya, za) = _values(w, x, y, z)
-    s_xy, s_xz = product_sum(xa != ya), product_sum(xa != za)
-    return sica_v4_margin(n, s_xy, s_xz, product_sum(wa != ya), product_sum(wa != za))
+    n, sums = _product_sums((x, y), (x, z), (w, y), (w, z))
+    return sica_v4_margin(n, *sums)
 
 
 def _check_corr(name: str, value: float) -> float:

@@ -27,7 +27,8 @@ lane.
 Bob's outcome is -a where his Born draw keeps the prepared sign and a
 elsewhere, so a*b = -1 exactly where the draw keeps it, whatever Alice's
 coin a is: the coin cancels in every product, and the Born test alone
-gives the count of disagreements a correlation needs (``disagreements``).
+gives the count of disagreements a correlation needs
+(``disagreement_counts``).
 """
 
 from __future__ import annotations
@@ -190,7 +191,7 @@ def keep_probability(delta: float) -> float:
 
 
 class BornFlipModel:
-    """``assign`` and ``disagreements`` of a model whose ``_tests(block)`` maps
+    """``assign`` and ``disagreement_counts`` of a model whose ``_tests(block)`` maps
     each axis symbol to None, for the reference axis, or to the (column, p)
     of the Born test that keeps the sign the reference prepares.
 
@@ -225,23 +226,16 @@ class BornFlipModel:
         flipped = -coins
         return {s: coins if f is None else np.where(f, flipped, coins) for s, f in flips.items()}
 
-    def disagreements(self, block: Block, seed: int, span: slice, pairs) -> list[np.ndarray]:
-        """``u != v`` for each axis pair, from the flips alone: the coin cancels."""
-        lanes, flips = self._flips(block, seed, span)
-        masks = []
+    def disagreement_counts(self, block: Block, seed: int, span: slice, pairs) -> list[int]:
+        """How many pairs in ``span`` disagree on each axis pair, from the flips
+        alone: the coin cancels, and the reference axis flips nowhere."""
+        _, flips = self._flips(block, seed, span)
+        counts = []
         for a, b in pairs:
             fa, fb = flips[a], flips[b]
-            if fa is None and fb is None:  # the reference axis with itself
-                masks.append(np.zeros(len(lanes), dtype=bool))
-            elif fa is None or fb is None:
-                masks.append(fb if fa is None else fa)
-            else:
-                masks.append(fa ^ fb)
-        return masks
-
-    def disagreement_counts(self, block: Block, seed: int, span: slice, pairs) -> list[int]:
-        """How many pairs in ``span`` disagree on each axis pair."""
-        return [int(np.count_nonzero(m)) for m in self.disagreements(block, seed, span, pairs)]
+            differ = fb if fa is None else fa if fb is None else fa ^ fb
+            counts.append(0 if differ is None else int(np.count_nonzero(differ)))
+        return counts
 
 
 class SingletSource(BornFlipModel):

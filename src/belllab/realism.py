@@ -20,20 +20,20 @@ same value it would have gotten counterfactually).  Three models ship:
 * ``FileReplay`` -- verbatim +/-1 tuples from a text file, for adversarial
   and regression vectors.
 
-Every model (and ``quantum.SingletSource``) has three methods over a span
-of a block's pairs: ``assign`` gives the outcomes keyed by symbol,
-``disagreements`` the mask u != v of each axis pair, and
-``disagreement_counts`` how many pairs each mask marks.
-``CollapseSequential`` takes its masks from the Born tests alone: E is -P
-exactly where the E draw keeps the sign -P that the P coin prepares, so
-<P,E> and <P,E'> need no coin and <E,E'> is the XOR of the two tests;
-``assign`` builds its outcomes from the same tests (``quantum.BornFlipModel``).
-``LHVSign`` takes each mask from one subtract-and-compare on the phase
-(``lhv_disagreements``) and counts with no mask (``lhv_disagreement_counts``);
-``FileReplay`` compares its outcomes, streaming its rows from the file.
-``generate_block`` assigns a block ``CHUNK_PAIRS`` pairs at a time and returns
-one ``OutcomeSequence`` per axis; ``correlate_block`` reduces the chunks'
-masks to estimates, and ``product_sums`` their counts to exact sums.
+Every model (and ``quantum.SingletSource``) has two methods over a span
+of a block's pairs: ``assign`` gives the outcomes keyed by symbol, and
+``disagreement_counts`` how many pairs have u != v on each axis pair,
+which is all a product sum needs (``core.product_sum``).
+``CollapseSequential`` counts from the Born tests alone: E is -P exactly
+where the E draw keeps the sign -P that the P coin prepares, so <P,E> and
+<P,E'> need no coin and <E,E'> is the XOR of the two tests; ``assign``
+builds its outcomes from the same tests (``quantum.BornFlipModel``).
+``LHVSign`` counts from the phases with one compare per half-turn start
+(``lhv_disagreement_counts``); ``FileReplay`` compares its outcomes,
+streaming its rows from the file.  ``generate_block`` assigns a block
+``CHUNK_PAIRS`` pairs at a time and returns one ``OutcomeSequence`` per
+axis; ``correlate_block`` and ``product_sums`` add up the counts over spans
+of at most ``CHUNK_PAIRS`` pairs, cut at each checkpoint for the former.
 Whether an axis's value needs Weak Realism (a primed axis is never the
 measured one) is decided by the definability engine in ``relativity``.
 
@@ -66,10 +66,11 @@ from .core import (
     CorrelationEstimate,
     OutcomeSequence,
     ReplayFormatError,
-    RunningCorrelation,
     Side,
     UnsupportedAxisError,
     as_angle,
+    checkpoints,
+    product_sum,
     side_of_symbol,
 )
 from .quantum import BornFlipModel, fair_coins, keep_probability, pair_uniforms
@@ -82,11 +83,9 @@ __all__ = [
     "ReplayFormatError",
     "UnsupportedAxisError",
     "correlate_block",
-    "disagreement_chunks",
     "generate_block",
     "half_turn_start",
     "lhv_disagreement_counts",
-    "lhv_disagreements",
     "lhv_outcomes",
     "model_from_spec",
     "product_sums",
@@ -121,32 +120,18 @@ def _check_phases(phases) -> None:
         raise TypeError("phases must be a uint32 array of phase lanes")
 
 
-def lhv_disagreements(phases: np.ndarray, starts) -> list[np.ndarray]:
-    """``u != v`` for each pair of half-turn starts (s_a, s_b) in ``starts``.
+def lhv_disagreement_counts(phases: np.ndarray, starts) -> list[int]:
+    """How many lanes have u != v for each pair of half-turn starts (s_a, s_b).
 
     The outcomes differ exactly where x = l - s_a (mod 2**32) lies in the
     symmetric difference of [0, 2**31) and [d, d + 2**31), d = s_b - s_a:
     where x mod 2**31 < d for d < 2**31, and where it is not below
-    d - 2**31 otherwise.  Doubling modulo 2**32 takes x mod 2**31 to the
-    top 31 bits, so each pair is one subtraction from the doubled phases
-    and one comparison, and no outcome array is built.
+    d - 2**31 otherwise.  Doubling modulo 2**32 takes x mod 2**31 to the top
+    31 bits: with A, B the doubled starts and F(t) the doubled phases below
+    t, a pair with d < 2**31 differs on the cyclic arc [A, B), F(B) - F(A)
+    plus n if A > B, and otherwise on the other lanes.  One compare per
+    doubled start, and no outcome is built.
     """
-    _check_phases(phases)
-    doubled = phases << np.uint32(1)
-    masks = []
-    for start_a, start_b in starts:
-        d = (start_b - start_a) % 2**32
-        x = doubled - np.uint32(2 * start_a % 2**32)
-        limit = np.uint32(2 * d % 2**32)
-        masks.append(x < limit if d < 2**31 else x >= limit)
-    return masks
-
-
-def lhv_disagreement_counts(phases: np.ndarray, starts) -> list[int]:
-    """How many lanes ``lhv_disagreements`` marks for each pair of starts, with
-    no mask.  With A, B the doubled starts and F(t) the doubled phases below t,
-    a pair with d < 2**31 marks the cyclic arc [A, B): F(B) - F(A), plus the n
-    lanes if A > B; otherwise the other lanes.  One compare per doubled start."""
     _check_phases(phases)
     doubled, n = phases << np.uint32(1), phases.size
     below = {t: int(np.count_nonzero(doubled < np.uint32(t)))
@@ -172,19 +157,11 @@ class LHVSign:
             for symbol, theta in block.axes.items()
         }
 
-    def disagreements(self, block: Block, seed: int, span: slice, pairs) -> list[np.ndarray]:
-        """``u != v`` for each axis pair, from the phases (``lhv_disagreements``)."""
-        return lhv_disagreements(*self._phases_and_starts(block, seed, span, pairs))
-
     def disagreement_counts(self, block: Block, seed: int, span: slice, pairs) -> list[int]:
-        """How many pairs disagree on each axis pair (``lhv_disagreement_counts``)."""
-        return lhv_disagreement_counts(*self._phases_and_starts(block, seed, span, pairs))
-
-    def _phases_and_starts(self, block: Block, seed: int, span: slice, pairs) -> tuple:
-        """The span's phase lanes, and the half-turn starts of each axis pair."""
+        """How many pairs in ``span`` disagree on each axis pair (``lhv_disagreement_counts``)."""
         start = {s: half_turn_start(t, side_of_symbol(s)) for s, t in block.axes.items()}
         phases = pair_uniforms(block, seed, span, 0, 32)
-        return phases, [(start[a], start[b]) for a, b in pairs]
+        return lhv_disagreement_counts(phases, [(start[a], start[b]) for a, b in pairs])
 
 
 class CollapseSequential(BornFlipModel):
@@ -267,12 +244,10 @@ class FileReplay:
         values = values.reshape(-1, len(block.axes))
         return {symbol: values[:, i] for i, symbol in enumerate(block.axes)}
 
-    def disagreements(self, block: Block, seed: int, span: slice, pairs) -> list[np.ndarray]:
-        """``u != v`` for each axis pair, comparing the outcomes ``assign`` gives."""
+    def disagreement_counts(self, block: Block, seed: int, span: slice, pairs) -> list[int]:
+        """How many pairs in ``span`` disagree on each axis pair, from ``assign``."""
         chunk = self.assign(block, seed, span)
-        return [chunk[a] != chunk[b] for a, b in pairs]
-
-    disagreement_counts = BornFlipModel.disagreement_counts  # counts its own masks
+        return [int(np.count_nonzero(chunk[a] != chunk[b])) for a, b in pairs]
 
     def _lines(self) -> Iterator[tuple[int, str]]:
         """(physical line number, text) of each non-blank, non-comment line."""
@@ -336,31 +311,32 @@ CounterfactualModel = LHVSign | CollapseSequential | FileReplay
 CHUNK_PAIRS = 2**16
 
 
-def disagreement_chunks(model, block: Block, seed: int, pairs) -> Iterator[list[np.ndarray]]:
-    """``model.disagreements`` over consecutive ``CHUNK_PAIRS``-pair spans of a
-    block: one bool mask per axis pair and chunk, True where the outcomes differ."""
-    for lo in range(0, block.count, CHUNK_PAIRS):
-        yield model.disagreements(block, seed, slice(lo, lo + CHUNK_PAIRS), pairs)
+def _spans(count: int, cuts=()) -> Iterator[slice]:
+    """Consecutive spans of ``count`` pairs, cut at ``CHUNK_PAIRS`` multiples and ``cuts``."""
+    ends = sorted({*range(CHUNK_PAIRS, count, CHUNK_PAIRS), *cuts, count})
+    return map(slice, [0, *ends], ends)
 
 
 def correlate_block(model, block: Block, seed: int, pairs) -> list[CorrelationEstimate]:
     """``correlate`` of each axis pair over a block, without holding the block.
 
-    Each chunk adds only its disagreement masks to the running estimates, so
-    a seeded model need not build the outcomes themselves.
+    The spans end at every checkpoint, where the running disagreement counts
+    give the partial sums; no outcome or mask outlives its span.
     """
-    running = [RunningCorrelation(block.count) for _ in pairs]
-    for masks in disagreement_chunks(model, block, seed, pairs):
-        for estimate, differ in zip(running, masks):
-            estimate.add(differ)
-    return [estimate.estimate() for estimate in running]
+    n, marks = block.count, checkpoints(block.count)
+    total, at_marks = [0] * len(pairs), []
+    for span in _spans(n, marks):
+        total = list(map(operator.add, total, model.disagreement_counts(block, seed, span, pairs)))
+        if span.stop in marks:
+            at_marks.append(total)
+    sums = [tuple(map(product_sum, marks, column)) for column in zip(*at_marks)]
+    return [CorrelationEstimate(n, partial[-1], partial) for partial in sums]
 
 
 def product_sums(model, block: Block, seed: int, pairs) -> list[int]:
     """Exact product sum of each axis pair over a block, counted chunk by chunk."""
-    spans = (slice(lo, lo + CHUNK_PAIRS) for lo in range(0, block.count, CHUNK_PAIRS))
-    counts = [model.disagreement_counts(block, seed, span, pairs) for span in spans]
-    return [block.count - 2 * sum(differ) for differ in zip(*counts)]
+    counts = [model.disagreement_counts(block, seed, span, pairs) for span in _spans(block.count)]
+    return [product_sum(block.count, sum(differ)) for differ in zip(*counts)]
 
 
 def generate_block(
@@ -372,8 +348,7 @@ def generate_block(
     counterfactual value on an axis are one and the same entry, so the
     single-tuple convention holds by construction.
     """
-    spans = (slice(lo, lo + CHUNK_PAIRS) for lo in range(0, block.count, CHUNK_PAIRS))
-    chunks = [model.assign(block, seed, span) for span in spans]
+    chunks = [model.assign(block, seed, span) for span in _spans(block.count)]
     return {s: OutcomeSequence(np.concatenate([c[s] for c in chunks])) for s in block.axes}
 
 

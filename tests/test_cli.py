@@ -523,10 +523,10 @@ class TestMain:
 
 
 def _recorded_blocks(monkeypatch):
-    """The blocks that later runs hand to ``realism.disagreement_chunks`` or
+    """The blocks that later runs hand to ``realism.correlate_block`` or
     ``realism.product_sums``, in order."""
     blocks = []
-    for name in ("disagreement_chunks", "product_sums"):
+    for name in ("correlate_block", "product_sums"):
         def recording(model, block, seed, pairs, real=getattr(realism, name)):
             blocks.append(block)
             return real(model, block, seed, pairs)
@@ -657,6 +657,30 @@ class TestSweepModels:
         want = "configuration error: collapse-sequential defines no second axis on the P side"
         assert want in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("step, configurations", [("1.0", 4), (None, 91), ("7", 1)])
+    def test_file_replay_sweeps_one_configuration_or_exits_2_before_reading(
+        self, step, configurations, monkeypatch, tmp_path, capsys
+    ):
+        path = tmp_path / "vectors.txt"
+        path.write_text("E=0 E'=0 P=0 P'=0\n" + "1 1 -1 1\n" * 3)
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"scenario = lhv-sweep\nmodel = file-replay\nmodel.path = {path}\n"
+                       "pairs = 3\n")
+        reads, read = [], realism.FileReplay._read
+        monkeypatch.setattr(realism.FileReplay, "_read",
+                            lambda self, block: reads.append(block) or read(self, block))
+        argv = ["--config", str(cfg), *(["--grid-step", step] if step else [])]
+        if configurations == 1:
+            assert main(argv) == 0
+            assert "0 violations across 1 configurations" in capsys.readouterr().out
+            assert len(reads) == 1
+            return
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"gives {configurations} configurations, but a replay header fixes one" in err
+        assert "grid-step of at least 2*pi with file-replay" in err
+        assert "angle mismatch" not in err and reads == []
 
     def test_file_replay_gives_its_rows_product_sums(self, monkeypatch, tmp_path):
         # a step over 2 pi leaves the one configuration phi = 0: all four axes at 0

@@ -10,7 +10,6 @@ from belllab.core import (
     Angle,
     Block,
     OutcomeSequence,
-    RunningCorrelation,
     checkpoints,
     correlate,
     pair_symbol,
@@ -110,49 +109,6 @@ class TestCorrelate:
         lo, hi = est.interval(tol)
         assert est.mean - tol <= lo and hi <= est.mean + tol
         assert -1.0 <= est.mean <= 1.0
-
-
-def reference_estimate(u, v):
-    """(sum, partial sums at checkpoints), one pair at a time."""
-    total, partial, marks = 0, [], checkpoints(len(u))
-    for i, (a, b) in enumerate(zip(u, v)):
-        total += a * b
-        if i + 1 in marks:
-            partial.append(total)
-    return total, tuple(partial)
-
-
-class TestRunningCorrelation:
-    @given(
-        st.lists(st.sampled_from([-1, 1]), min_size=1, max_size=128),
-        st.randoms(use_true_random=False),
-    )
-    def test_any_split_gives_the_reference_estimate(self, values, rnd):
-        v = [rnd.choice([-1, 1]) for _ in values]
-        n = len(values)
-        cuts = sorted(rnd.choices(range(n + 1), k=rnd.randint(0, 8)))  # may repeat
-        running = RunningCorrelation(n)
-        for lo, hi in zip([0, *cuts], [*cuts, n]):
-            running.add(seq(values).values[lo:hi] != seq(v).values[lo:hi])
-        est = running.estimate()
-        assert est == correlate(seq(values), seq(v))
-        assert (est.sum_products, est.partial_sums) == reference_estimate(values, v)
-
-    def test_fed_length_must_match(self):
-        running = RunningCorrelation(3)
-        running.add(seq([1, 1]).values != seq([1, -1]).values)
-        with pytest.raises(ValueError, match="2 of 3"):
-            running.estimate()
-        with pytest.raises(ValueError, match="4 of 3"):
-            running.add(np.zeros(2, dtype=bool))
-        running.add(np.zeros(1, dtype=bool))
-        assert running.estimate() == correlate(seq([1, 1, 1]), seq([1, -1, 1]))
-
-    def test_a_stretch_past_n_is_rejected_when_fed(self):
-        running = RunningCorrelation(3)
-        with pytest.raises(ValueError, match="5 of 3 values fed"):
-            running.add(np.ones(5, dtype=bool))
-        assert (running.seen, running.total, running.partial_sums) == (0, 0, [])
 
 
 class TestOutcomeSequence:

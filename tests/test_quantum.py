@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from belllab import quantum, realism
-from belllab.core import SYM_E, SYM_EP, SYM_P, Block, Side
+from belllab.core import SYM_E, SYM_EP, SYM_P, Block, Side, correlate
 from belllab.quantum import (
     REFINEMENT,
     SingletSource,
@@ -228,7 +228,7 @@ def test_regions_share_no_counter(monkeypatch):
             return real(self.key, self.counter).random_raw(words)
 
     monkeypatch.setattr(quantum, "_philox", Recording)
-    CollapseSequential().disagreements(block, 8, slice(None), [(SYM_E, SYM_EP)])
+    CollapseSequential().disagreement_counts(block, 8, slice(None), [(SYM_E, SYM_EP)])
     # four distinct regions: the two columns and their refinement words
     regions = sorted({lo >> 192 for _, lo, _ in reads})
     assert regions == [0, 1, 2**63, 2**63 + 1] and REFINEMENT == 2**63
@@ -468,16 +468,18 @@ def test_forced_ties_read_the_refinement_word(monkeypatch):
         return refinement_words(block, seed, column, first, ties)
 
     monkeypatch.setattr(quantum, "refinement_words", spy)
-    (mask,) = SingletSource().disagreements(block, 21, slice(None), [(SYM_E, SYM_P)])
+    a, b = SingletSource().sample_pairs(block, 21)
     assert asked == tied.tolist() and 1234 in asked
     high, low = born_threshold(keep_probability(delta))
     t = int(high) << 32 | int(low)
     words = reference_refinements(block, 21, 0, range(block.count))
-    assert np.array_equal(mask, forty_seven_bit_test(lanes, words, t))
+    assert np.array_equal(a != b, forty_seven_bit_test(lanes, words, t))
+    (count,) = SingletSource().disagreement_counts(block, 21, slice(None), [(SYM_E, SYM_P)])
+    assert count == np.count_nonzero(a != b)
 
 
 @pytest.mark.parametrize("collapse", [False, True], ids=["singlet", "collapse"])
-def test_forced_tie_masks_do_not_depend_on_chunk_size(collapse, monkeypatch):
+def test_forced_tie_counts_do_not_depend_on_chunk_size(collapse, monkeypatch):
     n = 2**16 + 300
     lanes = pair_uniforms(Block({SYM_E: 0.0}, count=n, index=2), 4, slice(None))
     delta = tie_angle(lanes[2**16 + 5])  # a tie in the second 2**16 chunk
@@ -487,12 +489,11 @@ def test_forced_tie_masks_do_not_depend_on_chunk_size(collapse, monkeypatch):
     else:
         model, pairs = SingletSource(), [(SYM_E, SYM_P)]
         block = Block({SYM_E: delta, SYM_P: 0.0}, count=n, index=2)
-    whole = model.disagreements(block, 4, slice(None), pairs)
+    whole = realism.generate_block(model, block, 4)
+    want = [correlate(whole[a], whole[b]) for a, b in pairs]
     for chunk in (1, 7, 2**16, n):
         monkeypatch.setattr(realism, "CHUNK_PAIRS", chunk)
-        parts = list(realism.disagreement_chunks(model, block, 4, pairs))
-        for k, mask in enumerate(whole):
-            assert np.array_equal(np.concatenate([p[k] for p in parts]), mask), chunk
+        assert realism.correlate_block(model, block, 4, pairs) == want, chunk
 
 
 def test_draws_keep_their_integer_dtypes():

@@ -15,7 +15,7 @@ from belllab.core import (
     Side,
     correlate,
 )
-from belllab.quantum import born_threshold, fair_coins, pair_uniforms, refinement_words
+from belllab.quantum import born_threshold, pair_uniforms, refinement_words
 from belllab.realism import (
     CollapseSequential,
     FileReplay,
@@ -23,8 +23,8 @@ from belllab.realism import (
     ReplayFormatError,
     UnsupportedAxisError,
     generate_block,
+    half_turn_start,
     lhv_disagreement_counts,
-    lhv_disagreements,
     lhv_outcomes,
     model_from_spec,
 )
@@ -156,8 +156,6 @@ class TestLhvPhaseKernel:
         with pytest.raises(TypeError, match="uint32"):
             lhv_outcomes(phases, 0.0, Side.ALICE)
         with pytest.raises(TypeError, match="uint32"):
-            lhv_disagreements(phases, [(0, 2**30)])
-        with pytest.raises(TypeError, match="uint32"):
             lhv_disagreement_counts(phases, [(0, 2**30)])
 
     @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf, np.array(math.nan)])
@@ -169,18 +167,29 @@ class TestLhvPhaseKernel:
 ARC_GAPS = [0, 1, 2**31 - 1, 2**31, 2**31 + 1, TURN - 1]
 
 
-class TestLhvDisagreements:
+def outcomes_from(phases, start):
+    """``lhv_outcomes`` on Alice's side along the angle whose +1 half-turn
+    starts at phase lane ``start``."""
+    theta = (start + TURN // 4) / TURN * math.tau
+    assert half_turn_start(theta, Side.ALICE) == start
+    return lhv_outcomes(phases, theta, Side.ALICE)
+
+
+def differ_count(phases, start_a, start_b):
+    return int(np.count_nonzero(outcomes_from(phases, start_a) != outcomes_from(phases, start_b)))
+
+
+class TestLhvDisagreementCounts:
     @settings(max_examples=300, deadline=None)
     @given(lanes, st.integers(0, TURN - 1), st.sampled_from(ARC_GAPS) | st.integers(0, TURN - 1))
-    def test_is_the_outcome_comparison(self, ws, start_a, d):
+    def test_counts_the_outcomes_that_differ(self, ws, start_a, d):
         start_b = (start_a + d) % TURN
         near = [(s + k) % TURN for s in (start_a, start_b) for k in (-1, 0, 1, 2**31)]
         phases = np.array(ws + EDGE_LANES + near, dtype=np.uint32)
-        (got,) = lhv_disagreements(phases, [(start_a, start_b)])
-        want = fair_coins(phases - np.uint32(start_a)) != fair_coins(phases - np.uint32(start_b))
-        assert got.dtype == bool and np.array_equal(got, want)
+        (got,) = lhv_disagreement_counts(phases, [(start_a, start_b)])
+        assert got == differ_count(phases, start_a, start_b)
         if d in (0, 2**31):  # the same half-turn, or the opposite one
-            assert not got.any() if d == 0 else got.all()
+            assert got == (0 if d == 0 else phases.size)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -191,7 +200,7 @@ class TestLhvDisagreements:
             min_size=1, max_size=8,
         ),
     )
-    def test_counts_are_the_masks_counted(self, ws, firsts, gaps):
+    def test_counts_of_many_starts_share_their_thresholds(self, ws, firsts, gaps):
         # first starts repeat, and one sits 2**31 from another: equal doubled starts
         firsts = [*firsts, (firsts[0] + 2**31) % TURN]
         starts = [(firsts[i % len(firsts)], (firsts[i % len(firsts)] + d) % TURN) for i, d in gaps]
@@ -199,8 +208,7 @@ class TestLhvDisagreements:
         near = [(s + k) % TURN for pair in starts for s in pair
                 for k in (-1, 0, 1, 2**31 - 1, 2**31, 2**31 + 1)]
         phases = np.array(ws + EDGE_LANES + near, dtype=np.uint32)
-        masks = lhv_disagreements(phases, starts)
-        want = [int(np.count_nonzero(mask)) for mask in masks]
+        want = [differ_count(phases, a, b) for a, b in starts]
         assert lhv_disagreement_counts(phases, starts) == want
 
     @settings(max_examples=60, deadline=None)
@@ -209,17 +217,17 @@ class TestLhvDisagreements:
         other=st.floats(-math.pi, math.pi),
         seed=st.integers(0, 2**64 - 1),
     )
-    def test_model_masks_are_the_assigned_outcomes_compared(self, theta, other, seed):
+    def test_model_counts_are_the_assigned_outcomes_compared(self, theta, other, seed):
         # both sides, an equal axis across sides and an opposite one on Bob's
         axes = {SYM_E: theta, SYM_EP: other, SYM_P: theta, SYM_PP: theta + math.pi}
         block = Block(axes, count=300, index=2)
         pairs = [*itertools.combinations(axes, 2), (SYM_E, SYM_E), (SYM_PP, SYM_E)]
         outcomes = LHVSign().assign(block, seed, slice(None))
-        masks = LHVSign().disagreements(block, seed, slice(None), pairs)
-        for (a, b), mask in zip(pairs, masks):
-            assert np.array_equal(mask, outcomes[a] != outcomes[b]), (a, b)
-        assert masks[pairs.index((SYM_E, SYM_P))].all()
-        assert not masks[pairs.index((SYM_E, SYM_E))].any()
+        counts = LHVSign().disagreement_counts(block, seed, slice(None), pairs)
+        for (a, b), count in zip(pairs, counts):
+            assert count == np.count_nonzero(outcomes[a] != outcomes[b]), (a, b)
+        assert counts[pairs.index((SYM_E, SYM_P))] == 300
+        assert counts[pairs.index((SYM_E, SYM_E))] == 0
 
     @pytest.mark.parametrize("d", [0, 1, 2**31 - 1, 2**31])
     def test_gaps_at_the_edges(self, d):
@@ -227,9 +235,10 @@ class TestLhvDisagreements:
         start_a = start_lane(0.7)
         phases = np.arange(0, TURN, 2**20 - 1, dtype=np.uint64).astype(np.uint32)
         phases = np.concatenate([phases, np.array(EDGE_LANES, dtype=np.uint32)])
-        (got,) = lhv_disagreements(phases, [(start_a, (start_a + d) % TURN)])
+        (got,) = lhv_disagreement_counts(phases, [(start_a, (start_a + d) % TURN)])
         x = (phases.astype(np.int64) - start_a) % 2**31
-        assert np.array_equal(got, x < d if d < 2**31 else np.ones_like(got))
+        assert got == (np.count_nonzero(x < d) if d < 2**31 else phases.size)
+        assert got == differ_count(phases, start_a, (start_a + d) % TURN)
 
 
 class TestLhvTwoPointFunction:

@@ -1,15 +1,17 @@
 """Streamed blocks give the same results at every chunk size.
 
-Every sampled scenario runs its blocks through ``realism.disagreement_chunks``
-in chunks of ``realism.CHUNK_PAIRS`` pairs.  Philox is counter-based, so a
-chunk reads the same draws as the one-shot block, and the reductions carry
-exact integer sums from chunk to chunk: nothing here may depend on where
-the chunks split.
+Every sampled scenario counts its blocks' disagreements over spans of at
+most ``realism.CHUNK_PAIRS`` pairs (``realism.correlate_block``, which also
+cuts them at each checkpoint, and ``realism.product_sums``).  Philox is
+counter-based, so a span reads the same draws as the one-shot block, and
+the reductions carry exact integer counts from span to span: nothing here
+may depend on where the spans split.
 """
 
 import itertools
 import json
 import math
+import operator
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -20,7 +22,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from belllab import cli, realism
-from belllab.core import SYM_E, SYM_EP, SYM_P, SYM_PP, Block, checkpoints, correlate
+from belllab.core import (
+    SYM_E,
+    SYM_EP,
+    SYM_P,
+    SYM_PP,
+    Block,
+    OutcomeSequence,
+    checkpoints,
+    correlate,
+)
 from belllab.inequalities import (
     V3_PAIRS,
     V4_PAIRS,
@@ -238,10 +249,10 @@ def test_file_replay_memory_does_not_grow_with_the_file(tmp_path):
 # Gaps whose Born probability (1 + cos(gap)) / 2 is exactly 1, 1/2 and 0,
 # and any other gap.
 GAPS = st.sampled_from([0.0, math.pi / 2, math.pi]) | st.floats(-math.tau, math.tau)
-MASK_MODELS = ["singlet", "collapse-E", "collapse-E'", "collapse-both", "lhv", "replay"]
+MODEL_KINDS = ["singlet", "collapse-E", "collapse-E'", "collapse-both", "lhv", "replay"]
 
 
-def mask_model(kind, angles, n, seed, directory):
+def model_and_block(kind, angles, n, seed, directory):
     """A model of ``kind`` and a block it defines, with the given angles."""
     if kind == "singlet":
         return SingletSource(), Block({SYM_EP: angles[0], SYM_PP: angles[1]}, count=n)
@@ -262,34 +273,74 @@ def mask_model(kind, angles, n, seed, directory):
     return FileReplay(path), block
 
 
-@settings(max_examples=150, deadline=None)
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+@settings(max_examples=25, deadline=None)
 @given(
-    kind=st.sampled_from(MASK_MODELS),
     base=st.floats(-math.pi, math.pi),
     gaps=st.lists(GAPS, min_size=3, max_size=3),
     n=st.integers(1, 300) | st.integers(2**16 - 3, 2**16 + 40),
-    chunk=st.sampled_from([1, 7, 2**16]),
     seed=st.integers(0, 2**64 - 1),
     data=st.data(),
 )
-def test_disagreements_are_where_the_assigned_outcomes_differ(
-    kind, base, gaps, n, chunk, seed, data
-):
+def test_counts_are_where_the_assigned_outcomes_differ(kind, base, gaps, n, seed, data):
     angles = [base, *(base + gap for gap in gaps)]
     with tempfile.TemporaryDirectory() as directory:
-        model, block = mask_model(kind, angles, n, seed, directory)
+        model, block = model_and_block(kind, angles, n, seed, directory)
         whole = generate_block(model, block, seed)
         pairs = list(itertools.product(block.axes, repeat=2))  # every ordered pair
-        # the chunk holding a drawn pair, and one that crosses a checkpoint
-        starts = {data.draw(st.integers(0, n - 1), label="pair") // chunk * chunk}
-        starts |= {(t - 1) // chunk * chunk for t in checkpoints(n)[-2:]}
-        for lo in starts:
-            span = slice(lo, lo + chunk)
-            masks = model.disagreements(block, seed, span, pairs)
-            for (a, b), mask in zip(pairs, masks):
-                want = whole[a].values[span] != whole[b].values[span]
-                assert mask.dtype == bool and np.array_equal(mask, want), (a, b, lo)
+        # a drawn span, and spans that start mid-word: one inside the first
+        # chunk and one that crosses the chunk edge at 2**16 when n does
+        lo = data.draw(st.integers(0, n - 1), label="lo")
+        spans = {(lo, data.draw(st.integers(lo + 1, n), label="hi"))}
+        spans |= {(min(start, n - 1), n) for start in (1, 2**16 - 3)}
+        for lo, hi in sorted(spans):
+            span = slice(lo, hi)
+            counts = model.disagreement_counts(block, seed, span, pairs)
+            outcomes = model.assign(block, seed, span)
+            for (a, b), count in zip(pairs, counts):
+                assert type(count) is int, (a, b)
+                assert count == np.count_nonzero(outcomes[a] != outcomes[b]), (a, b, span)
+                assert count == np.count_nonzero(
+                    whole[a].values[span] != whole[b].values[span]), (a, b, span)
+        chunk = data.draw(st.sampled_from([1, 7, 2**16]), label="chunk")
         if n // chunk < 400:
             with mock.patch.object(realism, "CHUNK_PAIRS", chunk):
                 streamed = correlate_block(model, block, seed, pairs)
             assert streamed == [correlate(whole[a], whole[b]) for a, b in pairs]
+
+
+def reference_estimate(u, v):
+    """(sum, partial sums at checkpoints): the running sum of u_i * v_i, one
+    pair at a time."""
+    running = list(itertools.accumulate(map(operator.mul, u, v)))
+    return running[-1], tuple(running[t - 1] for t in checkpoints(len(u)))
+
+
+class TestPairAtATimeReference:
+    @given(
+        st.lists(st.sampled_from([-1, 1]), min_size=1, max_size=128),
+        st.randoms(use_true_random=False),
+    )
+    def test_correlate_gives_the_reference_estimate(self, values, rnd):
+        v = [rnd.choice([-1, 1]) for _ in values]
+        est = correlate(OutcomeSequence(values), OutcomeSequence(v))
+        assert (est.n, est.sum_products, est.partial_sums) == (
+            len(values), *reference_estimate(values, v))
+
+    # Checkpoints on and off the chunk edges at 7 and 2**16 pairs.  One pair a
+    # chunk takes tens of microseconds a span, so it runs at the small n only.
+    @pytest.mark.parametrize("kind", ["singlet", "collapse-both", "lhv", "replay"])
+    @pytest.mark.parametrize(
+        "n", [1, 2, 3, 5, 2**16 - 1, 2**16, 2**16 + 1, 3 * 2**16 + 7])
+    def test_every_model_gives_the_reference_estimates(self, kind, n, tmp_path, monkeypatch):
+        angles = [0.3, 1.9, -2.2, 0.3 + math.pi / 2]
+        model, block = model_and_block(kind, angles, n, 11, tmp_path)
+        whole = generate_block(model, block, 11)
+        pairs = list(itertools.product(block.axes, repeat=2))
+        want = [(n, *reference_estimate(whole[a].values.tolist(), whole[b].values.tolist()))
+                for a, b in pairs]
+        got = [correlate(whole[a], whole[b]) for a, b in pairs]
+        assert [(e.n, e.sum_products, e.partial_sums) for e in got] == want
+        for chunk in (1, 7, 2**16) if n <= 5 else (7, 2**16):
+            monkeypatch.setattr(realism, "CHUNK_PAIRS", chunk)
+            assert correlate_block(model, block, 11, pairs) == got, chunk
