@@ -21,7 +21,9 @@ with probability at most 2*K*exp(-N*tol**2/2) over its K checkpoints.
 from __future__ import annotations
 
 import enum
+import functools
 import math
+import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Mapping
 
@@ -45,6 +47,7 @@ __all__ = [
     "UnsupportedAxisError",
     "checkpoints",
     "correlate",
+    "keep_heap_mapped",
     "pair_symbol",
     "product_sum",
     "side_of_symbol",
@@ -176,6 +179,38 @@ class Block:
             side_of_symbol(symbol)  # raises on an unknown symbol
         axes = {symbol: as_angle(theta) for symbol, theta in self.axes.items()}
         object.__setattr__(self, "axes", axes)
+
+
+# mallopt's parameter numbers (malloc.h), and the ceiling glibc's own dynamic
+# mmap threshold reaches on 64-bit (DEFAULT_MMAP_THRESHOLD_MAX) with the trim
+# threshold, twice it, that glibc sets whenever it raises the mmap threshold.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD = 32 * 2**20
+_TRIM_THRESHOLD = 2 * _MMAP_THRESHOLD
+
+
+@functools.cache
+def keep_heap_mapped() -> None:
+    """Pin glibc malloc's mmap and trim thresholds at that ceiling, once per process.
+
+    An array below 32 MiB then comes from the heap, and freeing it leaves its
+    pages mapped unless 64 MiB lie free at the heap top, so the next search or
+    chunk reuses them instead of faulting them in again.  The code that starts
+    array work (the first Philox set-up, each falsification search) calls this.
+    Off glibc it does nothing.
+    """
+    try:
+        libc = os.confstr("CS_GNU_LIBC_VERSION")
+    except (AttributeError, ValueError, OSError):  # no confstr, or not glibc's name
+        return
+    if not libc or not libc.startswith("glibc"):
+        return
+    import ctypes
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
 
 
 def product_sum(n: int, differ: int) -> int:

@@ -36,6 +36,7 @@ from math import fsum
 from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 from .core import SYM_E, SYM_EP, SYM_P, SYM_PP, OutcomeSequence, pair_symbol, product_sum
+from .core import keep_heap_mapped
 
 if TYPE_CHECKING:
     import numpy as np
@@ -66,8 +67,8 @@ V4_PAIRS = ((SYM_E, SYM_P), (SYM_E, SYM_PP), (SYM_EP, SYM_P), (SYM_EP, SYM_PP))
 FEASIBILITY_TOL = 1e-9
 SEARCH_REFINEMENT = 10
 # Angles per axis a search's full-circle scan may hold: steps of 0.1 degree.
-# A V4 search at the cap peaks at 326 MiB RSS and takes 0.4-0.7 s on a 2-vCPU
-# machine; memory grows with its square.
+# A V4 search at the cap peaks at 227 MiB RSS and takes 0.21-0.25 s on a
+# 2-vCPU machine; memory grows with its square.
 SEARCH_MAX_ANGLES = 3600
 
 
@@ -361,9 +362,11 @@ class _SearchSpec:
     """One inequality as ``falsification_search`` sees it.
 
     The objective, positive exactly where the inequality fails, is the sum
-    of ``terms`` minus ``offset``.  A term ``(row, pairs, fn)`` is ``fn`` of
-    the correlations of ``pairs``, which vary only with axis ``row`` and the
-    ``shared`` axis; ``pinned`` is the reference axis held at zero.
+    of ``terms`` minus ``offset``.  A term ``(row, pairs, fn)`` is
+    ``fn(out, *correlations)`` of the correlations of ``pairs``, which vary
+    only with axis ``row`` and the ``shared`` axis; ``fn`` builds the term in
+    the fresh array ``out`` and returns it.  ``pinned`` is the reference axis
+    held at zero.
     ``evaluate`` takes the correlations of all terms' pairs in order.
     """
 
@@ -379,9 +382,28 @@ class _SearchSpec:
         return (*(row for row, _, _ in self.terms), self.shared)
 
 
+def _v3_term(out, xy, xz, yz):
+    """|xy - xz| - (1 - yz), in ``out``."""
+    import numpy as np
+    np.abs(np.subtract(xy, xz, out=out), out=out)
+    return np.subtract(out, 1.0 - yz, out=out)
+
+
+def _abs_sum(out, c1, c2):
+    """|c1 + c2|, in ``out``."""
+    import numpy as np
+    return np.abs(np.add(c1, c2, out=out), out=out)
+
+
+def _abs_difference(out, c3, c4):
+    """|c3 - c4|, in ``out``."""
+    import numpy as np
+    return np.abs(np.subtract(c3, c4, out=out), out=out)
+
+
 _SEARCH_SPECS = {
     "V3": _SearchSpec(
-        terms=((SYM_E, V3_PAIRS, lambda xy, xz, yz: abs(xy - xz) - (1.0 - yz)),),
+        terms=((SYM_E, V3_PAIRS, _v3_term),),
         shared=SYM_EP,
         pinned=SYM_P,
         offset=0.0,
@@ -390,8 +412,7 @@ _SEARCH_SPECS = {
         f"{', '.join(pair_symbol(*p) for p in V3_PAIRS)} under these hypotheses",
     ),
     "V4": _SearchSpec(
-        terms=((SYM_E, V4_PAIRS[:2], lambda c1, c2: abs(c1 + c2)),
-               (SYM_EP, V4_PAIRS[2:], lambda c3, c4: abs(c3 - c4))),
+        terms=((SYM_E, V4_PAIRS[:2], _abs_sum), (SYM_EP, V4_PAIRS[2:], _abs_difference)),
         shared=SYM_P,
         pinned=SYM_PP,
         offset=2.0,
@@ -401,6 +422,11 @@ _SEARCH_SPECS = {
 }
 
 
+def _natural(a: np.ndarray) -> np.ndarray:
+    """``a`` with every broadcast (stride-0) axis cut to length 1."""
+    return a[tuple(slice(None) if stride else slice(1) for stride in a.strides)]
+
+
 def _scan(
     spec: _SearchSpec, value_source: ValueSource, grids: Sequence[np.ndarray]
 ) -> tuple[float, tuple[float, ...]] | None:
@@ -408,7 +434,11 @@ def _scan(
 
     One value-source call covers a rows x shared mesh: row axes (all of equal
     length) as columns, the shared axis as a row.  No term reads another's row
-    axis, so each is maximized over its rows alone.  None when nothing is defined.
+    axis, so each is maximized over its rows alone.  Each term is built in one
+    fresh rows x shared array from its values' natural shapes and reduced
+    before the next is built, so one such array lives beside the values';
+    the winning column of each is then recomputed from column j of its
+    values.  None when nothing is defined.
     """
     import numpy as np
     *row_grids, shared = grids
@@ -416,15 +446,18 @@ def _scan(
     for (row, _, _), grid in zip(spec.terms, row_grids):
         angles[row] = grid[:, None]
     values = value_source(angles)
-    terms = [fn(*(values[pair_symbol(*p)] for p in pairs))
-             for _, pairs, fn in spec.terms]
+    terms = [(fn, [values[pair_symbol(*p)] for p in pairs]) for _, pairs, fn in spec.terms]
+    shape = (len(row_grids[0]), len(shared))
     # fmax skips NaN without nanmax's all-NaN warning.  Float addition is
     # monotone: the sum of maxima rounds as the objective at its maximizer.
-    total = np.sum([np.fmax.reduce(t, axis=0) for t in terms], axis=0) - spec.offset
+    maxima = [np.fmax.reduce(fn(np.empty(shape), *map(_natural, args)), axis=0)
+              for fn, args in terms]
+    total = np.sum(maxima, axis=0) - spec.offset
     if np.all(np.isnan(total)):
         return None
     j = int(np.nanargmax(total))
-    rows = (float(g[int(np.nanargmax(t[:, j]))]) for t, g in zip(terms, row_grids))
+    rows = (float(g[int(np.nanargmax(fn(np.empty(shape[0]), *(v[:, j] for v in args))))])
+            for (fn, args), g in zip(terms, row_grids))
     return float(total[j]), (*rows, float(shared[j]))
 
 
@@ -456,6 +489,7 @@ def falsification_search(
     more than ``SEARCH_MAX_ANGLES`` angles on the circle.
     """
     import numpy as np
+    keep_heap_mapped()
     version = version.upper()
     if version not in _SEARCH_SPECS:
         raise ValueError(f"version must be 'V3' or 'V4', got {version!r}")

@@ -39,7 +39,7 @@ import threading
 
 import numpy as np
 
-from .core import Angle, Block, Side, as_angle, side_of_symbol
+from .core import Angle, Block, Side, as_angle, keep_heap_mapped, side_of_symbol
 
 __all__ = ["SingletSource", "pair_uniforms", "twisted_malus"]
 
@@ -67,6 +67,7 @@ def _philox(key: int, counter: int) -> np.random.Philox:
     the setter reads each word as an integer, so plain lists of them skip
     numpy's element-wise conversion (a third of the cost of a rekey)."""
     if not hasattr(_local, "bg"):
+        keep_heap_mapped()
         _local.bg = np.random.Philox(0)
         _local.state = _local.bg.state  # buffer empty; only the words change
     words = _local.state["state"]

@@ -375,11 +375,6 @@ class DefinabilityEngine:
                 )
         return statuses
 
-    def value_or_raise(
-        self, a: str, b: str, angles: Mapping[str, "Angle | float"]
-    ) -> float:
-        return self.definite_statuses(angles, [(a, b)])[0].value
-
     def values(self, angles: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:
         """Vectorized definite values for every pair of supplied axes.
 

@@ -64,9 +64,8 @@ def _passed(line):
 def test_criterion_1_v3_falsification_under_eacp_fwp():
     start = time.perf_counter()
     engine = DefinabilityEngine(HypothesisSet.parse("WR,EACP,FWP"))
-    c_pe = engine.value_or_raise(SYM_P, SYM_E, V3_ANGLES)
-    c_pep = engine.value_or_raise(SYM_P, SYM_EP, V3_ANGLES)
-    c_eep = engine.value_or_raise(SYM_E, SYM_EP, V3_ANGLES)
+    c_pe, c_pep, c_eep = (st.value for st in engine.definite_statuses(
+        V3_ANGLES, [(SYM_P, SYM_E), (SYM_P, SYM_EP), (SYM_E, SYM_EP)]))
     # the engine's triple (<P,E>, <E',P>, <E,E'>) = (sqrt2/2, sqrt2/2, 0)
     assert abs(c_pe - SQRT2 / 2) <= ANALYTIC_TOL
     assert abs(c_pep - SQRT2 / 2) <= ANALYTIC_TOL
@@ -98,7 +97,7 @@ def test_criterion_1_v3_falsification_under_eacp_fwp():
 def test_criterion_2_v4_chsh_falsification_under_locality():
     engine = DefinabilityEngine(HypothesisSet.parse("WR,Locality"))
     pairs = ((SYM_E, SYM_P), (SYM_E, SYM_PP), (SYM_EP, SYM_P), (SYM_EP, SYM_PP))
-    values = [engine.value_or_raise(a, b, V4_ANGLES) for a, b in pairs]
+    values = [st.value for st in engine.definite_statuses(V4_ANGLES, pairs)]
     report = eval_v4(*values)
     assert report.violated
     assert abs(report.s - 2 * SQRT2) <= ANALYTIC_TOL

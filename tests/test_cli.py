@@ -791,7 +791,9 @@ def test_no_scenario_loads_scipy(tmp_path):
 
 def test_analytic_scenarios_run_without_numpy():
     """observer-order and polytope are plain arithmetic: with numpy unimportable
-    they still print their golden bytes, and a bad scenario still exits 2."""
+    they still print their golden bytes, and a bad scenario still exits 2.
+    Neither they nor the import load ctypes, so the heap policy
+    (``core.keep_heap_mapped``) never runs on those paths."""
     golden = Path(__file__).parent / "golden"
     runs = [["--scenario", name, "--pairs", "3000", "--seed", "7", "--format", fmt]
             for name in ("observer-order", "polytope") for fmt in ("csv", "json", "table")]
@@ -800,12 +802,16 @@ def test_analytic_scenarios_run_without_numpy():
         import contextlib, io, json, sys
         sys.modules["numpy"] = None  # every import of numpy now raises ImportError
         import belllab.cli
+        if "ctypes" in sys.modules:
+            sys.exit("import belllab.cli loaded ctypes")
         results = []
         for argv in json.loads(sys.argv[1]):
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 rc = belllab.cli.main(argv)
             results.append([rc, out.getvalue(), err.getvalue()])
+            if "ctypes" in sys.modules:
+                sys.exit(f"{argv} loaded ctypes")
         print(json.dumps(results))
     """)
     src = str(Path(cli.__file__).resolve().parents[1])

@@ -388,10 +388,10 @@ class TestDefinableCorrelations:
                 assert value.shape == (8, 8) and not value.flags.writeable
                 assert np.array_equal(value, want[key], equal_nan=True), (hyp, key)
 
-    def test_value_or_raise(self):
+    def test_definite_statuses_raise_on_an_undefined_pair(self):
         engine = DefinabilityEngine(HypothesisSet.parse("WR,EACP"))
         with pytest.raises(UndefinedCorrelationError, match="<E',P'>"):
-            engine.value_or_raise(SYM_EP, SYM_PP, ANGLES)
+            engine.definite_statuses(ANGLES, [(SYM_EP, SYM_PP)])
 
 
 # Every pair is DEFINED under {WR, Locality}: -cos on cross-side pairs,
