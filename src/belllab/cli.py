@@ -14,10 +14,7 @@ the scenario has no definite value under the configured hypotheses,
 
 from __future__ import annotations
 
-import argparse
-import csv
 import io
-import json
 import math
 import operator
 import os
@@ -26,37 +23,19 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from types import MappingProxyType
-from typing import Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
-from .core import SYM_E, SYM_EP, SYM_P, SYM_PP, Block, pair_symbol
-from .core import ReplayFormatError, UnsupportedAxisError
-from .inequalities import (
-    V3_PAIRS,
-    V4_PAIRS,
-    eval_v3,
-    eval_v4,
-    feasible_quad,
-    feasible_triple,
-    sica_v3_slack,
-    sica_v4_margin,
-)
-from .relativity import (
-    DefinabilityEngine,
-    HypothesisSet,
-    SpacetimeEvent,
-    UndefinedCorrelationError,
-    boosted_order,
-    find_observer,
-    interval_type,
-    no_correlation_check,
-)
+from .core import SYM_E, SYM_EP, SYM_P, SYM_PP, Block, pair_symbol, sica_v3_slack, sica_v4_margin
+from .core import ReplayFormatError, UndefinedCorrelationError, UnsupportedAxisError
 
-# Not called since the sampled scenarios stream their blocks, but
-# bench/tracer.py wraps these names in this module (and generate_block, see
-# ``__getattr__``).  The sampled scenarios import quantum and realism, and so
-# numpy, themselves: observer-order and polytope run without them.
+# Importing this module loads core alone: each scenario imports the names it
+# calls.  bench/tracer.py wraps correlate here, and sica_v3_check, sica_v4_check
+# and generate_block, which ``__getattr__`` serves; ROADMAP item 1 deletes them.
 from .core import correlate  # noqa: F401
-from .inequalities import sica_v3_check, sica_v4_check  # noqa: F401
+
+if TYPE_CHECKING:
+    import argparse
+    from .relativity import DefinabilityEngine, HypothesisSet
 
 __all__ = ["ConfigError", "ScenarioConfig", "ScenarioResult", "main", "run"]
 
@@ -253,11 +232,13 @@ V4_DEFAULT_ANGLES = {
 
 def _engine(cfg: ScenarioConfig, hypotheses: str, angles: dict):
     """The configured hypotheses or these, angles over ``angles``, and their engine."""
-    chosen = cfg.hypotheses or HypothesisSet.parse(hypotheses)
+    from .relativity import DefinabilityEngine
+    chosen = cfg.hypotheses or _hypotheses(hypotheses)
     return chosen, {**angles, **cfg.angles}, DefinabilityEngine(chosen)
 
 
 def _v3_rows_and_report(engine: DefinabilityEngine, angles: dict):
+    from .inequalities import V3_PAIRS, eval_v3
     rows = _analytic_rows(engine, angles, [(SYM_E, SYM_P), (SYM_EP, SYM_P), (SYM_E, SYM_EP)])
     value = {row["symbol"]: row["value"] for row in rows}
     return rows, eval_v3(*(value[pair_symbol(*p)] for p in V3_PAIRS))
@@ -326,6 +307,7 @@ def _scenario_v3_local(cfg: ScenarioConfig) -> ScenarioResult:
 
 
 def _scenario_v4_chsh(cfg: ScenarioConfig) -> ScenarioResult:
+    from .inequalities import V4_PAIRS, eval_v4
     hypotheses, angles, engine = _engine(cfg, "WR,Locality", V4_DEFAULT_ANGLES)
     rows = _analytic_rows(engine, angles, V4_PAIRS)
     report = eval_v4(*(row["value"] for row in rows))
@@ -352,6 +334,7 @@ def _scenario_v4_chsh(cfg: ScenarioConfig) -> ScenarioResult:
 
 
 def _scenario_no_correlation(cfg: ScenarioConfig) -> ScenarioResult:
+    from .relativity import no_correlation_check
     model = _model(cfg)
     defaults = {s: V3_DEFAULT_ANGLES[s] for s in (SYM_E, SYM_EP, SYM_P)}  # printed in this order
     angles = {**defaults, **cfg.angles}
@@ -391,6 +374,7 @@ _DEFAULT_EVENTS = {"E.x": -1.0, "E.t": 0.0, "P.x": 1.0, "P.t": 0.0}
 
 
 def _scenario_observer_order(cfg: ScenarioConfig) -> ScenarioResult:
+    from .relativity import SpacetimeEvent, boosted_order, find_observer, interval_type
     ev = {**_DEFAULT_EVENTS, **cfg.events}
     e_event = SpacetimeEvent(ev["E.x"], ev["E.t"])
     p_event = SpacetimeEvent(ev["P.x"], ev["P.t"])
@@ -428,6 +412,7 @@ def _scenario_observer_order(cfg: ScenarioConfig) -> ScenarioResult:
 
 
 def _scenario_polytope(cfg: ScenarioConfig) -> ScenarioResult:
+    from .inequalities import feasible_quad, feasible_triple
     default = [math.sqrt(2) / 2, math.sqrt(2) / 2, 0.0]
     target = default if cfg.target is None else cfg.target  # [] is an error below
     if len(target) == 3:
@@ -469,6 +454,7 @@ def _sweep_configurations(step: float) -> int:
 
 
 def _scenario_lhv_sweep(cfg: ScenarioConfig) -> ScenarioResult:
+    from .inequalities import V3_PAIRS
     from .realism import product_sums
     n = cfg.pairs
     step = cfg.grid_step if cfg.grid_step is not None else SWEEP_DEFAULT_STEP
@@ -571,6 +557,7 @@ def _cell(value) -> str:
 
 
 def to_csv(result: ScenarioResult) -> str:
+    import csv
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
@@ -587,6 +574,7 @@ def to_csv(result: ScenarioResult) -> str:
 
 
 def to_json(result: ScenarioResult) -> str:
+    import json
     payload = {
         "schema_version": SCHEMA_VERSION,
         "scenario": result.scenario,
@@ -656,11 +644,16 @@ def parse_config_file(path: "str | Path") -> dict[str, str]:
     return out
 
 
+def _hypotheses(text: str) -> HypothesisSet:
+    from .relativity import HypothesisSet  # relativity loads when hypotheses are parsed
+    return HypothesisSet.parse(text)
+
+
 # Each config key besides scenario: the ScenarioConfig field it sets and what its
 # text parses to.  A key "angles.X" or "events.X" sets entry X of that mapping.
 _KEYS = {
     "seed": ("seed", int), "pairs": ("n_pairs", int),
-    "hypotheses": ("hypotheses", HypothesisSet.parse), "model": ("model", str),
+    "hypotheses": ("hypotheses", _hypotheses), "model": ("model", str),
     "model.path": ("model_path", str), "target": ("target", list),
     "grid-step": ("grid_step", float), "tol": ("tolerance", float),
 }
@@ -714,6 +707,7 @@ def _resolve_out(path: str) -> Path:
 
 
 def main(argv: "list[str] | None" = None) -> int:
+    import argparse
     parser = argparse.ArgumentParser(
         prog="belllab",
         description="Run singlet-experiment scenarios and inequality checks.",
@@ -759,10 +753,11 @@ def main(argv: "list[str] | None" = None) -> int:
 
 
 def __getattr__(name: str):
-    # bench/tracer.py wraps generate_block here; ROADMAP item 1 deletes this hook.
-    if name == "generate_block":
-        from .realism import generate_block
-        return generate_block
+    # bench/tracer.py wraps these three names and correlate in this module;
+    # ROADMAP item 1 deletes this hook and the correlate import.
+    if name in ("generate_block", "sica_v3_check", "sica_v4_check"):
+        from . import inequalities, realism
+        return getattr(realism if name == "generate_block" else inequalities, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

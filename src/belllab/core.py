@@ -44,12 +44,15 @@ __all__ = [
     "OutcomeSequence",
     "ReplayFormatError",
     "Side",
+    "UndefinedCorrelationError",
     "UnsupportedAxisError",
     "checkpoints",
     "correlate",
     "keep_heap_mapped",
     "pair_symbol",
     "product_sum",
+    "sica_v3_slack",
+    "sica_v4_margin",
     "side_of_symbol",
 ]
 
@@ -69,6 +72,10 @@ class UnsupportedAxisError(ValueError):
 
 class ReplayFormatError(ValueError):
     """A replay file does not match the expected layout."""
+
+
+class UndefinedCorrelationError(ValueError):
+    """A correlation without a definite value was required."""
 
 
 class Side(enum.Enum):
@@ -216,6 +223,17 @@ def keep_heap_mapped() -> None:
 def product_sum(n: int, differ: int) -> int:
     """Exact sum of u*v over n pairs of +/-1 values, ``differ`` of them unequal."""
     return n - 2 * differ
+
+
+def sica_v3_slack(n: int, s_xy: int, s_xz: int, s_yz: int) -> float:
+    """Slack of the three-sequence identity from N and its exact product sums,
+    which a streamed run adds up chunk by chunk."""
+    return ((n - s_yz) - abs(s_xy - s_xz)) / n
+
+
+def sica_v4_margin(n: int, s_xy: int, s_xz: int, s_wy: int, s_wz: int) -> float:
+    """Margin of the four-sequence identity from N and its exact product sums."""
+    return (2 * n - abs(s_xy + s_xz) - abs(s_wy - s_wz)) / n
 
 
 def checkpoints(n: int) -> list[int]:

@@ -36,7 +36,7 @@ from math import fsum
 from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 from .core import SYM_E, SYM_EP, SYM_P, SYM_PP, OutcomeSequence, pair_symbol, product_sum
-from .core import keep_heap_mapped
+from .core import keep_heap_mapped, sica_v3_slack, sica_v4_margin
 
 if TYPE_CHECKING:
     import numpy as np
@@ -82,17 +82,6 @@ def _product_sums(*pairs: tuple[OutcomeSequence, OutcomeSequence]) -> tuple[int,
         if len(s) != n:
             raise ValueError(f"length mismatch: {n} vs {len(s)}")
     return n, [product_sum(n, int(np.count_nonzero(u.values != v.values))) for u, v in pairs]
-
-
-def sica_v3_slack(n: int, s_xy: int, s_xz: int, s_yz: int) -> float:
-    """Slack of the three-sequence identity from N and its exact product sums,
-    which a streamed run adds up chunk by chunk."""
-    return ((n - s_yz) - abs(s_xy - s_xz)) / n
-
-
-def sica_v4_margin(n: int, s_xy: int, s_xz: int, s_wy: int, s_wz: int) -> float:
-    """Margin of the four-sequence identity from N and its exact product sums."""
-    return (2 * n - abs(s_xy + s_xz) - abs(s_wy - s_wz)) / n
 
 
 def sica_v3_check(

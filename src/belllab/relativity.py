@@ -38,6 +38,7 @@ from .core import (
     Angle,
     Block,
     CorrelationEstimate,
+    UndefinedCorrelationError,
     as_angle,
     correlate,  # noqa: F401  (bench/tracer.py wraps it in this module)
     pair_symbol,
@@ -79,10 +80,6 @@ SIX_PAIRS = (
     (SYM_E, SYM_EP),
     (SYM_P, SYM_PP),
 )
-
-
-class UndefinedCorrelationError(ValueError):
-    """A correlation without a definite value was required."""
 
 
 @dataclass(frozen=True)

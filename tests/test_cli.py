@@ -759,6 +759,20 @@ def test_analytic_rows_are_definite_and_carry_no_bounds(scenario):
             assert row["lo"] is None and row["hi"] is None, row
 
 
+def _probe(code: str, *args: str) -> str:
+    """Standard output of ``code`` run by a fresh interpreter on this checkout's
+    belllab, with ``args`` as its arguments; fails the test on a non-zero exit."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(code), *args],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 def test_no_scenario_loads_scipy(tmp_path):
     """Feasibility is closed-form, so no scenario needs scipy at run time."""
     triple, quad = tmp_path / "triple.cfg", tmp_path / "quad.cfg"
@@ -766,7 +780,7 @@ def test_no_scenario_loads_scipy(tmp_path):
     quad.write_text("scenario = polytope\ntarget = 0.5, 0.5, 0.5, -0.5\n")
     runs = [["--scenario", name, "--pairs", "1000"] for name in sorted(cli.SCENARIOS)]
     runs += [["--config", str(triple)], ["--config", str(quad)]]
-    probe = textwrap.dedent("""
+    probe = """
         import contextlib, io, json, sys
         import belllab, belllab.cli
         loaded = {"import": "scipy" in sys.modules}
@@ -775,16 +789,8 @@ def test_no_scenario_loads_scipy(tmp_path):
                 assert belllab.cli.main(argv) == 0, argv
             loaded[" ".join(argv)] = "scipy" in sys.modules
         print(json.dumps(loaded))
-    """)
-    src = str(Path(cli.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", probe, json.dumps(runs)],
-        capture_output=True, text=True, timeout=120,
-        env={**os.environ, "PYTHONPATH": path},
-    )
-    assert proc.returncode == 0, proc.stderr
-    loaded = json.loads(proc.stdout)
+    """
+    loaded = json.loads(_probe(probe, json.dumps(runs)))
     assert len(loaded) == 1 + len(runs)
     assert not any(loaded.values()), loaded
 
@@ -798,7 +804,7 @@ def test_analytic_scenarios_run_without_numpy():
     runs = [["--scenario", name, "--pairs", "3000", "--seed", "7", "--format", fmt]
             for name in ("observer-order", "polytope") for fmt in ("csv", "json", "table")]
     runs.append(["--scenario", "bogus"])
-    probe = textwrap.dedent("""
+    probe = """
         import contextlib, io, json, sys
         sys.modules["numpy"] = None  # every import of numpy now raises ImportError
         import belllab.cli
@@ -813,20 +819,55 @@ def test_analytic_scenarios_run_without_numpy():
             if "ctypes" in sys.modules:
                 sys.exit(f"{argv} loaded ctypes")
         print(json.dumps(results))
-    """)
-    src = str(Path(cli.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", probe, json.dumps(runs)],
-        capture_output=True, text=True, timeout=120,
-        env={**os.environ, "PYTHONPATH": path},
-    )
-    assert proc.returncode == 0, proc.stderr
-    *rendered, (rc, _, err) = json.loads(proc.stdout)
+    """
+    *rendered, (rc, _, err) = json.loads(_probe(probe, json.dumps(runs)))
     for argv, (code, out, _) in zip(runs, rendered):
         assert code == 0, argv
         assert out == (golden / f"{argv[1]}.{argv[-1]}").read_text(), argv
     assert rc == 2 and "unknown scenario 'bogus'" in err
+
+
+@pytest.mark.parametrize("argv, unloaded", [
+    ([], ("belllab.inequalities", "belllab.relativity", "belllab.quantum", "belllab.realism",
+          "numpy", "argparse", "csv", "json")),
+    (["--scenario", "observer-order"], ("belllab.inequalities", "numpy", "csv", "json")),
+    (["--scenario", "no-correlation", "--pairs", "1000", "--format", "csv"],
+     ("belllab.inequalities", "json")),
+    (["--scenario", "polytope", "--format", "csv"], ("belllab.relativity", "numpy", "json")),
+    (["--scenario", "lhv-sweep", "--pairs", "10"], ("belllab.relativity", "csv", "json")),
+    (["--scenario", "v3-eacp", "--pairs", "1000"], ("csv", "json")),
+])
+def test_modules_load_only_where_they_are_used(argv, unloaded):
+    """``import belllab.cli`` loads core and cli alone; a run adds the modules
+    its scenario calls, and json or csv only for that output format."""
+    probe = """
+        import contextlib, io, sys
+        before = set(sys.modules)
+        import belllab.cli
+        if sys.argv[1:]:
+            with contextlib.redirect_stdout(io.StringIO()):
+                if belllab.cli.main(sys.argv[1:]) != 0:
+                    sys.exit(f"{sys.argv[1:]} failed")
+        print(*sorted(set(sys.modules) - before))
+    """
+    loaded = set(_probe(probe, *argv).split())
+    assert {"belllab.cli", "belllab.core"} <= loaded
+    assert not loaded & set(unloaded), argv
+
+
+def test_names_the_bench_tracer_wraps_are_their_home_objects():
+    """bench/tracer.py wraps these names on ``cli`` and ``relativity``; they must
+    be the objects their home modules define, also where a hook serves them."""
+    from belllab import core, inequalities, relativity
+    assert cli.correlate is relativity.correlate is core.correlate
+    assert cli.generate_block is relativity.generate_block is realism.generate_block
+    assert cli.sica_v3_check is inequalities.sica_v3_check
+    assert cli.sica_v4_check is inequalities.sica_v4_check
+    assert relativity.UndefinedCorrelationError is core.UndefinedCorrelationError
+    assert cli.sica_v3_slack is inequalities.sica_v3_slack is core.sica_v3_slack
+    assert cli.sica_v4_margin is inequalities.sica_v4_margin is core.sica_v4_margin
+    with pytest.raises(AttributeError, match="no_such_name"):
+        getattr(cli, "no_such_name")
 
 
 @pytest.mark.parametrize(
