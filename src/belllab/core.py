@@ -2,8 +2,8 @@
 
 Everything downstream works with sequences of normalized spin projections,
 i.e. values in {-1, +1}, grouped into blocks of constant axis settings.
-A block maps axis symbols to angles; the symbol alone fixes the side
-(E, E' are Alice's, P, P' Bob's), so no axis carries a side of its own.
+A block maps axis symbols to angles, plain floats that ``wrap_angle`` puts in
+(-pi, pi]; the symbol alone fixes the side (E, E' are Alice's, P, P' Bob's).
 The correlation of two equal-length sequences is
 
     corr(u, v) = (1/N) * sum_i u_i * v_i          in [-1, 1]
@@ -25,6 +25,7 @@ import functools
 import math
 import os
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import TYPE_CHECKING, Iterable, Mapping
 
 if TYPE_CHECKING:
@@ -38,7 +39,6 @@ __all__ = [
     "SYM_EP",
     "SYM_P",
     "SYM_PP",
-    "Angle",
     "Block",
     "CorrelationEstimate",
     "OutcomeSequence",
@@ -54,6 +54,7 @@ __all__ = [
     "sica_v3_slack",
     "sica_v4_margin",
     "side_of_symbol",
+    "wrap_angle",
 ]
 
 # Canonical axis symbols.  E and E' live on Alice's side, P and P' on Bob's.
@@ -104,32 +105,15 @@ def pair_symbol(a: str, b: str) -> str:
     return f"<{first},{second}>"
 
 
-def _wrap(radians: float) -> float:
-    """Map any real angle to the interval (-pi, pi]."""
-    r = math.remainder(radians, math.tau)
+def wrap_angle(radians: float) -> float:
+    """A finite angle in (-pi, pi]; NaN or +/-inf raises ValueError naming it as passed."""
+    r = float(radians)
+    if not math.isfinite(r):
+        raise ValueError(f"angle must be finite, got {radians!r}")
+    r = math.remainder(r, math.tau)
     if r <= -math.pi:
         r += math.tau
     return r
-
-
-@dataclass(frozen=True)
-class Angle:
-    """Planar angle in radians, normalized to (-pi, pi] at construction."""
-
-    radians: float
-
-    def __post_init__(self) -> None:
-        radians = float(self.radians)
-        if not math.isfinite(radians):
-            raise ValueError(f"angle must be finite, got {self.radians!r}")
-        object.__setattr__(self, "radians", _wrap(radians))
-
-    def __sub__(self, other: "Angle") -> "Angle":
-        return Angle(self.radians - other.radians)
-
-
-def as_angle(value: "Angle | float") -> Angle:
-    return value if isinstance(value, Angle) else Angle(float(value))
 
 
 class OutcomeSequence:
@@ -167,13 +151,13 @@ class OutcomeSequence:
 class Block:
     """A stretch of pairs measured with constant axis settings.
 
-    ``axes`` maps axis symbols (E, E', P, P') to their angles; any real
-    angle is wrapped to an ``Angle``, and an unknown symbol is rejected.
+    ``axes`` maps axis symbols (E, E', P, P') to ``wrap_angle`` of their
+    angles, read-only; an unknown symbol is rejected.
     ``index`` names the block's own Philox stream (``quantum.pair_uniforms``),
     so blocks with different indices never share a draw.
     """
 
-    axes: Mapping[str, "Angle | float"]
+    axes: Mapping[str, float]
     count: int
     index: int = 0
 
@@ -184,8 +168,8 @@ class Block:
             raise ValueError(f"block index must be in [0, 2**64), got {self.index}")
         for symbol in self.axes:
             side_of_symbol(symbol)  # raises on an unknown symbol
-        axes = {symbol: as_angle(theta) for symbol, theta in self.axes.items()}
-        object.__setattr__(self, "axes", axes)
+        axes = {symbol: wrap_angle(theta) for symbol, theta in self.axes.items()}
+        object.__setattr__(self, "axes", MappingProxyType(axes))
 
 
 # mallopt's parameter numbers (malloc.h), and the ceiling glibc's own dynamic

@@ -39,14 +39,14 @@ import threading
 
 import numpy as np
 
-from .core import Angle, Block, Side, as_angle, keep_heap_mapped, side_of_symbol
+from .core import Block, Side, keep_heap_mapped, side_of_symbol, wrap_angle
 
 __all__ = ["SingletSource", "pair_uniforms", "twisted_malus"]
 
 
-def twisted_malus(theta1: "Angle | float", theta2: "Angle | float") -> float:
+def twisted_malus(theta1: float, theta2: float) -> float:
     """Singlet correlation between projections along two axes: -cos(t1 - t2)."""
-    return -math.cos(float(as_angle(theta1).radians) - float(as_angle(theta2).radians))
+    return -math.cos(wrap_angle(theta1) - wrap_angle(theta2))
 
 
 # Every operand of a lane array has the lanes' dtype: numpy 1.x promotes an
@@ -256,7 +256,7 @@ class SingletSource(BornFlipModel):
         if len(block.axes) != 2 or len(symbol) != 2:
             raise ValueError("a singlet block needs one Alice axis and one Bob axis")
         alice, bob = symbol[Side.ALICE], symbol[Side.BOB]
-        delta = block.axes[alice].radians - block.axes[bob].radians
+        delta = block.axes[alice] - block.axes[bob]
         return {alice: None, bob: (0, keep_probability(delta))}
 
     def sample_pairs(

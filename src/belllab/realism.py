@@ -61,17 +61,16 @@ from .core import (
     SYM_EP,
     SYM_P,
     SYM_PP,
-    Angle,
     Block,
     CorrelationEstimate,
     OutcomeSequence,
     ReplayFormatError,
     Side,
     UnsupportedAxisError,
-    as_angle,
     checkpoints,
     product_sum,
     side_of_symbol,
+    wrap_angle,
 )
 from .quantum import BornFlipModel, fair_coins, keep_probability, pair_uniforms
 
@@ -92,17 +91,17 @@ __all__ = [
 ]
 
 
-def half_turn_start(theta: "Angle | float", side: Side) -> int:
+def half_turn_start(theta: float, side: Side) -> int:
     """The first phase lane of the half-turn where the outcome along theta
     on ``side`` is +1: theta - pi/2 as a fraction of 2**32, and on Bob's
     side half a turn on, since Bob's outcome is the negation of Alice's."""
     # Python ints until one np.uint32 meets the array, whose subtraction wraps
     # silently (numpy 1.x widens uint32 mixed with a signed int)
-    start = round(as_angle(theta).radians / math.tau * 2**32) - 2**30
+    start = round(wrap_angle(theta) / math.tau * 2**32) - 2**30
     return (start if side is Side.ALICE else start + 2**31) % 2**32
 
 
-def lhv_outcomes(phases: np.ndarray, theta: "Angle | float", side: Side) -> np.ndarray:
+def lhv_outcomes(phases: np.ndarray, theta: float, side: Side) -> np.ndarray:
     """Vectorized hidden-variable outcomes along one axis.
 
     A uint32 phase lane l is the hidden angle lam = l / 2**32 of a turn.  The
@@ -182,11 +181,11 @@ class CollapseSequential(BornFlipModel):
             )
         if SYM_P not in block.axes:
             raise UnsupportedAxisError("collapse-sequential requires a P axis")
-        theta_p = block.axes[SYM_P].radians
+        theta_p = block.axes[SYM_P]
         tests: dict = {SYM_P: None}
         for column, symbol in ((0, SYM_E), (1, SYM_EP)):
             if symbol in block.axes:
-                tests[symbol] = (column, keep_probability(block.axes[symbol].radians - theta_p))
+                tests[symbol] = (column, keep_probability(block.axes[symbol] - theta_p))
         return tests
 
     # a name of this class's own, as bench/tracer.py wraps each model's assign
@@ -274,10 +273,10 @@ class FileReplay:
                 f"{self.path}: block needs axes {sorted(missing)} not in header"
             )
         for symbol, theta in block.axes.items():
-            if abs((as_angle(header[symbol]) - theta).radians) > 1e-9:
+            if abs(wrap_angle(wrap_angle(header[symbol]) - theta)) > 1e-9:
                 raise ReplayFormatError(
                     f"{self.path}: angle mismatch for {symbol!r}: file has "
-                    f"{header[symbol]}, block wants {theta.radians}"
+                    f"{header[symbol]}, block wants {theta}"
                 )
         pick = operator.itemgetter(*(order.index(symbol) for symbol in block.axes))
         count = 0

@@ -35,14 +35,13 @@ from .core import (
     SYM_EP,
     SYM_P,
     SYM_PP,
-    Angle,
     Block,
     CorrelationEstimate,
     UndefinedCorrelationError,
-    as_angle,
     correlate,  # noqa: F401  (bench/tracer.py wraps it in this module)
     pair_symbol,
     side_of_symbol,
+    wrap_angle,
 )
 
 if TYPE_CHECKING:
@@ -338,12 +337,12 @@ class DefinabilityEngine:
         self.hypotheses = hypotheses
 
     def status(
-        self, a: str, b: str, angles: Mapping[str, "Angle | float"]
+        self, a: str, b: str, angles: Mapping[str, float]
     ) -> CorrelationStatus:
         for symbol in (a, b):
             if symbol not in angles:
                 raise KeyError(f"no angle supplied for axis {symbol!r}")
-        cos_d = math.cos((as_angle(angles[a]) - as_angle(angles[b])).radians)
+        cos_d = math.cos(wrap_angle(wrap_angle(angles[a]) - wrap_angle(angles[b])))
         kind, sign, why = _rule(self.hypotheses, a, b)
         value = float(_value(kind, sign, cos_d))
         if not math.isnan(value):
@@ -354,13 +353,13 @@ class DefinabilityEngine:
 
     def statuses(
         self,
-        angles: Mapping[str, "Angle | float"],
+        angles: Mapping[str, float],
         pairs: Iterable[tuple[str, str]] = SIX_PAIRS,
     ) -> list[CorrelationStatus]:
         return [self.status(a, b, angles) for a, b in pairs]
 
     def definite_statuses(
-        self, angles: Mapping[str, "Angle | float"], pairs: Iterable[tuple[str, str]]
+        self, angles: Mapping[str, float], pairs: Iterable[tuple[str, str]]
     ) -> list[CorrelationStatus]:
         """``statuses``, raising UndefinedCorrelationError unless all are definite."""
         statuses = self.statuses(angles, pairs)
@@ -453,9 +452,9 @@ class NoCorrelationReport:
 
 def no_correlation_check(
     model,
-    theta_e: "Angle | float",
-    theta_ep: "Angle | float",
-    theta_p: "Angle | float",
+    theta_e: float,
+    theta_ep: float,
+    theta_p: float,
     n_pairs: int,
     seed: int = 0,
     tolerance: float | None = None,
@@ -471,9 +470,7 @@ def no_correlation_check(
     orthogonal case.
     """
     from .realism import correlate_block
-    theta_e = as_angle(theta_e)
-    theta_ep = as_angle(theta_ep)
-    theta_p = as_angle(theta_p)
+    theta_e, theta_ep, theta_p = map(wrap_angle, (theta_e, theta_ep, theta_p))
     block = Block({SYM_E: theta_e, SYM_EP: theta_ep, SYM_P: theta_p}, count=n_pairs)
     (est,) = correlate_block(model, block, seed, [(SYM_E, SYM_EP)])
     if tolerance is None:
@@ -482,10 +479,10 @@ def no_correlation_check(
     ok = lo <= 0.0 <= hi
     return NoCorrelationReport(
         model=getattr(model, "name", type(model).__name__),
-        theta_e=theta_e.radians,
-        theta_ep=theta_ep.radians,
-        theta_p=theta_p.radians,
-        orthogonal=_orthogonal(math.cos((theta_e - theta_ep).radians)),
+        theta_e=theta_e,
+        theta_ep=theta_ep,
+        theta_p=theta_p,
+        orthogonal=_orthogonal(math.cos(wrap_angle(theta_e - theta_ep))),
         estimate=est,
         tolerance=tolerance,
         verdict=(

@@ -24,7 +24,7 @@ from belllab.cli import (
     parse_config_file,
     run,
 )
-from belllab.core import SYM_E, SYM_EP, SYM_P, SYM_PP, SYMBOLS, Block, correlate
+from belllab.core import SYM_E, SYM_EP, SYM_P, SYM_PP, SYMBOLS, Block, correlate, wrap_angle
 from belllab.inequalities import V3_PAIRS, sica_v3_check, sica_v4_check
 
 SQRT2 = math.sqrt(2.0)
@@ -207,6 +207,31 @@ class TestRun:
         cfg = small("v4-chsh", hypotheses=HypothesisSet.parse("WR,EACP"))
         with pytest.raises(UndefinedCorrelationError):
             run(cfg)
+
+    # the defaults shifted by whole turns, with one axis at a large value
+    _TURN = 2 * math.pi
+    _V3_FAR = {SYM_E: 3 * math.pi / 4 + 3 * _TURN, SYM_EP: -3 * math.pi / 4 - _TURN,
+               SYM_P: 5 * _TURN}
+
+    @pytest.mark.parametrize("scenario, angles, model", [
+        ("v4-chsh", {SYM_E: math.pi / 4 + _TURN, SYM_EP: 3 * math.pi / 4 - 2 * _TURN,
+                     SYM_P: math.pi / 2 + 7 * _TURN, SYM_PP: 1e6}, None),
+        ("v3-local", {**_V3_FAR, SYM_P: 1e6}, None),
+        ("v3-eacp", _V3_FAR, "collapse-sequential"),
+        ("v3-eacp", _V3_FAR, "lhv-sign"),
+        ("no-correlation", {**_V3_FAR, SYM_P: -1e6}, "lhv-sign"),
+        ("no-correlation", _V3_FAR, "collapse-sequential"),
+    ])
+    def test_angles_outside_the_branch_change_only_the_inputs(self, scenario, angles, model):
+        # every consumer wraps: the analytic status, Block, the LHV half-turns
+        # and the Born tests see the same angles as at the wrapped config
+        far = run(small(scenario, n_pairs=3000, seed=4, angles=angles, model=model))
+        wrapped = {s: wrap_angle(theta) for s, theta in angles.items()}
+        near = run(small(scenario, n_pairs=3000, seed=4, angles=wrapped, model=model))
+        assert wrapped != angles
+        assert far.inputs["angles"] == angles and near.inputs["angles"] == wrapped
+        for name in ("correlations", "inequalities", "extras", "verdict"):
+            assert getattr(far, name) == getattr(near, name), name
 
 
 class TestMain:
@@ -603,12 +628,12 @@ class TestSweepAgainstSequences:
 
     def test_the_family_passes_through_both_headline_configurations(self, monkeypatch):
         _, blocks = _run_sweep(monkeypatch, math.pi / 36, 1)
-        at_v4 = {s: angle.radians for s, angle in blocks[9].axes.items()}  # phi = pi/4
+        at_v4 = dict(blocks[9].axes)  # phi = pi/4
         assert at_v4 == pytest.approx(cli.V4_DEFAULT_ANGLES, abs=1e-15)
         at_v3 = blocks[27].axes  # phi = 3 pi/4: V3's defaults reflected
         for a, b in V3_PAIRS:
             want = math.cos(cli.V3_DEFAULT_ANGLES[a] - cli.V3_DEFAULT_ANGLES[b])
-            assert math.cos((at_v3[a] - at_v3[b]).radians) == pytest.approx(want, abs=1e-15)
+            assert math.cos(wrap_angle(at_v3[a] - at_v3[b])) == pytest.approx(want, abs=1e-15)
 
     @pytest.mark.parametrize("step", [2 * math.pi / 3, 0.8, math.pi / 90])
     def test_two_point_deviation_uses_the_wrapped_gap(self, step, monkeypatch):
@@ -618,7 +643,7 @@ class TestSweepAgainstSequences:
         deviations = []
         for block in blocks:
             seqs = realism.generate_block(realism.LHVSign(), block, seed)
-            gap = abs((block.axes[SYM_P] - block.axes[SYM_E]).radians)  # in [0, pi]
+            gap = abs(wrap_angle(block.axes[SYM_P] - block.axes[SYM_E]))  # in [0, pi]
             law = -(1 - 2 * gap / math.pi)  # E and P on opposite sides
             deviations.append(abs(correlate(seqs[SYM_E], seqs[SYM_P]).mean - law))
         assert result.extras["max_two_point_deviation"] == pytest.approx(

@@ -17,12 +17,12 @@ from hypothesis import strategies as st
 import belllab
 from belllab import core
 from belllab.core import (
-    Angle,
     Block,
     OutcomeSequence,
     checkpoints,
     correlate,
     pair_symbol,
+    wrap_angle,
 )
 from belllab.quantum import pair_uniforms
 
@@ -31,56 +31,61 @@ def seq(values):
     return OutcomeSequence(values)
 
 
-class TestAngle:
+def difference(a, b):
+    """The wrapped angle from axis b to axis a, each wrapped first."""
+    return wrap_angle(wrap_angle(a) - wrap_angle(b))
+
+
+class TestWrapAngle:
     def test_wraps_into_half_open_interval(self):
-        assert Angle(3 * math.pi / 2).radians == pytest.approx(-math.pi / 2)
-        assert Angle(math.pi).radians == math.pi
-        assert Angle(-math.pi).radians == math.pi
-        assert Angle(0.0).radians == 0.0
+        assert wrap_angle(3 * math.pi / 2) == pytest.approx(-math.pi / 2)
+        assert wrap_angle(math.pi) == math.pi
+        assert wrap_angle(-math.pi) == math.pi
+        assert wrap_angle(0.0) == 0.0
 
     @given(st.floats(-50.0, 50.0))
     def test_normalization_idempotent(self, x):
-        once = Angle(x)
-        assert Angle(once.radians).radians == once.radians
-        assert -math.pi < once.radians <= math.pi
+        once = wrap_angle(x)
+        assert wrap_angle(once) == once
+        assert -math.pi < once <= math.pi
 
     @given(st.sampled_from([math.nan, -math.nan, math.inf, -math.inf])
            | st.builds(np.float64, st.sampled_from(["nan", "inf", "-inf"])))
     def test_non_finite_values_are_rejected_by_name(self, x):
         with pytest.raises(ValueError, match=re.escape(f"angle must be finite, got {x!r}")):
-            Angle(x)
+            wrap_angle(x)
 
     @given(st.floats(allow_nan=False, allow_infinity=False))
     def test_every_finite_value_wraps(self, x):
-        assert -math.pi < Angle(x).radians <= math.pi
+        assert -math.pi < wrap_angle(x) <= math.pi
 
     @given(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0))
     def test_difference_is_an_angle(self, a, b):
-        d = Angle(a) - Angle(b)
-        assert isinstance(d, Angle)
-        assert -math.pi < d.radians <= math.pi
+        d = difference(a, b)
+        assert isinstance(d, float)
+        assert -math.pi < d <= math.pi
 
 
-class TestAngleBetween:
-    """The signed angle from one axis to another is ``a2 - a1``."""
+class TestWrappedDifference:
+    """The signed angle from one axis to another is ``difference(a2, a1)``."""
 
     def test_quarter_turn(self):
-        assert (Angle(math.pi / 2) - Angle(0.0)).radians == pytest.approx(math.pi / 2)
+        assert difference(math.pi / 2, 0.0) == pytest.approx(math.pi / 2)
 
     def test_wrap_around(self):
         # 3pi/4 to -3pi/4 crosses the branch cut; magnitude is a right angle
-        d = Angle(-3 * math.pi / 4) - Angle(3 * math.pi / 4)
-        assert abs(d.radians) == pytest.approx(math.pi / 2)
+        d = difference(-3 * math.pi / 4, 3 * math.pi / 4)
+        assert abs(d) == pytest.approx(math.pi / 2)
 
     def test_identical_axes(self):
-        assert (Angle(1.234) - Angle(1.234)).radians == 0.0
+        assert difference(1.234, 1.234) == 0.0
 
     @given(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0))
     def test_antisymmetric_up_to_normalization(self, a, b):
-        fwd = (Angle(b) - Angle(a)).radians
-        rev = (Angle(a) - Angle(b)).radians
+        fwd = difference(b, a)
+        rev = difference(a, b)
         assert abs(fwd) <= math.pi
-        assert Angle(fwd + rev).radians == pytest.approx(0.0, abs=1e-12)
+        assert wrap_angle(fwd + rev) == pytest.approx(0.0, abs=1e-12)
 
 
 class TestCorrelate:
@@ -134,9 +139,22 @@ class TestOutcomeSequence:
 
 class TestBlock:
     def test_stores_wrapped_angles(self):
-        b = Block({"E": 0.1, "P'": 3 * math.pi / 2, "P": Angle(0.2)}, count=5)
-        assert b.axes == {"E": Angle(0.1), "P'": Angle(3 * math.pi / 2), "P": Angle(0.2)}
-        assert b.axes["P'"].radians == pytest.approx(-math.pi / 2)
+        b = Block({"E": 0.1, "P'": 3 * math.pi / 2, "P": wrap_angle(0.2)}, count=5)
+        assert b.axes == {"E": wrap_angle(0.1), "P'": wrap_angle(3 * math.pi / 2),
+                          "P": wrap_angle(0.2)}
+        assert b.axes["P'"] == pytest.approx(-math.pi / 2)
+
+    def test_axes_are_read_only(self):
+        # so the wrap and finiteness checks made at construction hold for good
+        axes = {"E": 0.0, "P": 0.5}
+        b = Block(axes, count=5)
+        with pytest.raises(TypeError):
+            b.axes["P"] = math.nan
+        with pytest.raises(TypeError):
+            del b.axes["E"]
+        axes["P"] = math.nan  # the caller's dict is not the block's
+        assert b.axes == {"E": 0.0, "P": 0.5}
+        assert b == Block({"E": 0.0, "P": 0.5}, count=5)
 
     def test_count_validated(self):
         with pytest.raises(ValueError, match=">= 1"):

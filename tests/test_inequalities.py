@@ -13,9 +13,9 @@ from belllab.core import (
     SYM_EP,
     SYM_P,
     SYM_PP,
-    Angle,
     OutcomeSequence,
     pair_symbol,
+    wrap_angle,
 )
 from belllab.inequalities import (
     V3_PAIRS,
@@ -403,7 +403,7 @@ class TestFalsificationSearch:
         out = falsification_search("V3", engine.values, math.pi / 36)
         assert out.found
         assert out.violation == pytest.approx(SQRT2 - 1, abs=1e-9)
-        gap = abs(Angle(out.angles["E"] - out.angles["E'"]).radians)
+        gap = abs(wrap_angle(out.angles["E"] - out.angles["E'"]))
         assert gap == pytest.approx(math.pi / 2, abs=1e-9)
         assert out.report.violated
 

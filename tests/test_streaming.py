@@ -266,7 +266,7 @@ def model_and_block(kind, angles, n, seed, directory):
         return LHVSign(), block
     # replay the LHV outcomes of another seed, header angles as the block has them
     source = generate_block(LHVSign(), block, seed ^ 1)
-    header = " ".join(f"{s}={theta.radians!r}" for s, theta in block.axes.items())
+    header = " ".join(f"{s}={theta!r}" for s, theta in block.axes.items())
     rows = zip(*(source[s].values for s in block.axes))
     path = Path(directory) / "vectors.txt"
     path.write_text(header + "\n" + "".join(" ".join(map(str, r)) + "\n" for r in rows))
