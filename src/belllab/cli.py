@@ -27,6 +27,7 @@ from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 from .core import SYM_E, SYM_EP, SYM_P, SYM_PP, Block, pair_symbol, sica_v3_slack, sica_v4_margin
 from .core import ReplayFormatError, UndefinedCorrelationError, UnsupportedAxisError
+from .core import read_lines, wrap_angle
 
 # Importing this module loads core alone: each scenario imports the names it
 # calls.  bench/tracer.py wraps correlate here, and sica_v3_check, sica_v4_check
@@ -477,7 +478,7 @@ def _scenario_lhv_sweep(cfg: ScenarioConfig) -> ScenarioResult:
         violations += (exact3 < 0) + (exact4 < 0)
 
         # LHV two-point law: +/-(1 - 2*delta/pi) at the wrapped gap delta of E and P
-        analytic = -(1 - 2 * abs(math.remainder(phi, math.tau)) / math.pi)
+        analytic = -(1 - 2 * abs(wrap_angle(phi)) / math.pi)
         max_dev = max(max_dev, abs(s_e_p / n - analytic))
     rows = [
         _row(symbol, "exact", value, n=n, source="sweep",
@@ -626,18 +627,15 @@ FORMATTERS = {"csv": to_csv, "json": to_json, "table": to_table}
 
 # -- configuration -----------------------------------------------------------
 
+# The most characters a config file may hold; a config has about ten keys.
+CONFIG_CAP = 2**20
+
+
 def parse_config_file(path: "str | Path") -> dict[str, str]:
     """Flat key = value lines; # starts a comment; later keys win."""
     out: dict[str, str] = {}
-    try:
-        text = Path(path).read_text()
-    except (OSError, ValueError) as exc:  # ValueError: NUL in path, not UTF-8
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, sep, value = line.partition("=")
+    for lineno, raw in read_lines(path, ConfigError, "config", CONFIG_CAP):
+        key, sep, value = raw.split("#", 1)[0].partition("=")
         if not sep:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         out[key.strip()] = value.strip()

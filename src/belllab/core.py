@@ -26,7 +26,7 @@ import math
 import os
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 if TYPE_CHECKING:
     import numpy as np
@@ -51,6 +51,7 @@ __all__ = [
     "keep_heap_mapped",
     "pair_symbol",
     "product_sum",
+    "read_lines",
     "sica_v3_slack",
     "sica_v4_margin",
     "side_of_symbol",
@@ -116,6 +117,41 @@ def wrap_angle(radians: float) -> float:
     return r
 
 
+# The most characters a line of a config or replay file may hold, its end left
+# out: a replay row of four values takes 11, a config line a few dozen.
+LINE_CAP = 2**16
+
+
+def read_lines(path, error: type[ValueError], what: str,
+               total: float = math.inf) -> Iterator[tuple[int, str]]:
+    """(physical line number, stripped text) of each line of a text file that
+    holds more than whitespace and does not start with #, read a line at a time.
+
+    A line ends only at \\n, \\r\\n or \\r, so \\f, \\v or U+2028 stay
+    inside it.  A path that cannot be opened or bytes that do not decode raise
+    ``error`` as "cannot read {what} {path}: ..."; a line of more than
+    ``LINE_CAP`` characters, or a file of more than ``total``, raise it naming
+    the line and the limit.  So memory stays bounded whatever the file holds,
+    and a device or FIFO is read under the same caps as a regular file.
+    """
+    read = 0
+    try:
+        with open(path) as file:
+            lines = iter(functools.partial(file.readline, LINE_CAP + 1), "")
+            for number, line in enumerate(lines, 1):
+                read += len(line)
+                if line[-1] != "\n" and len(line) > LINE_CAP or read > total:
+                    break
+                if (text := line.strip()) and text[0] != "#":
+                    yield number, text
+            else:
+                return
+    except (OSError, ValueError) as exc:  # ValueError: NUL in the path, not UTF-8
+        raise error(f"cannot read {what} {path}: {exc}") from exc
+    limit = f"{total} characters a file" if read > total else f"{LINE_CAP} characters a line"
+    raise error(f"{path}: line {number} passes the limit of {limit}")
+
+
 class OutcomeSequence:
     """A finite run of +/-1 outcomes observed (or inferred) along one axis.
 
@@ -153,7 +189,7 @@ class Block:
 
     ``axes`` maps axis symbols (E, E', P, P') to ``wrap_angle`` of their
     angles, read-only; an unknown symbol is rejected.
-    ``index`` names the block's own Philox stream (``quantum.pair_uniforms``),
+    ``index`` names the block's own Philox stream (``quantum.stream_key``),
     so blocks with different indices never share a draw.
     """
 

@@ -98,21 +98,27 @@ def _lanes(key: int, region: int, first: int, count: int, bits: int) -> np.ndarr
     return lanes[skip : skip + count]
 
 
+def stream_key(block: Block, seed: int) -> int:
+    """The Philox key of the block's stream, ``seed | block.index << 64``: the
+    one place a stream is addressed, so no two (seed, index) pairs share one."""
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
+    return seed | block.index << 64
+
+
 def pair_uniforms(
     block: Block, seed: int, span: slice, column: int = 0, bits: int = 16
 ) -> np.ndarray:
     """Column ``column`` of the block's pairs in ``span``: a 1-D array of
     ``bits``-bit lanes, uint16 by default and uint32 for ``bits=32``.
 
-    The block's stream has key ``seed | block.index << 64``, and column c
+    The block's stream has key ``stream_key(block, seed)``, and column c
     is region c of it: pair i reads lane i, so a pair's lanes never depend
     on how the block is chunked, and blocks with different indices share
     none.  The 32-bit lane i of a region is its 16-bit lanes 2i and 2i + 1.
     """
-    if not 0 <= seed < 2**64:
-        raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
     lo, hi, _ = span.indices(block.count)
-    return _lanes(seed | block.index << 64, column, lo, max(hi - lo, 0), bits)
+    return _lanes(stream_key(block, seed), column, lo, max(hi - lo, 0), bits)
 
 
 def refinement_words(
@@ -121,7 +127,7 @@ def refinement_words(
     """The uint32 refinement words of column ``column`` for the block's pairs
     ``first + t``, t in ``ties``: pair i reads 32-bit lane i of region
     ``REFINEMENT + column``, which shares no counter with a lane region."""
-    key, region = seed | block.index << 64, REFINEMENT + column
+    key, region = stream_key(block, seed), REFINEMENT + column
     words = np.empty(len(ties), dtype=np.uint32)
     for k, t in enumerate(ties):
         words[k] = _lanes(key, region, first + int(t), 1, 32)[0]

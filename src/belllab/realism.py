@@ -69,6 +69,7 @@ from .core import (
     UnsupportedAxisError,
     checkpoints,
     product_sum,
+    read_lines,
     side_of_symbol,
     wrap_angle,
 )
@@ -195,11 +196,14 @@ class CollapseSequential(BornFlipModel):
 class FileReplay:
     """Replay +/-1 tuples from a plain-text vector file.
 
-    Line 1 is a header of ``symbol=angle`` tokens (angles in radians,
-    symbols among E, E', P, P'); each following non-empty line carries one
-    pair's values in header order.  The rows stream: a pass reads the file a
-    chunk at a time and stops at the block's count, and a span that starts at
-    or after the last one's end goes on with it, while any other starts afresh.
+    The first line is a header of ``symbol=angle`` tokens (angles in
+    radians, symbols among E, E', P, P'); each following line carries one
+    pair's values in header order.  Blank lines and lines that start with #
+    are skipped, and errors name the physical line (``core.read_lines``).  The
+    rows stream: a pass reads the file a line at a time, each line at most
+    ``core.LINE_CAP`` characters, and stops at the block's count; a span that
+    starts at or after the last one's end goes on with it, while any other
+    starts afresh.
     """
 
     name = "file-replay"
@@ -248,25 +252,14 @@ class FileReplay:
         chunk = self.assign(block, seed, span)
         return [int(np.count_nonzero(chunk[a] != chunk[b])) for a, b in pairs]
 
-    def _lines(self) -> Iterator[tuple[int, str]]:
-        """(physical line number, text) of each non-blank, non-comment line."""
-        numbers = itertools.count(1)  # zipped after the texts, so no number is skipped
-        try:
-            with self.path.open() as file:
-                while chunk := file.readlines(2**16):  # about 64 KiB at a time
-                    numbered = zip(map(str.strip, "".join(chunk).splitlines()), numbers)
-                    yield from [(n, text) for text, n in numbered if text and text[0] != "#"]
-        except (OSError, ValueError) as exc:  # ValueError: NUL in path, not UTF-8
-            raise ReplayFormatError(f"cannot read replay file {self.path}: {exc}") from exc
-
     def _read(self, block: Block) -> Iterator:
         """One pass over the file: the block's axis values in each of its rows."""
-        lines = self._lines()
+        lines = read_lines(self.path, ReplayFormatError, "replay file")
         first = next(lines, None)
         if first is None:
             raise ReplayFormatError(f"{self.path}: file is empty")
         header = self._parse_header(first[1])
-        order = list(header)
+        width = len(header)
         missing = set(block.axes) - set(header)
         if missing:
             raise ReplayFormatError(
@@ -278,14 +271,14 @@ class FileReplay:
                     f"{self.path}: angle mismatch for {symbol!r}: file has "
                     f"{header[symbol]}, block wants {theta}"
                 )
-        pick = operator.itemgetter(*(order.index(symbol) for symbol in block.axes))
+        pick = operator.itemgetter(*map(list(header).index, block.axes))
         count = 0
         for count, (number, row) in enumerate(itertools.islice(lines, block.count), 1):
             fields = row.split()
-            if len(fields) != len(order):
+            if len(fields) != width:
                 raise ReplayFormatError(
                     f"{self.path}: line {number} has {len(fields)} values, "
-                    f"expected {len(order)}"
+                    f"expected {width}"
                 )
             try:
                 values = tuple(map(int, fields))

@@ -24,7 +24,8 @@ from belllab.cli import (
     parse_config_file,
     run,
 )
-from belllab.core import SYM_E, SYM_EP, SYM_P, SYM_PP, SYMBOLS, Block, correlate, wrap_angle
+from belllab.core import LINE_CAP, SYM_E, SYM_EP, SYM_P, SYM_PP, SYMBOLS, Block, correlate
+from belllab.core import wrap_angle
 from belllab.inequalities import V3_PAIRS, sica_v3_check, sica_v4_check
 
 SQRT2 = math.sqrt(2.0)
@@ -546,6 +547,21 @@ class TestMain:
         err = capsys.readouterr().err
         assert "configuration error: " in err and str(vectors) in err
 
+    def test_a_line_separator_does_not_split_a_replay_row(self, tmp_path, capsys):
+        vectors = tmp_path / "v.txt"
+        vectors.write_text("E=2.356194490192345 E'=-2.356194490192345 P=0.0\n"
+                           "1 -1 1\u20281 1 1\n", encoding="utf-8")
+        cfg = tmp_path / "replay.cfg"
+        cfg.write_text(
+            "scenario = no-correlation\n"
+            "model = file-replay\n"
+            f"model.path = {vectors}\n"
+            "pairs = 2\n"
+        )
+        assert main(["--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert f"{vectors}: line 2 has 6 values, expected 3" in err
+
 
 def _recorded_blocks(monkeypatch):
     """The blocks that later runs hand to ``realism.correlate_block`` or
@@ -754,6 +770,27 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="cannot read config"):
             parse_config_file("c\x00.cfg")
 
+    def test_errors_name_the_physical_line_past_a_form_feed(self, tmp_path):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("seed = 3 \f # a page break\nscenario polytope\n")
+        with pytest.raises(ConfigError, match=f"{cfg}:2: expected 'key = value'"):
+            parse_config_file(cfg)
+
+    def test_a_config_is_read_up_to_its_cap(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        # comment lines of 1,024 characters, the first cut short, after the key
+        head = "scenario = polytope\n"
+        comments = ("#" * 1023 + "\n") * (cli.CONFIG_CAP // 1024)
+        text = head + comments[len(head):]
+        assert len(text) == cli.CONFIG_CAP
+        cfg.write_text(text)
+        assert parse_config_file(cfg) == {"scenario": "polytope"}
+        cfg.write_text(text + "\n")
+        assert main(["--config", str(cfg)]) == 2
+        err, last = capsys.readouterr().err, text.count("\n") + 1
+        assert f"line {last} passes the limit of {cli.CONFIG_CAP} characters a file" in err
+        assert "Traceback" not in err
+
     def test_bad_target(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("scenario = polytope\ntarget = 0.5, x, 0\n")
@@ -796,6 +833,57 @@ def _probe(code: str, *args: str) -> str:
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
+
+
+# CI's `ulimit -v 800000`, in bytes
+_CI_ADDRESS_SPACE = 800_000 * 1024
+
+
+def _sparse(path, text):
+    """``text``, then NULs up to a GiB, in a sparse file: reading its last
+    line whole would need more memory than CI's limit lets a process map."""
+    path.write_text(text)
+    with path.open("r+b") as file:
+        file.truncate(2**30)
+    return path
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
+@pytest.mark.parametrize("case, line", [
+    ("config-dev-zero", 1), ("config-long-comment", 2),
+    ("replay-dev-zero", 1), ("replay-long-row", 3),
+])
+def test_an_input_past_the_line_cap_exits_2_in_bounded_memory(tmp_path, case, line):
+    """A line past the cap exits 2 at once, naming the line and the cap, in a
+    fresh process under CI's memory limit."""
+    import resource
+
+    replay = "scenario = no-correlation\nmodel = file-replay\nmodel.path = {}\n"
+    configs = {
+        "config-dev-zero": "/dev/zero",
+        "config-long-comment": _sparse(tmp_path / "long.cfg", "scenario = polytope\n# "),
+        "replay-dev-zero": tmp_path / "zero.cfg",
+        "replay-long-row": tmp_path / "row.cfg",
+    }
+    configs["replay-dev-zero"].write_text(replay.format("/dev/zero"))
+    rows = _sparse(tmp_path / "v.txt", "E=2.356194490192345 E'=-2.356194490192345 P=0.0\n"
+                                       "1 -1 1\n")
+    configs["replay-long-row"].write_text(replay.format(rows))
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (_CI_ADDRESS_SPACE, _CI_ADDRESS_SPACE))
+
+    src = str(Path(cli.__file__).resolve().parents[1])
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "belllab.cli", "--config", str(configs[case])],
+        capture_output=True, text=True, timeout=60, preexec_fn=limit,
+        env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"},
+    )
+    assert proc.returncode == 2, proc.stderr[-2000:]
+    assert f"line {line} passes the limit of {LINE_CAP} characters a line" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert time.perf_counter() - start < 20
 
 
 def test_no_scenario_loads_scipy(tmp_path):
@@ -955,6 +1043,8 @@ _FUZZ_REPLAYS = {
     "infinite-angle.txt": b"E=inf E'=0.0 P=0.0\n1 1 1\n",
     "empty.txt": b"",
     "not-utf8.txt": b"E=0.0 P=0.0\n1 \xff\n",
+    "long-row.txt": b"E=2.356194490192345 E'=-2.356194490192345 P=0.0\n1 -1 -1\n"
+                    + b"1 " * (LINE_CAP // 2 + 1) + b"\n",
 }
 # A strategy for the text of each config key the fuzz test sets.
 _FUZZ_VALUES = {
@@ -1007,8 +1097,10 @@ def test_main_keeps_the_exit_code_contract(tmp_path, scenario, pairs, step, seed
         for key in sorted(keys):
             value = data.draw(_FUZZ_VALUES[key], label=key)
             lines.append(f"{key} = {tmp_path / value if key == 'model.path' else value}\n")
-        # raw bytes after the keys, often not UTF-8
-        raw = data.draw(st.just(b"") | st.binary(max_size=6), label="raw bytes")
+        # raw bytes after the keys, often not UTF-8, or a comment with no
+        # newline from just under to just over the line cap
+        long = st.integers(LINE_CAP - 2, LINE_CAP + 2).map(lambda n: b"#" * n)
+        raw = data.draw(st.just(b"") | st.binary(max_size=6) | long, label="raw bytes")
         config = tmp_path / "fuzz.cfg"
         config.write_bytes("".join(lines).encode() + raw)
         argv += ["--config", str(config)]

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import textwrap
+import threading
 from pathlib import Path
 from unittest import mock
 
@@ -195,6 +196,61 @@ def test_checkpoints_are_the_powers_of_two_below_n_then_n():
     assert checkpoints(4) == [1, 2, 4]
     assert checkpoints(5) == [1, 2, 4, 5]
     assert checkpoints(10_000) == [2**k for k in range(14)] + [10_000]
+
+
+class TestReadLines:
+    class Bad(ValueError):
+        pass
+
+    def read(self, path, total=math.inf):
+        return list(core.read_lines(path, self.Bad, "test file", total))
+
+    def test_lines_end_only_at_newline_return_or_both(self, tmp_path):
+        path = tmp_path / "t.txt"
+        inner = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+        path.write_bytes(f" a{inner}b \nc\r\nd\re\n\n # note\n\t\f\nlast".encode())
+        assert self.read(path) == [(1, f"a{inner}b"), (2, "c"), (3, "d"), (4, "e"), (8, "last")]
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r", ""])
+    def test_a_line_at_the_cap_is_read_and_one_past_it_is_not(self, tmp_path, end):
+        path = tmp_path / "t.txt"
+        path.write_text("head\n" + "x" * core.LINE_CAP + end, newline="")
+        assert self.read(path) == [(1, "head"), (2, "x" * core.LINE_CAP)]
+        path.write_text("head\n" + "x" * (core.LINE_CAP + 1) + end, newline="")
+        with pytest.raises(self.Bad, match=f"line 2 passes the limit of {core.LINE_CAP} "
+                                           "characters a line"):
+            self.read(path)
+
+    def test_a_file_at_the_total_is_read_and_one_past_it_is_not(self, tmp_path):
+        path = tmp_path / "t.txt"
+        path.write_text("ab\n# c\n")
+        assert self.read(path, total=7) == [(1, "ab")]
+        with pytest.raises(self.Bad, match="line 2 passes the limit of 6 characters a file"):
+            self.read(path, total=6)
+
+    @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
+    def test_a_device_is_read_under_the_cap(self):
+        with pytest.raises(self.Bad, match="/dev/zero: line 1 passes the limit"):
+            self.read("/dev/zero")
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs")
+    def test_a_fifo_is_read_like_a_file(self, tmp_path):
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_text, args=("a\r\nb",), daemon=True)
+        writer.start()
+        assert self.read(fifo) == [(1, "a"), (2, "b")]
+        writer.join()
+
+    @pytest.mark.parametrize("path, content", [
+        ("missing.txt", None), (".", None), ("nul\x00byte", None), ("t.txt", b"ok\n\xff\n"),
+    ])
+    def test_what_cannot_be_read_raises_the_callers_error(self, tmp_path, path, content):
+        if content is not None:
+            (tmp_path / path).write_bytes(content)
+        message = f"cannot read test file {tmp_path / path}: "
+        with pytest.raises(self.Bad, match=re.escape(message)):
+            self.read(tmp_path / path)
 
 
 # Minor page faults allowed over the measured rounds of a probe.  With freed

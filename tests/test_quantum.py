@@ -128,6 +128,20 @@ class TestDeterminism:
         with pytest.raises(ValueError, match="64-bit"):
             pair_uniforms(block, 2**64, slice(None), 1)
 
+    def test_refinement_words_share_the_stream_address(self):
+        # seed 2**64 at index 0 would be the key of seed 0 at index 1
+        ties = np.arange(4)
+        for seed in (-1, 2**64):
+            with pytest.raises(ValueError, match="64-bit"):
+                refinement_words(Block({SYM_E: 0.0}, count=4), seed, 0, 0, ties)
+        first, second = (Block({SYM_E: 0.0}, count=4, index=i) for i in (0, 1))
+        for column in (0, 1):
+            words = refinement_words(second, 0, column, 0, ties)
+            assert words.dtype == np.uint32
+            assert np.array_equal(words, pair_uniforms(
+                second, 0, slice(None), REFINEMENT + column, bits=32))
+            assert not np.array_equal(words, refinement_words(first, 0, column, 0, ties))
+
 
 def split_lanes(raw, bits=16):
     """A word array's lanes of ``bits`` bits, the low bits of each word first."""

@@ -394,6 +394,20 @@ class TestFileReplay:
         with pytest.raises(ReplayFormatError, match="angle mismatch"):
             generate_block(FileReplay(path), block, seed=0)
 
+    def test_header_angle_across_pi_from_the_block_is_accepted(self, tmp_path):
+        # 6e-10 apart, on either side of +/-pi: unwrapped, they differ by nearly 2*pi
+        path = self.write_vectors(tmp_path, f"E={-math.pi + 3e-10!r}\n1\n-1\n")
+        block = Block({SYM_E: math.pi - 3e-10}, count=2)
+        asg = generate_block(FileReplay(path), block, seed=0)
+        assert list(asg[SYM_E].values) == [1, -1]
+
+    @pytest.mark.parametrize("separator", ["\v", "\f", "\x1c", "\x85", "\u2028", "\u2029"])
+    def test_a_row_ends_only_at_a_line_end(self, tmp_path, separator):
+        path = self.write_vectors(tmp_path, f"E=0.5 P=0.0\n1 -1{separator}1 1\n\n-1 1\n")
+        block = Block({SYM_E: 0.5, SYM_P: 0.0}, count=2)
+        with pytest.raises(ReplayFormatError, match="line 2 has 4 values, expected 2"):
+            generate_block(FileReplay(path), block, seed=0)
+
     def test_too_few_rows(self, tmp_path):
         path = self.write_vectors(tmp_path, "E=0.5\n1\n")
         block = Block({SYM_E: 0.5}, count=5)
